@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# ci.sh — the checks a PR must pass, as six independently runnable legs.
+# ci.sh — the checks a PR must pass, as seven independently runnable legs.
 #
 #  tier1     full RelWithDebInfo build + the whole ctest suite
 #            (FFQ_TELEMETRY=OFF, the default — the zero-cost
@@ -25,16 +25,21 @@
 #            lifetime bugs the race hunt can't see;
 #  check     FFQ_CHECK=ON build + full suite with live yield points,
 #            then check_explore end to end — exhaustive
-#            preemption-bound-2 DFS over the SPSC, SPMC, and shard-
-#            scheduler models, a seeded schedule fuzz of every real
-#            queue (both fabric modes included via --queue all), and a
-#            mutation-catch gate: an intentionally injected line-29 bug
-#            must be caught with a schedule string that replays to the
-#            same violation.
+#            preemption-bound-2 DFS over the SPSC, SPMC, SPMC bulk/try_
+#            and shard-scheduler models, a seeded schedule fuzz of every
+#            real queue (both fabric modes included via --queue all), and
+#            a mutation-catch gate: three injected bugs (the line-29
+#            re-check dropped, the tail stored only after a batch that
+#            waits on a full ring, the FAA try_ claim) must each be caught
+#            with a schedule string that replays to the same violation;
+#  ffqbench  the gating benchmark end to end: its fault-injection
+#            --selftest, then each of the four workloads for a short
+#            seeded run (--seed 1 --seconds 2 --trace 0). Every run checks
+#            each delivered item, so any non-zero exit fails the leg.
 #
 # Usage: ./ci.sh [options] [jobs]
 #   --leg NAME   run only this leg (repeatable, or comma-separated;
-#                names: tier1 telemetry trace tsan asan check)
+#                names: tier1 telemetry trace tsan asan check ffqbench)
 #   --fresh      wipe each selected leg's build directory first
 #   --jobs N     parallel build/test jobs (default: nproc; bare numeric
 #                positional argument still works)
@@ -47,7 +52,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_LEGS=(tier1 telemetry trace tsan asan check)
+ALL_LEGS=(tier1 telemetry trace tsan asan check ffqbench)
 LEGS=()
 FRESH=0
 JOBS="$(nproc)"
@@ -66,7 +71,7 @@ while [[ $# -gt 0 ]]; do
     --fresh) FRESH=1; shift ;;
     --jobs) JOBS="$2"; shift 2 ;;
     --jobs=*) JOBS="${1#--jobs=}"; shift ;;
-    -h|--help) sed -n '2,48p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
+    -h|--help) sed -n '2,51p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
     [0-9]*) JOBS="$1"; shift ;;  # legacy: ./ci.sh 8
     *) echo "ci.sh: unknown argument '$1' (see --help)" >&2; exit 2 ;;
   esac
@@ -146,9 +151,10 @@ leg_trace() {
 }
 
 # The binaries both sanitizer legs build and run: the scalar queue
-# suites, the shard fabric suite, the wait/park paths, and telemetry.
-SAN_TESTS=(test_spsc test_spmc test_mpmc test_shard test_waitable
-           test_eventcount test_telemetry)
+# suites, the bulk-path liveness suite, the shard fabric suite, the
+# wait/park paths, and telemetry.
+SAN_TESTS=(test_spsc test_spmc test_mpmc test_liveness test_shard
+           test_waitable test_eventcount test_telemetry)
 
 leg_tsan() {
   configure tsan build-tsan FFQ_SANITIZE_THREAD=ON FFQ_TELEMETRY=ON
@@ -184,29 +190,52 @@ leg_check() {
   configure check build-check FFQ_CHECK=ON
   cmake --build build-check -j "$JOBS"
   ctest --test-dir build-check --output-on-failure -j "$JOBS"
-  echo "--- exhaustive: bound-2 DFS over the SPSC, SPMC, shard models ---"
-  ./build-check/tools/check_explore --model spsc --bound 2
-  ./build-check/tools/check_explore --model spmc --bound 2
-  ./build-check/tools/check_explore --model shard --bound 2
+  echo "--- exhaustive: bound-2 DFS over the SPSC, SPMC, SPMC bulk/try_, shard models ---"
+  local m
+  for m in spsc spmc spmc_bulk spmc_try shard; do
+    ./build-check/tools/check_explore --model "$m" --bound 2
+  done
   ./build-check/tools/check_explore --model mpmc --fuzz 2000 --seed 1
   echo "--- seeded fuzz: 10000 schedules over every real queue ---"
   ./build-check/tools/check_explore --queue all --fuzz 10000 --seed 1
-  echo "--- mutation gate: injected line-29 bug must be caught and replay ---"
-  local mut_out="build-check/mutation_catch.out"
-  if ./build-check/tools/check_explore --model spmc \
-       --mutate skip_line29_recheck --bound 2 | tee "$mut_out"; then
-    echo "ci.sh: FAIL — injected mutation was not caught"
+  catch_mutation spmc skip_line29_recheck
+  catch_mutation spmc_bulk tail_after_batch
+  catch_mutation spmc_try faa_try_claim
+}
+
+# catch_mutation <model> <mutation>: the injected bug must be caught by
+# the bound-2 DFS, and its witness schedule must replay to a violation.
+catch_mutation() {
+  local model="$1" mutation="$2"
+  echo "--- mutation gate: $mutation on $model must be caught and replay ---"
+  local mut_out="build-check/mutation_catch.$mutation.out"
+  if ./build-check/tools/check_explore --model "$model" \
+       --mutate "$mutation" --bound 2 | tee "$mut_out"; then
+    echo "ci.sh: FAIL — injected mutation $mutation was not caught"
     return 1
   fi
   local mut_sched
   mut_sched=$(sed -n 's/^  schedule: //p' "$mut_out" | head -n 1)
   test -n "$mut_sched"
-  if ./build-check/tools/check_explore --model spmc \
-       --mutate skip_line29_recheck --replay "$mut_sched"; then
-    echo "ci.sh: FAIL — witness schedule did not reproduce the violation"
+  if ./build-check/tools/check_explore --model "$model" \
+       --mutate "$mutation" --replay "$mut_sched"; then
+    echo "ci.sh: FAIL — witness schedule did not reproduce $mutation"
     return 1
   fi
-  echo "mutation caught and reproduced by schedule $mut_sched"
+  echo "mutation $mutation caught and reproduced by schedule $mut_sched"
+}
+
+leg_ffqbench() {
+  if [[ $FRESH -eq 1 ]]; then
+    echo "--- ffqbench: --fresh, wiping .bench_build ---"
+    rm -rf .bench_build
+  fi
+  python3 ffqbench/run.py --selftest
+  local w
+  for w in rpc_low rpc_high fanin_bulk mpmc_pairs; do
+    echo "--- ffqbench $w ---"
+    python3 ffqbench/run.py --workload "$w" --seed 1 --seconds 2 --trace 0
+  done
 }
 
 TIMING_REPORT=()

@@ -7,13 +7,19 @@
 // operation runs as one indivisible block and the exploration is vacuous.
 //
 // The program shape is fixed and small on purpose: P producers each
-// enqueue `items_per_producer` values (scalar or in batches), the last
-// producer to finish closes the queue, and C consumers drain it with
-// try_dequeue / try_dequeue_bulk + yield loops. Blocking dequeues are
-// never used — the waitable queue's park path enters a futex on the one
-// OS thread everything shares, and the SPMC/MPMC blocking paths commit to
-// a rank before observing emptiness; the try_* paths exercise the same
-// cell protocol without either hazard.
+// enqueue `items_per_producer` values (scalar or in batches), and C
+// consumers drain the queue with try_dequeue / try_dequeue_bulk + yield
+// loops. The last producer to finish leaves the queue open and idle until
+// every consumer has polled it empty, and only then closes it — so a
+// consumer that a try_ call strands on a rank nobody will write is not
+// rescued by close(). The idle-producer oracle catches that: once the
+// producers are idle, every try_ call must return within kIdleTryBound of
+// its own steps, so once every published item is consumed no consumer is
+// left inside a try_ call. Blocking dequeues are never used — the
+// waitable queue's park path enters a futex on the one OS thread
+// everything shares, and the SPMC/MPMC blocking paths commit to a rank
+// before observing emptiness; the try_* paths exercise the same cell
+// protocol without either hazard.
 //
 // Values encode their origin (producer * kProducerStride + seq), so a run
 // needs no side channel for the oracles: conservation, per-producer FIFO
@@ -30,6 +36,7 @@
 // contract.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <string>
@@ -94,6 +101,10 @@ auto consumer_endpoint(Queue& q) {
 
 }  // namespace detail
 
+/// Own scheduling steps a try_ call may take once the producers are idle
+/// (a call then meets only decided ranks; real calls need a few dozen).
+inline constexpr std::uint64_t kIdleTryBound = 10'000;
+
 struct program_config {
   std::size_t capacity = 8;
   int producers = 1;
@@ -138,6 +149,12 @@ run_result run_program(const program_config& cfg, Driver& driver) {
   std::vector<lin_op> history;
   res.streams.assign(static_cast<std::size_t>(cfg.consumers), {});
   int producers_left = cfg.producers;
+  // Idle-producer bookkeeping, per consumer: inside a try_ call, own
+  // steps taken in it while the producers are idle, and whether a call
+  // begun after they went idle came back empty.
+  const auto consumers = static_cast<std::size_t>(cfg.consumers);
+  std::vector<char> in_try(consumers, 0), polled_idle_empty(consumers, 0);
+  std::vector<std::uint64_t> idle_steps(consumers, 0);
 
   for (int p = 0; p < cfg.producers; ++p) {
     sched.spawn([&, p] {
@@ -166,13 +183,19 @@ run_result run_program(const program_config& cfg, Driver& driver) {
         }
       }
       flush();
-      if (--producers_left == 0) q.close();
+      if (--producers_left > 0) return;
+      while (std::find(polled_idle_empty.begin(), polled_idle_empty.end(),
+                       0) != polled_idle_empty.end()) {
+        coop_sched::yield();  // idle and open until every consumer polled
+      }
+      q.close();
     });
   }
 
   for (int c = 0; c < cfg.consumers; ++c) {
     sched.spawn([&, c] {
-      auto& stream = res.streams[static_cast<std::size_t>(c)];
+      const auto ci = static_cast<std::size_t>(c);
+      auto& stream = res.streams[ci];
       const int tid = cfg.producers + c;
       auto ep = detail::consumer_endpoint(q);
       using endpoint_t = decltype(ep);
@@ -181,6 +204,8 @@ run_result run_program(const program_config& cfg, Driver& driver) {
                                 : std::size_t{1});
       for (;;) {
         const std::uint64_t inv = stamp++;
+        const bool idle = producers_left == 0;
+        in_try[ci] = 1;
         std::size_t n = 0;
         // Every endpoint with a non-committal bulk claim (SPSC family,
         // SPMC/MPMC try_dequeue_bulk, the fabric's scheduler) takes the
@@ -198,6 +223,9 @@ run_result run_program(const program_config& cfg, Driver& driver) {
           n = ep.try_dequeue(v) ? 1 : 0;
           buf[0] = v;
         }
+        in_try[ci] = 0;
+        idle_steps[ci] = 0;
+        if (idle && n == 0) polled_idle_empty[ci] = 1;
         if (n > 0) {
           const std::uint64_t ret = stamp++;
           for (std::size_t i = 0; i < n; ++i) {
@@ -223,6 +251,18 @@ run_result run_program(const program_config& cfg, Driver& driver) {
     }
     res.sched.picks.push_back(pick);
     sched.step(pick);
+    // Consumer tasks are spawned after the producers.
+    const auto c = static_cast<std::size_t>(pick - cfg.producers);
+    if (producers_left == 0 && pick >= cfg.producers && in_try[c] &&
+        ++idle_steps[c] > kIdleTryBound) {
+      res.ok = false;
+      res.violation = "idle-producer: consumer " + std::to_string(c) +
+                      " is still inside a try_ call after " +
+                      std::to_string(kIdleTryBound) +
+                      " of its own steps with every producer idle";
+      res.steps = sched.steps();
+      return res;
+    }
     if (sched.steps() > cfg.max_steps) {
       res.ok = false;
       res.violation = "liveness: step bound " + std::to_string(cfg.max_steps) +

@@ -18,96 +18,43 @@
 //    rank wait (paper §III-B, last paragraph).
 #pragma once
 
-#include <algorithm>
-#include <atomic>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <type_traits>
 #include <utility>
 
 #include "ffq/check/yield.hpp"
 #include "ffq/core/layout.hpp"
-#include "ffq/runtime/aligned_buffer.hpp"
+#include "ffq/core/ring.hpp"
 #include "ffq/runtime/backoff.hpp"
-#include "ffq/runtime/cacheline.hpp"
-#include "ffq/core/spmc.hpp"  // detail::cell_probe
 #include "ffq/runtime/dwcas.hpp"
-#include "ffq/telemetry/counters.hpp"
-#include "ffq/trace/tracer.hpp"
 
 namespace ffq::core {
-
-namespace detail {
-
-inline constexpr std::int64_t kCellFree = -1;      ///< no item, claimable
-inline constexpr std::int64_t kCellReserved = -2;  ///< producer mid-write
-
-/// MPMC cell: the (rank, gap) pair sits in one 16-byte unit ("placing the
-/// rank and gap fields consecutively in the same cache line", §III-B) so
-/// a single cmpxchg16b covers both.
-template <typename T>
-struct mpmc_cell_fields {
-  ffq::runtime::atomic_i64_pair rg;  ///< first = rank, second = gap
-  alignas(alignof(T)) unsigned char storage[sizeof(T)];
-
-  mpmc_cell_fields() noexcept {
-    rg.first.store(kCellFree, std::memory_order_relaxed);
-    rg.second.store(-1, std::memory_order_relaxed);
-  }
-
-  T* ptr() noexcept { return std::launder(reinterpret_cast<T*>(storage)); }
-};
-
-template <typename T, bool CacheAligned>
-struct mpmc_cell : mpmc_cell_fields<T> {};
-
-template <typename T>
-struct alignas(ffq::runtime::kCacheLineSize) mpmc_cell<T, true>
-    : mpmc_cell_fields<T> {};
-
-}  // namespace detail
 
 template <typename T, typename Layout = layout_aligned,
           typename Telemetry = ffq::telemetry::default_policy,
           typename Trace = ffq::trace::default_policy>
-class mpmc_queue {
-  static_assert(std::is_nothrow_move_constructible_v<T>,
-                "cell publication cannot be rolled back after a throwing move");
+class mpmc_queue : public detail::mc_ring<T, detail::mpmc_cell_fields, Layout,
+                                          Telemetry, Trace> {
+  using base =
+      detail::mc_ring<T, detail::mpmc_cell_fields, Layout, Telemetry, Trace>;
 
  public:
-  using value_type = T;
-  using layout_type = Layout;
-  using telemetry_policy = Telemetry;
-  using trace_policy = Trace;
   static constexpr const char* kName = "ffq-mpmc";
 
-  explicit mpmc_queue(std::size_t capacity)
-      : cap_(capacity), cells_(capacity) {
-    assert(capacity_info::valid(capacity) && "capacity must be a power of two >= 2");
-  }
-
-  mpmc_queue(const mpmc_queue&) = delete;
-  mpmc_queue& operator=(const mpmc_queue&) = delete;
-
-  ~mpmc_queue() {
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
-      auto& c = cells_[i];
-      if (c.rg.first.load(std::memory_order_relaxed) >= 0) {
-        std::destroy_at(c.ptr());
-      }
-    }
-  }
+  explicit mpmc_queue(std::size_t capacity) : base(capacity, kName) {}
 
   /// Enqueue one item (any number of producer threads). Lock-free while
   /// the queue has free cells.
   void enqueue(T value) noexcept {
-    assert(closed_tail_.load(std::memory_order_relaxed) < 0 &&
+    assert(this->closed_tail_.load(std::memory_order_relaxed) < 0 &&
            "enqueue after close()");
     std::size_t gaps_this_call = 0;
     for (;;) {
       FFQ_CHECK_YIELD();  // scheduling point: before the rank draw
-      const std::int64_t rank = tail_->fetch_add(1, std::memory_order_relaxed);
+      const std::int64_t rank =
+          this->tail_->fetch_add(1, std::memory_order_relaxed);
       if (place_at_rank(rank, value, gaps_this_call)) return;
     }
   }
@@ -122,9 +69,9 @@ class mpmc_queue {
   /// batch.
   template <typename It>
   void enqueue_bulk(It first, std::size_t n) noexcept {
-    assert(closed_tail_.load(std::memory_order_relaxed) < 0 &&
+    assert(this->closed_tail_.load(std::memory_order_relaxed) < 0 &&
            "enqueue after close()");
-    tel_.on_bulk(n);
+    this->tel_.on_bulk(n);
     std::size_t gaps_this_call = 0;
     std::size_t remaining = n;
     std::int64_t next = 0;
@@ -134,10 +81,10 @@ class mpmc_queue {
       for (;;) {
         FFQ_CHECK_YIELD();  // scheduling point: before each rank attempt
         if (next == block_end) {
-          next = tail_->fetch_add(static_cast<std::int64_t>(remaining),
+          next = this->tail_->fetch_add(static_cast<std::int64_t>(remaining),
                                   std::memory_order_relaxed);
           block_end = next + static_cast<std::int64_t>(remaining);
-          tel_.on_rank_block_faa();
+          this->tel_.on_rank_block_faa();
         }
         const std::int64_t rank = next++;
         if (place_at_rank(rank, item, gaps_this_call)) break;
@@ -147,190 +94,15 @@ class mpmc_queue {
     }
   }
 
-  /// Dequeue one item (any number of consumer threads). Same protocol as
-  /// spmc_queue::dequeue; a -2 reservation reads as "producer still
-  /// writing" and is awaited.
-  bool dequeue(T& out) noexcept {
-    for (;;) {
-      FFQ_CHECK_YIELD();  // scheduling point: before the rank claim
-      const std::int64_t rank = head_->fetch_add(1, std::memory_order_relaxed);
-      switch (resolve_rank(rank, [&](T&& v) { out = std::move(v); })) {
-        case rank_state::taken:
-          return true;
-        case rank_state::skipped:
-          continue;
-        case rank_state::drained:
-          return false;
-      }
-    }
-  }
-
-  /// Non-blocking dequeue: returns false immediately when nothing is
-  /// claimable (tail ≤ head) instead of committing a rank and spinning.
-  /// Unlike the SPMC variant, a claimed rank below tail can still be
-  /// mid-write (-2 reservation) — the wait for the reserving producer is
-  /// the same one dequeue() performs.
-  bool try_dequeue(T& out) noexcept {
-    for (;;) {
-      FFQ_CHECK_YIELD();  // scheduling point: before the emptiness check
-      const std::int64_t t = tail_->load(std::memory_order_acquire);
-      const std::int64_t h = head_->load(std::memory_order_relaxed);
-      if (t <= h) return false;
-      FFQ_CHECK_YIELD();  // window: a racing consumer may move head here
-      const std::int64_t rank = head_->fetch_add(1, std::memory_order_relaxed);
-      switch (resolve_rank(rank, [&](T&& v) { out = std::move(v); })) {
-        case rank_state::taken:
-          return true;
-        case rank_state::skipped:
-          continue;
-        case rank_state::drained:
-          return false;
-      }
-    }
-  }
-
-  /// Non-blocking bulk dequeue: returns 0 immediately when nothing is
-  /// claimable (tail ≤ head). A claimed rank below the observed tail can
-  /// still be mid-write here (tail is a ticket dispenser, not a
-  /// publication watermark), so resolution may wait for a reserving
-  /// producer exactly as try_dequeue does — but never for an empty queue.
-  template <typename OutIt>
-  std::size_t try_dequeue_bulk(OutIt out, std::size_t max_n) noexcept {
-    if (max_n == 0) return 0;
-    for (;;) {
-      FFQ_CHECK_YIELD();  // scheduling point: before the emptiness check
-      const std::int64_t t = tail_->load(std::memory_order_acquire);
-      const std::int64_t h = head_->load(std::memory_order_relaxed);
-      const std::int64_t avail = t - h;
-      if (avail <= 0) return 0;  // nothing claimable: do not claim a rank
-      const std::int64_t k =
-          std::min<std::int64_t>(static_cast<std::int64_t>(max_n), avail);
-      FFQ_CHECK_YIELD();  // window: a racing consumer may move head here
-      const std::int64_t first = head_->fetch_add(k, std::memory_order_relaxed);
-      if (k > 1) tel_.on_rank_block_faa();
-      std::size_t taken = 0;
-      bool drained = false;
-      for (std::int64_t rank = first; rank < first + k && !drained; ++rank) {
-        switch (resolve_rank(rank, [&](T&& v) {
-          *out = std::move(v);
-          ++out;
-        })) {
-          case rank_state::taken:
-            ++taken;
-            break;
-          case rank_state::skipped:
-            break;
-          case rank_state::drained:
-            drained = true;
-            break;
-        }
-      }
-      if (taken > 0 || drained) {
-        if (taken > 0) tel_.on_bulk(taken);
-        return taken;
-      }
-      // Whole run was gaps: re-check availability before claiming again.
-    }
-  }
-
-  /// Dequeue up to `max_n` items: one head fetch-and-add claims the whole
-  /// run, gap ranks inside it are dropped without a fresh FAA (see
-  /// spmc_queue::dequeue_bulk). Returns the count taken (≥ 1); 0 only
-  /// once closed and drained.
-  template <typename OutIt>
-  std::size_t dequeue_bulk(OutIt out, std::size_t max_n) noexcept {
-    if (max_n == 0) return 0;
-    for (;;) {
-      FFQ_CHECK_YIELD();  // scheduling point: before the run claim
-      const std::int64_t t = tail_->load(std::memory_order_acquire);
-      const std::int64_t h = head_->load(std::memory_order_relaxed);
-      const std::int64_t avail = t - h;
-      const std::int64_t k =
-          avail > 1 ? std::min<std::int64_t>(
-                          static_cast<std::int64_t>(max_n), avail)
-                    : 1;
-      FFQ_CHECK_YIELD();  // window: head may be stale by claim time
-      const std::int64_t first = head_->fetch_add(k, std::memory_order_relaxed);
-      if (k > 1) tel_.on_rank_block_faa();
-      std::size_t taken = 0;
-      bool drained = false;
-      for (std::int64_t rank = first; rank < first + k && !drained; ++rank) {
-        switch (resolve_rank(rank, [&](T&& v) {
-          *out = std::move(v);
-          ++out;
-        })) {
-          case rank_state::taken:
-            ++taken;
-            break;
-          case rank_state::skipped:
-            break;
-          case rank_state::drained:
-            drained = true;
-            break;
-        }
-      }
-      if (taken > 0 || drained) {
-        if (taken > 0) tel_.on_bulk(taken);
-        return taken;
-      }
-    }
-  }
-
-  /// Close at the current tail. Precondition: every enqueue() call has
-  /// returned (with concurrent producers a tail snapshot is only
-  /// meaningful once they quiesce).
-  void close() noexcept {
-    closed_tail_.store(tail_->load(std::memory_order_acquire),
-                       std::memory_order_release);
-  }
-
-  bool closed() const noexcept {
-    return closed_tail_.load(std::memory_order_acquire) >= 0;
-  }
-
-  std::size_t capacity() const noexcept { return cap_.size(); }
-
-  std::int64_t approx_size() const noexcept {
-    const auto t = tail_->load(std::memory_order_relaxed);
-    const auto h = head_->load(std::memory_order_relaxed);
-    return t > h ? t - h : 0;
-  }
-
-  std::uint64_t gaps_created() const noexcept { return tel_.gaps_created(); }
-  std::uint64_t consumer_skips() const noexcept {
-    return tel_.consumer_skips();
-  }
-
-  /// The queue's event-counter block (empty under the disabled policy).
-  const ffq::telemetry::queue_counters<Telemetry>& telemetry() const noexcept {
-    return tel_;
-  }
-
-  /// Watchdog introspection (racy, diagnostic only). rank -2 in the
-  /// probe = a producer's in-flight reservation.
-  std::int64_t head_rank() const noexcept {
-    return head_->load(std::memory_order_relaxed);
-  }
-  std::int64_t tail_rank() const noexcept {
-    return tail_->load(std::memory_order_relaxed);
-  }
-  detail::cell_probe inspect_rank(std::int64_t rank) const noexcept {
-    const auto& c = cells_[cap_.template slot<Layout>(rank)];
-    return {c.rg.first.load(std::memory_order_relaxed),
-            c.rg.second.load(std::memory_order_relaxed)};
-  }
-
  private:
-  using cell = detail::mpmc_cell<T, Layout::kCacheAligned>;
-
   /// Try to install `value` at `rank` (Algorithm 2's per-cell races).
   /// True: value moved into the cell and published. False: the rank died
   /// — covered by another producer's gap, or turned into a gap by this
   /// call — and the caller must draw a fresh rank for the same value.
   bool place_at_rank(std::int64_t rank, T& value,
                      std::size_t& gaps_this_call) noexcept {
-    const std::uint64_t t0 = trc_.now();
-    auto& c = cells_[cap_.template slot<Layout>(rank)];
+    const std::uint64_t t0 = this->trc_.now();
+    auto& c = this->cells_[this->cap_.template slot<Layout>(rank)];
     ffq::runtime::yielding_backoff backoff;
     // Spin telemetry accumulates in registers and flushes once per
     // return — one RMW per episode, not one per pause. The wait loops
@@ -339,14 +111,14 @@ class mpmc_queue {
     std::uint64_t stalls = 0, pauses = 0, retries = 0;
     bool stall_traced = false;
     const auto flush_waits = [&]() noexcept {
-      tel_.on_full_stalls(stalls);
-      tel_.on_backoff_pauses(pauses);
-      tel_.on_dwcas_retries(retries);
+      this->tel_.on_full_stalls(stalls);
+      this->tel_.on_backoff_pauses(pauses);
+      this->tel_.on_dwcas_retries(retries);
       stalls = pauses = retries = 0;
     };
     for (;;) {
       FFQ_CHECK_YIELD();  // scheduling point: one placement round
-      const std::int64_t g = c.rg.second.load(std::memory_order_acquire);
+      const std::int64_t g = c.gap().load(std::memory_order_acquire);
       if (g >= rank) {
         // Our rank is already "in the past" at this cell (another
         // producer announced a gap covering it): abandon the rank —
@@ -354,9 +126,9 @@ class mpmc_queue {
         flush_waits();
         return false;
       }
-      const std::int64_t r = c.rg.first.load(std::memory_order_acquire);
+      const std::int64_t r = c.rank().load(std::memory_order_acquire);
       if (r >= 0) {
-        if (gaps_this_call >= cap_.size() && r < rank) {
+        if (gaps_this_call >= this->cap_.size() && r < rank) {
           // One full sweep produced only gaps: the ring is full. Stop
           // burning ranks (each dead rank costs every consumer a
           // fetch-add) and wait for this cell to drain; we still hold a
@@ -373,7 +145,7 @@ class mpmc_queue {
           // (Found by the model checker; see tests/test_model.cpp.)
           ++stalls;
           if (!stall_traced) {  // one instant per episode, not per pause
-            trc_.on_full_stall(rank);
+            this->trc_.on_full_stall(rank);
             stall_traced = true;
           }
           if (ffq::telemetry::flush_due(stalls)) flush_waits();
@@ -385,14 +157,14 @@ class mpmc_queue {
         // then re-examine the cell.
         typename ffq::runtime::atomic_i64_pair::value_type expected{r, g};
         if (c.rg.compare_exchange(expected, {r, rank})) {
-          tel_.on_gap_created();
-          trc_.on_gap(rank);
+          this->tel_.on_gap_created();
+          this->trc_.on_gap(rank);
           ++gaps_this_call;
           flush_waits();
           return false;  // gap announced for our rank; acquire a new rank
         }
         ++retries;
-        trc_.on_dwcas_retry(rank);
+        this->trc_.on_dwcas_retry(rank);
         continue;
       }
       if (r == detail::kCellFree) {
@@ -408,13 +180,13 @@ class mpmc_queue {
           FFQ_CHECK_YIELD();
           std::construct_at(c.ptr(), std::move(value));
           FFQ_CHECK_YIELD();  // window between the data write and publication
-          c.rg.first.store(rank, std::memory_order_release);  // publish
+          c.rank().store(rank, std::memory_order_release);  // publish
           flush_waits();
-          trc_.on_enqueue(t0, rank);
+          this->trc_.on_enqueue(t0, rank);
           return true;
         }
         ++retries;
-        trc_.on_dwcas_retry(rank);
+        this->trc_.on_dwcas_retry(rank);
         continue;
       }
       // r == kCellReserved: another producer is between its claim and
@@ -424,64 +196,6 @@ class mpmc_queue {
       backoff.pause();
     }
   }
-
-  enum class rank_state { taken, skipped, drained };
-
-  /// Resolve one claimed rank against its cell (the scalar dequeue body),
-  /// shared by dequeue / try_dequeue / dequeue_bulk.
-  template <typename Sink>
-  rank_state resolve_rank(std::int64_t rank, Sink&& sink) noexcept {
-    const std::uint64_t t0 = trc_.now();
-    auto& c = cells_[cap_.template slot<Layout>(rank)];
-    ffq::runtime::yielding_backoff backoff;
-    std::uint64_t pauses = 0;  // flushed once per episode, not per pause
-    for (;;) {
-      FFQ_CHECK_YIELD();  // scheduling point: one resolve round
-      if (c.rg.first.load(std::memory_order_acquire) == rank) {
-        sink(std::move(*c.ptr()));
-        std::destroy_at(c.ptr());
-        c.rg.first.store(detail::kCellFree, std::memory_order_release);
-        tel_.on_backoff_pauses(pauses);
-        trc_.on_dequeue(t0, rank);
-        return rank_state::taken;
-      }
-      // Distinct gap load and rank re-check, with a scheduling point in
-      // the line-29 window between them (see spmc_queue::resolve_rank).
-      if (c.rg.second.load(std::memory_order_acquire) >= rank) {
-        FFQ_CHECK_YIELD();  // line-29 window
-        if (c.rg.first.load(std::memory_order_acquire) != rank) {
-          tel_.on_consumer_skip();
-          trc_.on_skip(rank);
-          tel_.on_backoff_pauses(pauses);
-          return rank_state::skipped;
-        }
-        continue;  // re-check found our rank after all: take it next round
-      }
-      const std::int64_t closed = closed_tail_.load(std::memory_order_acquire);
-      if (closed >= 0 && rank >= closed) {
-        tel_.on_backoff_pauses(pauses);
-        return rank_state::drained;
-      }
-      ++pauses;
-      if (ffq::telemetry::flush_due(pauses)) {
-        tel_.on_backoff_pauses(pauses);
-        pauses = 0;
-      }
-      backoff.pause();
-    }
-  }
-
-  capacity_info cap_;
-  ffq::runtime::aligned_array<cell> cells_;
-  ffq::runtime::padded<std::atomic<std::int64_t>> tail_{0};
-  ffq::runtime::padded<std::atomic<std::int64_t>> head_{0};
-  std::atomic<std::int64_t> closed_tail_{-1};
-  // Replaces the old ad-hoc gaps_/skips_ pair. Empty under the disabled
-  // policy (static_asserts in tests/test_telemetry.cpp).
-  [[no_unique_address]] ffq::telemetry::queue_counters<Telemetry> tel_;
-  // Trace hook block: a 2-byte queue id when tracing is on, empty when
-  // off (static_asserts in tests/test_trace.cpp).
-  [[no_unique_address]] ffq::trace::queue_tracer<Trace> trc_{kName};
 };
 
 }  // namespace ffq::core

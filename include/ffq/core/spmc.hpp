@@ -22,72 +22,28 @@
 //  * consumer:  rank.load(acquire); move data out; rank.store(-1, release)
 //  * producer free-check: rank.load(acquire) pairs with the consumer's
 //    release so the data slot is safely reusable.
-//  * head is fetch_add(relaxed): it is a pure ticket dispenser; all data
-//    synchronization goes through the cell fields.
+//  * head is a relaxed fetch-and-add (or, for try_ claims, a relaxed
+//    CAS): a pure ticket dispenser; all data synchronization goes
+//    through the cell fields.
 //
 // Library extension beyond the paper (DESIGN.md §5.6): `close()` lets
 // consumers parked on a never-to-be-produced rank return false instead of
 // spinning forever. The check sits only on the back-off path.
 //
-// Batched operations (DESIGN.md §5.8): `enqueue_bulk` publishes each cell
-// individually (consumers synchronize through cells, not tail) but stores
-// `tail` once per batch; `dequeue_bulk` claims a *run* of ranks with a
-// single fetch-and-add on `head` — the per-item atomic RMW that dominates
-// dequeue cost (§III-A) is paid once per batch. Gap ranks inside a
-// claimed run are dropped in place without a fresh fetch-and-add.
+// The producer loop and the consumer claim loop are the shared cores in
+// ring.hpp (DESIGN.md §5.8): scalar calls are bulk calls of one item.
+// `enqueue_bulk` stores `tail` once per batch (and before any full-ring
+// wait); `dequeue_bulk` claims a *run* of ranks with a single
+// fetch-and-add on `head`, so the per-item atomic RMW that dominates
+// dequeue cost (§III-A) is paid once per batch.
 #pragma once
 
-#include <algorithm>
-#include <atomic>
-#include <cassert>
-#include <cstdint>
-#include <memory>
-#include <type_traits>
-#include <utility>
+#include <cstddef>
 
-#include "ffq/check/yield.hpp"
 #include "ffq/core/layout.hpp"
-#include "ffq/runtime/aligned_buffer.hpp"
-#include "ffq/runtime/backoff.hpp"
-#include "ffq/runtime/cacheline.hpp"
-#include "ffq/telemetry/counters.hpp"
-#include "ffq/trace/tracer.hpp"
+#include "ffq/core/ring.hpp"
 
 namespace ffq::core {
-
-namespace detail {
-
-/// Racy diagnostic view of one cell's control fields, returned by the
-/// queues' inspect_rank() for the trace watchdog's post-mortem dumps.
-struct cell_probe {
-  std::int64_t rank = -1;
-  std::int64_t gap = -1;
-};
-
-}  // namespace detail
-
-namespace detail {
-
-/// Cell of the single-producer variants. 24 bytes for 8-byte payloads in
-/// the compact layout, one full line when cache-aligned — matching the
-/// sizes reported in §V-B.
-template <typename T>
-struct spmc_cell_fields {
-  std::atomic<std::int64_t> rank{-1};  ///< insertion number, -1 = free
-  std::atomic<std::int64_t> gap{-1};   ///< highest rank skipped at this cell
-  alignas(alignof(T)) unsigned char storage[sizeof(T)];
-
-  T* ptr() noexcept { return std::launder(reinterpret_cast<T*>(storage)); }
-};
-
-template <typename T, bool CacheAligned>
-struct spmc_cell : spmc_cell_fields<T> {};
-
-template <typename T>
-struct alignas(ffq::runtime::kCacheLineSize) spmc_cell<T, true>
-    : spmc_cell_fields<T> {};
-
-}  // namespace detail
 
 /// FFQ^s. `T` must be nothrow-move-constructible; `Layout` is one of the
 /// policies in layout.hpp. Capacity must be a power of two and must
@@ -96,418 +52,28 @@ struct alignas(ffq::runtime::kCacheLineSize) spmc_cell<T, true>
 template <typename T, typename Layout = layout_aligned,
           typename Telemetry = ffq::telemetry::default_policy,
           typename Trace = ffq::trace::default_policy>
-class spmc_queue {
-  static_assert(std::is_nothrow_move_constructible_v<T>,
-                "cell publication cannot be rolled back after a throwing move");
+class spmc_queue : public detail::mc_ring<T, detail::spmc_cell_fields, Layout,
+                                          Telemetry, Trace> {
+  using base =
+      detail::mc_ring<T, detail::spmc_cell_fields, Layout, Telemetry, Trace>;
 
  public:
-  using value_type = T;
-  using layout_type = Layout;
-  using telemetry_policy = Telemetry;
-  using trace_policy = Trace;
   static constexpr const char* kName = "ffq-spmc";
 
-  explicit spmc_queue(std::size_t capacity)
-      : cap_(capacity), cells_(capacity) {
-    assert(capacity_info::valid(capacity) && "capacity must be a power of two >= 2");
-  }
-
-  spmc_queue(const spmc_queue&) = delete;
-  spmc_queue& operator=(const spmc_queue&) = delete;
-
-  ~spmc_queue() {
-    // Destroy any items that were enqueued but never consumed.
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
-      auto& c = cells_[i];
-      if (c.rank.load(std::memory_order_relaxed) >= 0) {
-        std::destroy_at(c.ptr());
-      }
-    }
-  }
+  explicit spmc_queue(std::size_t capacity) : base(capacity, kName) {}
 
   /// Enqueue one item (producer thread only). Wait-free while the queue
   /// has free cells; skips occupied cells, announcing gaps.
-  void enqueue(T value) noexcept {
-    assert(closed_tail_.load(std::memory_order_relaxed) < 0 &&
-           "enqueue after close()");
-    const std::uint64_t t0 = trc_.now();
-    std::int64_t t = tail_->load(std::memory_order_relaxed);
-    std::size_t consecutive_skips = 0;
-    std::uint64_t stalls = 0;  // flushed once per call, not per pause
-    bool stall_traced = false;
-    ffq::runtime::yielding_backoff full_backoff;
-    for (;;) {
-      FFQ_CHECK_YIELD();  // scheduling point: one cell-protocol round
-      auto& c = cells_[cap_.template slot<Layout>(t)];
-      if (c.rank.load(std::memory_order_acquire) >= 0) {
-        if (consecutive_skips >= cap_.size()) {
-          // A whole sweep found no free cell: the paper's free-slot
-          // assumption is violated (queue full). Announcing further gaps
-          // would flood consumers with dead ranks they must fetch-add
-          // through one by one, so wait here for *this* cell to drain
-          // instead (footnote 2: "the producer would spin until a slot
-          // becomes available"). Wait-freedom is already forfeit in this
-          // regime.
-          ++stalls;
-          if (!stall_traced) {  // one instant per episode, not per pause
-            trc_.on_full_stall(t);
-            stall_traced = true;
-          }
-          if (ffq::telemetry::flush_due(stalls)) {
-            tel_.on_full_stalls(stalls);
-            stalls = 0;
-          }
-          full_backoff.pause();
-          continue;
-        }
-        // Cell still holds an unconsumed (or mid-dequeue) older item:
-        // announce the skipped rank and move to the next one (Alg. 1
-        // lines 13–14). The same cell may be skipped repeatedly; `gap`
-        // then carries the latest skipped rank, which is all consumers
-        // need ("gap ≥ rank").
-        c.gap.store(t, std::memory_order_release);
-        tel_.on_gap_created();
-        trc_.on_gap(t);
-        ++t;
-        ++consecutive_skips;
-        continue;
-      }
-      std::construct_at(c.ptr(), std::move(value));
-      FFQ_CHECK_YIELD();  // window between the data write and publication
-      c.rank.store(t, std::memory_order_release);  // linearization point
-      ++t;
-      break;
-    }
-    tel_.on_full_stalls(stalls);
-    tail_->store(t, std::memory_order_release);
-    trc_.on_enqueue(t0, t - 1);
-  }
+  void enqueue(T value) noexcept { this->publish(&value, 1); }
 
-  /// Enqueue `n` items from `first` (producer thread only). Same cell
-  /// protocol as enqueue() — every item still gets its own release-store
-  /// of `rank`, which is the publication consumers synchronize on — but
-  /// `tail` is stored once for the whole batch instead of once per item.
-  /// Blocks (like enqueue) only in the full-ring regime.
+  /// Enqueue `n` items from `first` (producer thread only): the same
+  /// cell protocol, one `tail` store per batch. Blocks only in the
+  /// full-ring regime.
   template <typename It>
   void enqueue_bulk(It first, std::size_t n) noexcept {
-    assert(closed_tail_.load(std::memory_order_relaxed) < 0 &&
-           "enqueue after close()");
-    tel_.on_bulk(n);
-    std::uint64_t it0 = trc_.now();  // per-item begin timestamp
-    std::int64_t t = tail_->load(std::memory_order_relaxed);
-    std::size_t consecutive_skips = 0;
-    std::uint64_t stalls = 0;
-    bool stall_traced = false;
-    ffq::runtime::yielding_backoff full_backoff;
-    for (std::size_t i = 0; i < n;) {
-      FFQ_CHECK_YIELD();  // scheduling point: one cell-protocol round
-      auto& c = cells_[cap_.template slot<Layout>(t)];
-      if (c.rank.load(std::memory_order_acquire) >= 0) {
-        if (consecutive_skips >= cap_.size()) {
-          ++stalls;
-          if (!stall_traced) {
-            trc_.on_full_stall(t);
-            stall_traced = true;
-          }
-          if (ffq::telemetry::flush_due(stalls)) {
-            tel_.on_full_stalls(stalls);
-            stalls = 0;
-          }
-          full_backoff.pause();
-          continue;
-        }
-        c.gap.store(t, std::memory_order_release);
-        tel_.on_gap_created();
-        trc_.on_gap(t);
-        ++t;
-        ++consecutive_skips;
-        continue;
-      }
-      std::construct_at(c.ptr(), std::move(*first));
-      FFQ_CHECK_YIELD();  // window between the data write and publication
-      c.rank.store(t, std::memory_order_release);
-      trc_.on_enqueue(it0, t);
-      it0 = trc_.now();
-      stall_traced = false;
-      ++t;
-      ++first;
-      ++i;
-      consecutive_skips = 0;
-    }
-    tel_.on_full_stalls(stalls);
-    tail_->store(t, std::memory_order_release);  // one publication per batch
+    this->tel_.on_bulk(n);
+    this->publish(first, n);
   }
-
-  /// Dequeue one item (any number of consumer threads). Blocks (spinning
-  /// with back-off) while the queue is empty; returns false only after
-  /// close() once this consumer's rank is past the final tail.
-  bool dequeue(T& out) noexcept {
-    for (;;) {
-      FFQ_CHECK_YIELD();  // scheduling point: before the rank claim
-      const std::int64_t rank = head_->fetch_add(1, std::memory_order_relaxed);
-      switch (resolve_rank(rank, [&](T&& v) { out = std::move(v); })) {
-        case rank_state::taken:
-          return true;
-        case rank_state::skipped:
-          continue;  // draw a fresh rank
-        case rank_state::drained:
-          return false;
-      }
-    }
-  }
-
-  /// Non-blocking dequeue (any number of consumer threads). Returns false
-  /// immediately when no published work is claimable, instead of
-  /// committing to a rank and spinning. Once work is visible it commits
-  /// exactly like dequeue(); a racing consumer can push the claimed rank
-  /// past the observed tail, in which case this waits for that one rank
-  /// to resolve (ranks below the observed tail are always decided, so the
-  /// common path never waits).
-  bool try_dequeue(T& out) noexcept {
-    for (;;) {
-      FFQ_CHECK_YIELD();  // scheduling point: before the emptiness check
-      const std::int64_t t = tail_->load(std::memory_order_acquire);
-      const std::int64_t h = head_->load(std::memory_order_relaxed);
-      if (t <= h) return false;  // nothing published: do not claim a rank
-      FFQ_CHECK_YIELD();  // window: a racing consumer may move head here
-      const std::int64_t rank = head_->fetch_add(1, std::memory_order_relaxed);
-      switch (resolve_rank(rank, [&](T&& v) { out = std::move(v); })) {
-        case rank_state::taken:
-          return true;
-        case rank_state::skipped:
-          continue;  // gap rank: re-check availability before reclaiming
-        case rank_state::drained:
-          return false;
-      }
-    }
-  }
-
-  /// Non-blocking bulk dequeue (any number of consumer threads). Returns
-  /// 0 immediately when nothing is published (tail ≤ head) instead of
-  /// committing a rank and spinning — the primitive the shard fabric's
-  /// drain scheduler polls with. When work is visible it claims a run of
-  /// up to `max_n` ranks with one fetch-and-add, exactly like
-  /// dequeue_bulk; every rank below the observed tail is already decided
-  /// (item or gap), so resolution does not wait on the producer except in
-  /// the same racing-consumer overshoot window try_dequeue documents.
-  /// Runs that turn out to be all gaps re-check availability instead of
-  /// spinning.
-  template <typename OutIt>
-  std::size_t try_dequeue_bulk(OutIt out, std::size_t max_n) noexcept {
-    if (max_n == 0) return 0;
-    for (;;) {
-      FFQ_CHECK_YIELD();  // scheduling point: before the emptiness check
-      const std::int64_t t = tail_->load(std::memory_order_acquire);
-      const std::int64_t h = head_->load(std::memory_order_relaxed);
-      const std::int64_t avail = t - h;
-      if (avail <= 0) return 0;  // nothing published: do not claim a rank
-      const std::int64_t k =
-          std::min<std::int64_t>(static_cast<std::int64_t>(max_n), avail);
-      FFQ_CHECK_YIELD();  // window: a racing consumer may move head here
-      const std::int64_t first = head_->fetch_add(k, std::memory_order_relaxed);
-      if (k > 1) tel_.on_rank_block_faa();
-      std::size_t taken = 0;
-      bool drained = false;
-      for (std::int64_t rank = first; rank < first + k && !drained; ++rank) {
-        switch (resolve_rank(rank, [&](T&& v) {
-          *out = std::move(v);
-          ++out;
-        })) {
-          case rank_state::taken:
-            ++taken;
-            break;
-          case rank_state::skipped:
-            break;  // dropped in place: no fresh fetch-and-add
-          case rank_state::drained:
-            drained = true;
-            break;
-        }
-      }
-      if (taken > 0 || drained) {
-        if (taken > 0) tel_.on_bulk(taken);
-        return taken;
-      }
-      // Whole run was gaps: re-check availability before claiming again.
-    }
-  }
-
-  /// Dequeue up to `max_n` items into `out` (any number of consumer
-  /// threads). Claims a run of ranks with a *single* fetch-and-add of
-  /// `head` and resolves each claimed rank against its cell; gap ranks
-  /// inside the run are dropped without a fresh fetch-and-add. The claim
-  /// is bounded by the published tail (every rank below it is already
-  /// decided as item or gap), so the run cannot park on more than one
-  /// unproduced rank. Returns the count actually taken (≥ 1), blocking
-  /// like dequeue() while the queue is empty; returns 0 only once closed
-  /// and drained.
-  template <typename OutIt>
-  std::size_t dequeue_bulk(OutIt out, std::size_t max_n) noexcept {
-    if (max_n == 0) return 0;
-    for (;;) {
-      FFQ_CHECK_YIELD();  // scheduling point: before the run claim
-      const std::int64_t t = tail_->load(std::memory_order_acquire);
-      const std::int64_t h = head_->load(std::memory_order_relaxed);
-      const std::int64_t avail = t - h;
-      const std::int64_t k =
-          avail > 1 ? std::min<std::int64_t>(
-                          static_cast<std::int64_t>(max_n), avail)
-                    : 1;  // claim one rank to preserve blocking semantics
-      FFQ_CHECK_YIELD();  // window: head may be stale by claim time
-      const std::int64_t first = head_->fetch_add(k, std::memory_order_relaxed);
-      if (k > 1) tel_.on_rank_block_faa();
-      std::size_t taken = 0;
-      bool drained = false;
-      for (std::int64_t rank = first; rank < first + k && !drained; ++rank) {
-        switch (resolve_rank(rank, [&](T&& v) {
-          *out = std::move(v);
-          ++out;
-        })) {
-          case rank_state::taken:
-            ++taken;
-            break;
-          case rank_state::skipped:
-            break;  // dropped in place: no fresh fetch-and-add
-          case rank_state::drained:
-            // Ranks grow within the run, so the rest are past the final
-            // tail too.
-            drained = true;
-            break;
-        }
-      }
-      if (taken > 0 || drained) {
-        if (taken > 0) tel_.on_bulk(taken);
-        return taken;
-      }
-      // Whole run was gaps: claim again (equivalent to dequeue()'s
-      // skip-and-redraw, amortized).
-    }
-  }
-
-  /// Mark the queue closed at the current tail. Consumers whose ranks lie
-  /// beyond the final tail return false from dequeue(); items already
-  /// enqueued are still drained. Must be called after the producer's last
-  /// enqueue has returned (producer thread itself may call it).
-  void close() noexcept {
-    closed_tail_.store(tail_->load(std::memory_order_acquire),
-                       std::memory_order_release);
-  }
-
-  bool closed() const noexcept {
-    return closed_tail_.load(std::memory_order_acquire) >= 0;
-  }
-
-  std::size_t capacity() const noexcept { return cap_.size(); }
-
-  /// Racy size estimate (includes gap ranks); for monitoring only.
-  std::int64_t approx_size() const noexcept {
-    const auto t = tail_->load(std::memory_order_relaxed);
-    const auto h = head_->load(std::memory_order_relaxed);
-    return t > h ? t - h : 0;
-  }
-
-  /// Number of gap announcements the producer has made (0 under the
-  /// disabled telemetry policy).
-  std::uint64_t gaps_created() const noexcept { return tel_.gaps_created(); }
-
-  /// Number of times consumers abandoned a skipped rank (0 under the
-  /// disabled telemetry policy).
-  std::uint64_t consumer_skips() const noexcept {
-    return tel_.consumer_skips();
-  }
-
-  /// The queue's event-counter block (empty under the disabled policy).
-  const ffq::telemetry::queue_counters<Telemetry>& telemetry() const noexcept {
-    return tel_;
-  }
-
-  /// Watchdog introspection (racy, diagnostic only): the next rank
-  /// consumers will draw, the next rank the producer will place, and the
-  /// control fields of the cell a rank maps to.
-  std::int64_t head_rank() const noexcept {
-    return head_->load(std::memory_order_relaxed);
-  }
-  std::int64_t tail_rank() const noexcept {
-    return tail_->load(std::memory_order_relaxed);
-  }
-  detail::cell_probe inspect_rank(std::int64_t rank) const noexcept {
-    const auto& c = cells_[cap_.template slot<Layout>(rank)];
-    return {c.rank.load(std::memory_order_relaxed),
-            c.gap.load(std::memory_order_relaxed)};
-  }
-
- private:
-  using cell = detail::spmc_cell<T, Layout::kCacheAligned>;
-
-  enum class rank_state { taken, skipped, drained };
-
-  /// Resolve one claimed rank against its cell: the scalar dequeue body
-  /// of Algorithm 1, shared by dequeue / try_dequeue / dequeue_bulk.
-  /// `sink` receives the item by rvalue on `taken`. Blocks (with
-  /// back-off) while the producer is still writing this rank.
-  template <typename Sink>
-  rank_state resolve_rank(std::int64_t rank, Sink&& sink) noexcept {
-    const std::uint64_t t0 = trc_.now();
-    auto& c = cells_[cap_.template slot<Layout>(rank)];
-    ffq::runtime::yielding_backoff backoff;
-    std::uint64_t pauses = 0;  // flushed once per episode, not per pause
-    for (;;) {
-      FFQ_CHECK_YIELD();  // scheduling point: one resolve round
-      if (c.rank.load(std::memory_order_acquire) == rank) {
-        // Exactly one consumer can observe its own rank here (ranks are
-        // unique), so the cell is ours to read and recycle.
-        sink(std::move(*c.ptr()));
-        std::destroy_at(c.ptr());
-        c.rank.store(-1, std::memory_order_release);  // linearization point
-        tel_.on_backoff_pauses(pauses);
-        trc_.on_dequeue(t0, rank);
-        return rank_state::taken;
-      }
-      // Skipped? gap must be read before the rank re-check: the
-      // producer may have *filled* the cell for our rank after our
-      // first look and then announced a gap for a later rank on a
-      // subsequent traversal (paper's line-29 discussion). The two loads
-      // are distinct atomic accesses, so the checker gets a scheduling
-      // point between them — the exact window the argument is about.
-      if (c.gap.load(std::memory_order_acquire) >= rank) {
-        FFQ_CHECK_YIELD();  // line-29 window
-        if (c.rank.load(std::memory_order_acquire) != rank) {
-          tel_.on_consumer_skip();
-          trc_.on_skip(rank);
-          tel_.on_backoff_pauses(pauses);
-          return rank_state::skipped;
-        }
-        continue;  // re-check found our rank after all: take it next round
-      }
-      // Producer still writing (or queue empty): back off briefly.
-      const std::int64_t closed = closed_tail_.load(std::memory_order_acquire);
-      if (closed >= 0 && rank >= closed) {
-        tel_.on_backoff_pauses(pauses);
-        return rank_state::drained;
-      }
-      ++pauses;
-      if (ffq::telemetry::flush_due(pauses)) {
-        tel_.on_backoff_pauses(pauses);
-        pauses = 0;
-      }
-      backoff.pause();
-    }
-  }
-
-  capacity_info cap_;
-  ffq::runtime::aligned_array<cell> cells_;
-  // tail is logically producer-private (single-reader/single-writer in the
-  // paper); it is atomic only so close() can snapshot it.
-  ffq::runtime::padded<std::atomic<std::int64_t>> tail_{0};
-  ffq::runtime::padded<std::atomic<std::int64_t>> head_{0};
-  std::atomic<std::int64_t> closed_tail_{-1};
-  // Replaces the old ad-hoc gaps_created_/skips_ pair. Empty under the
-  // disabled policy, so sizeof matches the uninstrumented layout
-  // (static_asserts in tests/test_telemetry.cpp).
-  [[no_unique_address]] ffq::telemetry::queue_counters<Telemetry> tel_;
-  // Trace hook block: a 2-byte queue id when tracing is on, empty (and
-  // address-free) when off — the OFF layout stays byte-identical
-  // (static_asserts in tests/test_trace.cpp).
-  [[no_unique_address]] ffq::trace::queue_tracer<Trace> trc_{kName};
 };
 
 }  // namespace ffq::core

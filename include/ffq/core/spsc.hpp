@@ -6,28 +6,22 @@
 // Cells keep the (rank, gap) protocol because the producer can still wrap
 // around onto a cell whose item the consumer has not consumed yet (the
 // buffer-full edge), in which case it skips and announces a gap exactly
-// like the SPMC variant.
+// like the SPMC variant — through the same publish loop (ring.hpp).
 //
 // Used by the application framework (paper §V-A) for the per-consumer
 // response queues, and by Fig. 3 (queue-size sweep) and Fig. 8 (SPSC
 // single-thread reference line).
 #pragma once
 
-#include <atomic>
-#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <type_traits>
 #include <utility>
 
 #include "ffq/check/yield.hpp"
 #include "ffq/core/layout.hpp"
-#include "ffq/core/spmc.hpp"
-#include "ffq/runtime/aligned_buffer.hpp"
+#include "ffq/core/ring.hpp"
 #include "ffq/runtime/backoff.hpp"
-#include "ffq/runtime/cacheline.hpp"
-#include "ffq/telemetry/counters.hpp"
-#include "ffq/trace/tracer.hpp"
 
 namespace ffq::core {
 
@@ -37,229 +31,42 @@ class waitable_spsc_queue;
 template <typename T, typename Layout = layout_aligned,
           typename Telemetry = ffq::telemetry::default_policy,
           typename Trace = ffq::trace::default_policy>
-class spsc_queue {
-  static_assert(std::is_nothrow_move_constructible_v<T>,
-                "cell publication cannot be rolled back after a throwing move");
+class spsc_queue : public detail::ring<T, detail::spmc_cell_fields, Layout,
+                                       std::int64_t, Telemetry, Trace> {
+  using base = detail::ring<T, detail::spmc_cell_fields, Layout, std::int64_t,
+                            Telemetry, Trace>;
 
  public:
-  using value_type = T;
-  using layout_type = Layout;
-  using telemetry_policy = Telemetry;
-  using trace_policy = Trace;
   static constexpr const char* kName = "ffq-spsc";
 
-  explicit spsc_queue(std::size_t capacity)
-      : cap_(capacity), cells_(capacity) {
-    assert(capacity_info::valid(capacity) && "capacity must be a power of two >= 2");
-  }
-
-  spsc_queue(const spsc_queue&) = delete;
-  spsc_queue& operator=(const spsc_queue&) = delete;
-
-  ~spsc_queue() {
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
-      auto& c = cells_[i];
-      if (c.rank.load(std::memory_order_relaxed) >= 0) {
-        std::destroy_at(c.ptr());
-      }
-    }
-  }
+  explicit spsc_queue(std::size_t capacity) : base(capacity, kName) {}
 
   /// Producer thread only. Identical protocol to spmc_queue::enqueue.
-  void enqueue(T value) noexcept {
-    assert(closed_tail_.load(std::memory_order_relaxed) < 0 &&
-           "enqueue after close()");
-    const std::uint64_t t0 = trc_.now();
-    std::int64_t t = tail_->load(std::memory_order_relaxed);
-    std::size_t consecutive_skips = 0;
-    std::uint64_t stalls = 0;  // flushed once per call, not per pause
-    bool stall_traced = false;
-    ffq::runtime::yielding_backoff full_backoff;
-    for (;;) {
-      FFQ_CHECK_YIELD();  // scheduling point: one cell-protocol round
-      auto& c = cells_[cap_.template slot<Layout>(t)];
-      if (c.rank.load(std::memory_order_acquire) >= 0) {
-        if (consecutive_skips >= cap_.size()) {
-          // Full ring (free-slot assumption violated): wait for this cell
-          // instead of flooding the consumer with gap ranks. See the
-          // matching comment in spmc_queue::enqueue.
-          ++stalls;
-          if (!stall_traced) {  // one instant per episode, not per pause
-            trc_.on_full_stall(t);
-            stall_traced = true;
-          }
-          if (ffq::telemetry::flush_due(stalls)) {
-            tel_.on_full_stalls(stalls);
-            stalls = 0;
-          }
-          full_backoff.pause();
-          continue;
-        }
-        c.gap.store(t, std::memory_order_release);
-        tel_.on_gap_created();
-        trc_.on_gap(t);
-        ++t;
-        ++consecutive_skips;
-        continue;
-      }
-      std::construct_at(c.ptr(), std::move(value));
-      FFQ_CHECK_YIELD();  // window between the data write and publication
-      c.rank.store(t, std::memory_order_release);
-      ++t;
-      break;
-    }
-    tel_.on_full_stalls(stalls);
-    tail_->store(t, std::memory_order_release);
-    trc_.on_enqueue(t0, t - 1);
-  }
+  void enqueue(T value) noexcept { this->publish(&value, 1); }
 
-  /// Producer thread only. Enqueue `n` items from `first` with the same
-  /// cell protocol as enqueue() but a single `tail` store for the whole
-  /// batch (DESIGN.md §5.8). Blocks only in the full-ring regime.
+  /// Producer thread only. Enqueue `n` items from `first` with a single
+  /// `tail` store for the batch (DESIGN.md §5.8). Blocks only in the
+  /// full-ring regime.
   template <typename It>
   void enqueue_bulk(It first, std::size_t n) noexcept {
-    assert(closed_tail_.load(std::memory_order_relaxed) < 0 &&
-           "enqueue after close()");
-    tel_.on_bulk(n);
-    std::uint64_t it0 = trc_.now();  // per-item begin timestamp
-    std::int64_t t = tail_->load(std::memory_order_relaxed);
-    std::size_t consecutive_skips = 0;
-    std::uint64_t stalls = 0;
-    bool stall_traced = false;
-    ffq::runtime::yielding_backoff full_backoff;
-    for (std::size_t i = 0; i < n;) {
-      FFQ_CHECK_YIELD();  // scheduling point: one cell-protocol round
-      auto& c = cells_[cap_.template slot<Layout>(t)];
-      if (c.rank.load(std::memory_order_acquire) >= 0) {
-        if (consecutive_skips >= cap_.size()) {
-          ++stalls;
-          if (!stall_traced) {
-            trc_.on_full_stall(t);
-            stall_traced = true;
-          }
-          if (ffq::telemetry::flush_due(stalls)) {
-            tel_.on_full_stalls(stalls);
-            stalls = 0;
-          }
-          full_backoff.pause();
-          continue;
-        }
-        c.gap.store(t, std::memory_order_release);
-        tel_.on_gap_created();
-        trc_.on_gap(t);
-        ++t;
-        ++consecutive_skips;
-        continue;
-      }
-      std::construct_at(c.ptr(), std::move(*first));
-      FFQ_CHECK_YIELD();  // window between the data write and publication
-      c.rank.store(t, std::memory_order_release);
-      trc_.on_enqueue(it0, t);
-      it0 = trc_.now();
-      stall_traced = false;
-      ++t;
-      ++first;
-      ++i;
-      consecutive_skips = 0;
-    }
-    tel_.on_full_stalls(stalls);
-    tail_->store(t, std::memory_order_release);  // one publication per batch
+    this->tel_.on_bulk(n);
+    this->publish(first, n);
   }
 
   /// Consumer thread only. Non-blocking: false when no item is ready.
   /// Safe because `head` is consumer-private — an abandoned poll consumes
   /// no rank.
-  bool try_dequeue(T& out) noexcept {
-    const std::uint64_t t0 = trc_.now();
-    std::int64_t h = (*head_);
-    for (;;) {
-      FFQ_CHECK_YIELD();  // scheduling point: one cell-protocol round
-      auto& c = cells_[cap_.template slot<Layout>(h)];
-      if (c.rank.load(std::memory_order_acquire) == h) {
-        out = std::move(*c.ptr());
-        std::destroy_at(c.ptr());
-        c.rank.store(-1, std::memory_order_release);
-        (*head_) = h + 1;
-        trc_.on_dequeue(t0, h);
-        return true;
-      }
-      // The gap load and the rank re-check are distinct atomic accesses;
-      // the paper's line-29 argument is exactly about what may happen
-      // between them, so the checker gets a scheduling point there.
-      if (c.gap.load(std::memory_order_acquire) >= h) {
-        FFQ_CHECK_YIELD();  // line-29 window: producer may publish h here
-        if (c.rank.load(std::memory_order_acquire) != h) {
-          tel_.on_consumer_skip();
-          trc_.on_skip(h);
-          ++h;  // our rank was skipped; advance past the gap
-          continue;
-        }
-        continue;  // re-check found our rank after all: take it next round
-      }
-      (*head_) = h;  // remember progress past consumed gaps
-      return false;
-    }
-  }
+  bool try_dequeue(T& out) noexcept { return scan(&out, 1) == 1; }
 
   /// Consumer thread only. Blocking variant; returns false only after
   /// close() once everything produced has been drained.
-  bool dequeue(T& out) noexcept {
-    ffq::runtime::yielding_backoff backoff;
-    std::uint64_t pauses = 0;  // flushed once per call, not per pause
-    for (;;) {
-      if (try_dequeue(out)) {
-        tel_.on_backoff_pauses(pauses);
-        return true;
-      }
-      const std::int64_t closed = closed_tail_.load(std::memory_order_acquire);
-      if (closed >= 0 && (*head_) >= closed) {
-        tel_.on_backoff_pauses(pauses);
-        return false;
-      }
-      ++pauses;
-      if (ffq::telemetry::flush_due(pauses)) {
-        tel_.on_backoff_pauses(pauses);
-        pauses = 0;
-      }
-      backoff.pause();
-    }
-  }
+  bool dequeue(T& out) noexcept { return wait(&out, 1) == 1; }
 
   /// Consumer thread only. Take up to `max_n` ready items; never waits.
-  /// The consumer-private head makes the claim non-committal, so a
-  /// partial (or empty) batch abandons nothing.
+  /// A partial (or empty) batch abandons nothing.
   template <typename OutIt>
   std::size_t try_dequeue_bulk(OutIt out, std::size_t max_n) noexcept {
-    std::uint64_t it0 = trc_.now();  // per-item begin timestamp
-    std::int64_t h = (*head_);
-    std::size_t taken = 0;
-    while (taken < max_n) {
-      FFQ_CHECK_YIELD();  // scheduling point: one cell-protocol round
-      auto& c = cells_[cap_.template slot<Layout>(h)];
-      if (c.rank.load(std::memory_order_acquire) == h) {
-        *out = std::move(*c.ptr());
-        ++out;
-        std::destroy_at(c.ptr());
-        c.rank.store(-1, std::memory_order_release);
-        trc_.on_dequeue(it0, h);
-        it0 = trc_.now();
-        ++h;
-        ++taken;
-        continue;
-      }
-      if (c.gap.load(std::memory_order_acquire) >= h) {
-        FFQ_CHECK_YIELD();  // line-29 window (see try_dequeue)
-        if (c.rank.load(std::memory_order_acquire) != h) {
-          tel_.on_consumer_skip();
-          trc_.on_skip(h);
-          ++h;  // gap rank: advance past it within the same scan
-        }
-        continue;
-      }
-      break;  // next rank not published yet
-    }
-    (*head_) = h;
-    return taken;
+    return scan(out, max_n);
   }
 
   /// Consumer thread only. Blocking bulk dequeue: returns ≥ 1 items, or
@@ -267,72 +74,9 @@ class spsc_queue {
   template <typename OutIt>
   std::size_t dequeue_bulk(OutIt out, std::size_t max_n) noexcept {
     if (max_n == 0) return 0;
-    ffq::runtime::yielding_backoff backoff;
-    std::uint64_t pauses = 0;
-    for (;;) {
-      const std::size_t n = try_dequeue_bulk(out, max_n);
-      if (n > 0) {
-        tel_.on_bulk(n);
-        tel_.on_backoff_pauses(pauses);
-        return n;
-      }
-      const std::int64_t closed = closed_tail_.load(std::memory_order_acquire);
-      if (closed >= 0 && (*head_) >= closed) {
-        tel_.on_backoff_pauses(pauses);
-        return 0;
-      }
-      ++pauses;
-      if (ffq::telemetry::flush_due(pauses)) {
-        tel_.on_backoff_pauses(pauses);
-        pauses = 0;
-      }
-      backoff.pause();
-    }
-  }
-
-  /// See spmc_queue::close().
-  void close() noexcept {
-    closed_tail_.store(tail_->load(std::memory_order_acquire),
-                       std::memory_order_release);
-  }
-
-  bool closed() const noexcept {
-    return closed_tail_.load(std::memory_order_acquire) >= 0;
-  }
-
-  std::size_t capacity() const noexcept { return cap_.size(); }
-
-  std::int64_t approx_size() const noexcept {
-    const auto t = tail_->load(std::memory_order_relaxed);
-    const auto h = (*head_);
-    return t > h ? t - h : 0;
-  }
-
-  std::uint64_t gaps_created() const noexcept { return tel_.gaps_created(); }
-  std::uint64_t consumer_skips() const noexcept {
-    return tel_.consumer_skips();
-  }
-
-  /// The queue's event-counter block (empty under the disabled policy).
-  const ffq::telemetry::queue_counters<Telemetry>& telemetry() const noexcept {
-    return tel_;
-  }
-
-  /// Watchdog introspection (racy, diagnostic only). head is
-  /// consumer-private and non-atomic, so the cross-thread peek goes
-  /// through an atomic_ref — same bytes, race-free read.
-  std::int64_t head_rank() const noexcept {
-    // atomic_ref<const T> is C++26; the const_cast is load-only.
-    return std::atomic_ref<std::int64_t>(const_cast<std::int64_t&>(*head_))
-        .load(std::memory_order_relaxed);
-  }
-  std::int64_t tail_rank() const noexcept {
-    return tail_->load(std::memory_order_relaxed);
-  }
-  detail::cell_probe inspect_rank(std::int64_t rank) const noexcept {
-    const auto& c = cells_[cap_.template slot<Layout>(rank)];
-    return {c.rank.load(std::memory_order_relaxed),
-            c.gap.load(std::memory_order_relaxed)};
+    const std::size_t n = wait(out, max_n);
+    if (n > 0) this->tel_.on_bulk(n);
+    return n;
   }
 
  private:
@@ -340,22 +84,71 @@ class spsc_queue {
   // counter block so one telemetry() call covers the whole stack.
   friend class waitable_spsc_queue<T, Layout, Telemetry, Trace>;
 
-  using cell = detail::spmc_cell<T, Layout::kCacheAligned>;
+  /// The one cell scan: take up to `max_n` ready items from the
+  /// consumer-private head on, advancing past gap ranks; never waits.
+  template <typename OutIt>
+  std::size_t scan(OutIt out, std::size_t max_n) noexcept {
+    std::uint64_t it0 = this->trc_.now();  // per-item begin timestamp
+    std::int64_t h = *this->head_;
+    std::size_t taken = 0;
+    while (taken < max_n) {
+      FFQ_CHECK_YIELD();  // scheduling point: one cell-protocol round
+      auto& c = this->cells_[this->cap_.template slot<Layout>(h)];
+      if (c.rank().load(std::memory_order_acquire) == h) {
+        *out = std::move(*c.ptr());
+        ++out;
+        std::destroy_at(c.ptr());
+        c.rank().store(detail::kCellFree, std::memory_order_release);
+        this->trc_.on_dequeue(it0, h);
+        it0 = this->trc_.now();
+        ++h;
+        ++taken;
+        continue;
+      }
+      // The gap load and the rank re-check are distinct atomic accesses;
+      // the paper's line-29 argument is exactly about what may happen
+      // between them, so the checker gets a scheduling point there.
+      if (c.gap().load(std::memory_order_acquire) >= h) {
+        FFQ_CHECK_YIELD();  // line-29 window: producer may publish h here
+        if (c.rank().load(std::memory_order_acquire) != h) {
+          this->tel_.on_consumer_skip();
+          this->trc_.on_skip(h);
+          ++h;  // our rank was skipped; advance past the gap
+        }
+        continue;  // re-check found our rank after all: take it next round
+      }
+      break;  // next rank not published yet
+    }
+    *this->head_ = h;  // remember progress past consumed gaps
+    return taken;
+  }
 
-  capacity_info cap_;
-  ffq::runtime::aligned_array<cell> cells_;
-  ffq::runtime::padded<std::atomic<std::int64_t>> tail_{0};
-  // head is consumer-private: a plain counter on its own line (the whole
-  // point of the SPSC specialization).
-  ffq::runtime::padded<std::int64_t> head_{0};
-  std::atomic<std::int64_t> closed_tail_{-1};
-  // Empty under the disabled policy: occupies no storage, so sizeof is
-  // identical to the uninstrumented pre-telemetry layout (verified by
-  // static_asserts in tests/test_telemetry.cpp).
-  [[no_unique_address]] ffq::telemetry::queue_counters<Telemetry> tel_;
-  // Trace hook block: a 2-byte queue id when tracing is on, empty when
-  // off (static_asserts in tests/test_trace.cpp).
-  [[no_unique_address]] ffq::trace::queue_tracer<Trace> trc_{kName};
+  /// The one wait loop: scan until items arrive (≥ 1), or return 0 once
+  /// closed and drained.
+  template <typename OutIt>
+  std::size_t wait(OutIt out, std::size_t max_n) noexcept {
+    ffq::runtime::yielding_backoff backoff;
+    std::uint64_t pauses = 0;  // flushed once per call, not per pause
+    for (;;) {
+      const std::size_t n = scan(out, max_n);
+      if (n > 0 || drained()) {
+        this->tel_.on_backoff_pauses(pauses);
+        return n;
+      }
+      ++pauses;
+      if (ffq::telemetry::flush_due(pauses)) {
+        this->tel_.on_backoff_pauses(pauses);
+        pauses = 0;
+      }
+      backoff.pause();
+    }
+  }
+
+  bool drained() const noexcept {
+    const std::int64_t closed =
+        this->closed_tail_.load(std::memory_order_acquire);
+    return closed >= 0 && *this->head_ >= closed;
+  }
 };
 
 }  // namespace ffq::core

@@ -71,56 +71,13 @@ class waitable_spsc_queue {
 
   /// Consumer only. Parks in the kernel while the queue is empty;
   /// returns false once closed and drained.
-  bool dequeue(T& out) noexcept {
-    for (int i = 0; i < kSpinRounds; ++i) {
-      if (q_.try_dequeue(out)) return true;
-      ffq::runtime::cpu_relax();
-    }
-    for (;;) {
-      const auto key = ec_.prepare_wait();
-      // Re-check under the announced wait: a producer that enqueued
-      // after our last poll either sees our waiter count (and will
-      // notify) or we see its item here.
-      if (q_.try_dequeue(out)) {
-        ec_.cancel_wait();
-        return true;
-      }
-      if (q_.closed()) {
-        ec_.cancel_wait();
-        // Drain anything between the closed flag and the last publish.
-        return q_.try_dequeue(out);
-      }
-      q_.tel_.on_park();
-      q_.trc_.on_park();
-      ec_.wait(key);
-    }
-  }
+  bool dequeue(T& out) noexcept { return park(&out, 1) == 1; }
 
   /// Consumer only. Bulk variant of dequeue(): parks in the kernel while
   /// the queue is empty; returns ≥ 1 items, or 0 once closed and drained.
   template <typename OutIt>
   std::size_t dequeue_bulk(OutIt out, std::size_t max_n) noexcept {
-    if (max_n == 0) return 0;
-    for (int i = 0; i < kSpinRounds; ++i) {
-      const std::size_t n = q_.try_dequeue_bulk(out, max_n);
-      if (n > 0) return n;
-      ffq::runtime::cpu_relax();
-    }
-    for (;;) {
-      const auto key = ec_.prepare_wait();
-      const std::size_t n = q_.try_dequeue_bulk(out, max_n);
-      if (n > 0) {
-        ec_.cancel_wait();
-        return n;
-      }
-      if (q_.closed()) {
-        ec_.cancel_wait();
-        return q_.try_dequeue_bulk(out, max_n);
-      }
-      q_.tel_.on_park();
-      q_.trc_.on_park();
-      ec_.wait(key);
-    }
+    return max_n == 0 ? 0 : park(out, max_n);
   }
 
   /// Producer side: end the stream and wake any parked consumer.
@@ -152,6 +109,34 @@ class waitable_spsc_queue {
   }
 
  private:
+  /// The one park loop: spin briefly, then park on the event count until
+  /// a poll takes ≥ 1 item; after close, one last poll decides.
+  template <typename OutIt>
+  std::size_t park(OutIt out, std::size_t max_n) noexcept {
+    for (int i = 0; i < kSpinRounds; ++i) {
+      if (const std::size_t n = q_.try_dequeue_bulk(out, max_n)) return n;
+      ffq::runtime::cpu_relax();
+    }
+    for (;;) {
+      const auto key = ec_.prepare_wait();
+      // Re-check under the announced wait: a producer that enqueued
+      // after our last poll either sees our waiter count (and will
+      // notify) or we see its item here.
+      if (const std::size_t n = q_.try_dequeue_bulk(out, max_n)) {
+        ec_.cancel_wait();
+        return n;
+      }
+      if (q_.closed()) {
+        ec_.cancel_wait();
+        // Drain anything between the closed flag and the last publish.
+        return q_.try_dequeue_bulk(out, max_n);
+      }
+      q_.tel_.on_park();
+      q_.trc_.on_park();
+      ec_.wait(key);
+    }
+  }
+
   /// Count a wake-up only when a consumer is (racily) parked — mirroring
   /// when notify_one/notify_all actually issue a futex wake.
   void count_wake() noexcept {

@@ -14,6 +14,14 @@
 //   * producer_mutation::publish_before_data — swap lines 16/17: publish
 //     the rank before storing data ("the order of the two operations is
 //     important"); a consumer can then read uninitialized data.
+//   * producer_mutation::tail_after_batch — the bulk producer stores the
+//     shared tail only after the whole batch, even when it waits on a
+//     full ring first; try_ consumers then see an empty ring that never
+//     drains (world::record_full_stall).
+//   * consumer_mutation::faa_try_claim — the try_ consumer claims its run
+//     with a fetch-and-add sized from a stale head instead of a CAS, so a
+//     racing claim pushes it past the tail, onto ranks an idle producer
+//     never writes (world::record_try_wait).
 #pragma once
 
 #include <algorithm>
@@ -24,8 +32,8 @@
 
 namespace ffq::model {
 
-enum class producer_mutation { none, publish_before_data };
-enum class consumer_mutation { none, skip_line29_recheck };
+enum class producer_mutation { none, publish_before_data, tail_after_batch };
+enum class consumer_mutation { none, skip_line29_recheck, faa_try_claim };
 
 /// Single producer of Algorithm 1: enqueues values first..first+count-1.
 /// `tail` lives in world::tail_ but is producer-private (consumers never
@@ -37,6 +45,7 @@ class alg1_producer : public thread_m {
       : next_(first), last_(first + count - 1), mut_(mut) {}
 
   bool done() const override { return pc_ == pc::finished; }
+  bool is_producer() const override { return true; }
 
   void step(world& w) override {
     switch (pc_) {
@@ -246,6 +255,11 @@ class alg1_consumer : public thread_m {
 /// published tail and fall back to single-rank claims between
 /// publications. Unlike the scalar model, the tail store here is a real
 /// separate shared step because bulk consumers observe it.
+///
+/// Full ring (the shared publish loop in core/ring.hpp): the producer
+/// waits on a cell that holds an item of its own batch, or after a whole
+/// fruitless sweep — and stores the shared tail before it starts waiting
+/// (publish before stall), unless producer_mutation::tail_after_batch.
 class alg1_bulk_producer : public thread_m {
  public:
   alg1_bulk_producer(int first, int count, int batch,
@@ -253,15 +267,22 @@ class alg1_bulk_producer : public thread_m {
       : next_(first), last_(first + count - 1), batch_(batch), mut_(mut) {}
 
   bool done() const override { return pc_ == pc::finished; }
+  bool is_producer() const override { return true; }
 
   void step(world& w) override {
     switch (pc_) {
       case pc::load_rank: {
         const int r = w.cells_[w.slot(pt_)].rank;  // one load
         if (r >= 0) {
-          pc_ = consec_gaps_ >= static_cast<int>(w.cells_.size())
-                    ? pc::load_rank  // full fruitless sweep: wait in place
-                    : pc::announce_gap;
+          if (r < batch_start_ &&
+              consec_gaps_ < static_cast<int>(w.cells_.size())) {
+            pc_ = pc::announce_gap;
+          } else if (w.tail_ < pt_ &&
+                     mut_ != producer_mutation::tail_after_batch) {
+            pc_ = pc::stall_publish_tail;
+          } else {
+            w.record_full_stall(pt_);  // wait in place (self-loop state)
+          }
         } else {
           consec_gaps_ = 0;
           pc_ = pc::store_data;
@@ -300,9 +321,15 @@ class alg1_bulk_producer : public thread_m {
         advance_item();
         break;
       }
+      case pc::stall_publish_tail: {
+        w.tail_ = pt_;  // publish before stall
+        pc_ = pc::load_rank;
+        break;
+      }
       case pc::publish_tail: {
         w.tail_ = pt_;  // ONE shared tail store per batch
         in_batch_ = 0;
+        batch_start_ = pt_;
         if (next_ == last_) {
           pc_ = pc::finished;
         } else {
@@ -321,6 +348,7 @@ class alg1_bulk_producer : public thread_m {
     out.push_back(next_);
     out.push_back(pt_);
     out.push_back(in_batch_);
+    out.push_back(batch_start_);
     out.push_back(consec_gaps_);
   }
 
@@ -335,6 +363,7 @@ class alg1_bulk_producer : public thread_m {
     store_data,
     store_data_late,
     publish,
+    stall_publish_tail,
     publish_tail,
     finished
   };
@@ -355,6 +384,7 @@ class alg1_bulk_producer : public thread_m {
   int batch_;
   int pt_ = 0;  ///< private tail; w.tail_ lags until publish_tail
   int in_batch_ = 0;
+  int batch_start_ = 0;  ///< first rank of the current batch
   int consec_gaps_ = 0;
   producer_mutation mut_;
 };
@@ -509,6 +539,157 @@ class alg1_bulk_consumer : public thread_m {
   int val_ = 0;
   int taken_ = 0;
   int quota_;
+  int batch_;
+  consumer_mutation mut_;
+  std::vector<int> last_from_;  ///< FIFO monitor: last value per producer
+};
+
+/// Consumer polling try_dequeue_bulk(batch) until the producers are idle
+/// and the ring is empty. Same access sequence as the implementation's
+/// claim loop (core/ring.hpp): tail load, head load, then a CAS of head
+/// from the observed h to h + k with k = min(batch, t - h) — a failed CAS
+/// re-reads both. Nothing published (t <= h) claims no rank. The claimed
+/// run is resolved with the scalar cell protocol, gaps dropped in place.
+/// consumer_mutation::faa_try_claim replaces the CAS with the old
+/// fetch-and-add of k, which a racing claim can push past the tail.
+class alg1_try_consumer : public thread_m {
+ public:
+  explicit alg1_try_consumer(int batch,
+                             consumer_mutation mut = consumer_mutation::none)
+      : batch_(batch), mut_(mut) {}
+
+  bool done() const override { return pc_ == pc::finished; }
+
+  void step(world& w) override {
+    switch (pc_) {
+      case pc::load_tail: {
+        // The harness's close: producers idle before this tail load means
+        // t_ is the final tail. (A monitor read, not a memory access.)
+        idle_ = w.producers_idle();
+        t_ = w.tail_;  // one load
+        pc_ = pc::load_head;
+        break;
+      }
+      case pc::load_head: {
+        h0_ = w.head_;  // one load
+        if (t_ > h0_) {
+          pc_ = pc::claim;
+        } else {
+          pc_ = idle_ ? pc::finished : pc::load_tail;  // try_ returned 0
+        }
+        break;
+      }
+      case pc::claim: {
+        const int k = std::min(batch_, t_ - h0_);
+        if (mut_ == consumer_mutation::faa_try_claim) {
+          rank_ = w.head_;  // MUTATION: fetch-and-add from a stale size
+        } else if (w.head_ == h0_) {
+          rank_ = h0_;  // CAS h0 -> h0 + k succeeded: one RMW
+        } else {
+          pc_ = pc::load_tail;  // CAS failed: re-read tail and head
+          break;
+        }
+        w.head_ = rank_ + k;
+        end_ = rank_ + k;
+        pc_ = pc::check_rank;
+        break;
+      }
+      case pc::check_rank: {
+        const int r = w.cells_[w.slot(rank_)].rank;  // one load
+        pc_ = r == rank_ ? pc::read_data : pc::check_gap;
+        break;
+      }
+      case pc::read_data: {
+        val_ = w.cells_[w.slot(rank_)].data;  // one load
+        pc_ = pc::release_cell;
+        break;
+      }
+      case pc::release_cell: {
+        w.cells_[w.slot(rank_)].rank = -1;  // linearization store
+        w.record_consume(val_);
+        w.record_taken_rank(rank_);
+        const int p = w.producer_of(val_);
+        if (p >= 0) {
+          if (static_cast<std::size_t>(p) >= last_from_.size()) {
+            last_from_.resize(static_cast<std::size_t>(p) + 1, 0);
+          }
+          if (val_ <= last_from_[static_cast<std::size_t>(p)]) {
+            w.violation_ = "per-producer FIFO violated: saw " +
+                           std::to_string(val_) + " after " +
+                           std::to_string(last_from_[static_cast<std::size_t>(p)]);
+          }
+          last_from_[static_cast<std::size_t>(p)] = val_;
+        }
+        advance_rank();
+        break;
+      }
+      case pc::check_gap: {
+        const int g = w.cells_[w.slot(rank_)].gap;  // one load
+        if (g >= rank_) {
+          pc_ = pc::recheck_rank;
+        } else {
+          w.record_try_wait(rank_);
+          pc_ = pc::check_rank;  // back off and re-examine (spin)
+        }
+        break;
+      }
+      case pc::recheck_rank: {
+        const int r = w.cells_[w.slot(rank_)].rank;  // one load
+        if (r != rank_) {
+          w.record_skip(rank_);
+          advance_rank();  // truly skipped: drop in place, stay in run
+        } else {
+          pc_ = pc::check_rank;
+        }
+        break;
+      }
+      case pc::finished:
+        break;
+    }
+  }
+
+  void encode(std::vector<int>& out) const override {
+    out.push_back(static_cast<int>(pc_));
+    out.push_back(idle_ ? 1 : 0);
+    out.push_back(t_);
+    out.push_back(h0_);
+    out.push_back(rank_);
+    out.push_back(end_);
+    out.push_back(val_);
+    for (int v : last_from_) out.push_back(v);
+  }
+
+  std::unique_ptr<thread_m> clone() const override {
+    return std::make_unique<alg1_try_consumer>(*this);
+  }
+
+ private:
+  enum class pc {
+    load_tail,
+    load_head,
+    claim,
+    check_rank,
+    read_data,
+    release_cell,
+    check_gap,
+    recheck_rank,
+    finished
+  };
+
+  /// A rank of the run is decided: resolve the next one, or start the
+  /// next try_ call when the run is exhausted.
+  void advance_rank() {
+    ++rank_;
+    pc_ = rank_ != end_ ? pc::check_rank : pc::load_tail;
+  }
+
+  pc pc_ = pc::load_tail;
+  bool idle_ = false;
+  int t_ = 0;
+  int h0_ = 0;
+  int rank_ = -1;
+  int end_ = -1;
+  int val_ = 0;
   int batch_;
   consumer_mutation mut_;
   std::vector<int> last_from_;  ///< FIFO monitor: last value per producer

@@ -49,6 +49,7 @@ class alg2_producer : public thread_m {
       : next_(first), last_(first + count - 1), mut_(mut) {}
 
   bool done() const override { return pc_ == pc::finished; }
+  bool is_producer() const override { return true; }
 
   void step(world& w) override {
     switch (pc_) {

@@ -17,13 +17,11 @@
 //     is coarsened to a single step per probed shard — the probe is
 //     read-only and its only role is steering, so splitting it doubles
 //     scan states without exposing new protocol behaviour;
-//   * the claim's fetch-and-add bounds its take by the head value the
-//     RMW itself observes (k = min(batch, tail_seen - head_now)). The
-//     implementation can overshoot a stale tail when consumers race and
-//     resolves the overshot ranks via close(); the model has no close
-//     protocol, so bounding at the RMW keeps every claimed rank
-//     eventually publishable and the liveness phase meaningful for the
-//     scheduler itself. The stale-head pre-check race (another consumer
+//   * the claim is one RMW bounded by the head it observes
+//     (k = min(batch, tail_seen - head_now)) — one of the outcomes of the
+//     implementation's CAS loop (core/ring.hpp), which re-reads the
+//     indices after a lost race; either way a claim never passes a tail
+//     it observed. The stale-head pre-check race (another consumer
 //     draining the shard between the emptiness check and the claim) is
 //     still fully explored.
 //
@@ -64,6 +62,7 @@ class shard_producer : public thread_m {
       : s_(s), next_(first), last_(first + count - 1), mut_(mut) {}
 
   bool done() const override { return pc_ == pc::finished; }
+  bool is_producer() const override { return true; }
 
   void step(world& w) override {
     const int lt = w.shard_tails_[static_cast<std::size_t>(s_)];
@@ -184,9 +183,7 @@ class shard_consumer : public thread_m {
         break;
       }
       case pc::claim: {
-        // Fetch-and-add on the shard head: one RMW. The take is bounded
-        // by the head the RMW observes (see header: overshoot past t_ is
-        // resolved by close() in the implementation, unmodeled here).
+        // Tail-bounded claim on the shard head: one RMW (see header).
         const int h = w.shard_heads_[static_cast<std::size_t>(active_)];
         const int avail = t_ - h;
         if (avail <= 0) {

@@ -51,6 +51,10 @@ class thread_m {
   virtual void encode(std::vector<int>& out) const = 0;
 
   virtual std::unique_ptr<thread_m> clone() const = 0;
+
+  /// Producer machines answer true, so the idle-producer oracle knows
+  /// when every producer has returned.
+  virtual bool is_producer() const { return false; }
 };
 
 /// The shared state plus all threads: one node of the execution graph.
@@ -214,6 +218,43 @@ class world {
           return;
         }
       }
+    }
+  }
+
+  // --- liveness monitors (DESIGN.md §5.8) ----------------------------------
+  // The explorer cannot see a wedge (a spin loop is a memoized self-loop),
+  // so the two rules that keep try_ consumers live are checked as safety
+  // properties on the edge where they break.
+
+  bool producers_idle() const {
+    for (const auto& t : threads_) {
+      if (t->is_producer() && !t->done()) return false;
+    }
+    return true;
+  }
+
+  /// A single producer with next rank `private_tail` starts waiting for a
+  /// full-ring cell to drain. Publish before stall: every rank it decided
+  /// must be below the shared tail, or try_ consumers (which claim only
+  /// below it) see an empty ring and the wait never ends.
+  void record_full_stall(int private_tail) {
+    if (violation_.empty() && tail_ < private_tail) {
+      violation_ = "publish-before-stall: producer waits on a full ring "
+                   "while ranks " + std::to_string(tail_) + ".." +
+                   std::to_string(private_tail - 1) +
+                   " are hidden above the shared tail";
+    }
+  }
+
+  /// A consumer inside a try_ call finds its claimed `rank` neither
+  /// published nor skipped. Idle-producer oracle: once every producer has
+  /// returned, nothing will ever decide that rank, so the call would never
+  /// return — a try_ claim must stay below the tail it observed.
+  void record_try_wait(int rank) {
+    if (violation_.empty() && producers_idle()) {
+      violation_ = "idle-producer: a try_ consumer waits on rank " +
+                   std::to_string(rank) + " at or past the final tail " +
+                   std::to_string(tail_);
     }
   }
 

@@ -258,31 +258,13 @@ class fabric {
     /// Blocking dequeue: spins (with back-off) while the fabric is empty
     /// but open; returns false only once closed and nothing is claimable
     /// by this consumer.
-    bool dequeue(T& out) noexcept {
-      ffq::runtime::yielding_backoff backoff;
-      for (;;) {
-        if (try_dequeue(out)) return true;
-        if (fab_->closed()) {
-          // Items may have been published between the failed try and the
-          // close observation: one more sweep decides.
-          return try_dequeue(out);
-        }
-        backoff.pause();
-      }
-    }
+    bool dequeue(T& out) noexcept { return wait(&out, 1) == 1; }
 
     /// Blocking bulk dequeue: ≥ 1 items, or 0 only once closed and
     /// drained (mirrors the scalar queues' dequeue_bulk contract).
     template <typename OutIt>
     std::size_t dequeue_bulk(OutIt out, std::size_t max_n) noexcept {
-      if (max_n == 0) return 0;
-      ffq::runtime::yielding_backoff backoff;
-      for (;;) {
-        const std::size_t n = try_dequeue_bulk(out, max_n);
-        if (n > 0) return n;
-        if (fab_->closed()) return try_dequeue_bulk(out, max_n);
-        backoff.pause();
-      }
+      return max_n == 0 ? 0 : wait(out, max_n);
     }
 
    private:
@@ -292,6 +274,19 @@ class fabric {
           cursor_(fab->next_consumer_.fetch_add(1, std::memory_order_relaxed) %
                   fab->shards_.size()) {
       if constexpr (Ordered) held_.resize(fab->shards_.size());
+    }
+
+    /// The one blocking loop: poll until ≥ 1 item; once the fabric is
+    /// closed, one more sweep decides (items may have been published
+    /// between the failed poll and the close observation).
+    template <typename OutIt>
+    std::size_t wait(OutIt out, std::size_t max_n) noexcept {
+      ffq::runtime::yielding_backoff backoff;
+      for (;;) {
+        if (const std::size_t n = try_dequeue_bulk(out, max_n)) return n;
+        if (fab_->closed()) return try_dequeue_bulk(out, max_n);
+        backoff.pause();
+      }
     }
 
     /// Unordered scheduler: visit the cursor's shard (quota-capped bulk

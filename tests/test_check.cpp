@@ -129,6 +129,22 @@ model::world make_spmc_model(model::consumer_mutation cmut =
   return w;
 }
 
+/// The --model spmc_bulk / spmc_try shapes: one 3-item batch, two try_
+/// consumers; 2 cells wrap the batch (publish before stall), 4 cells let
+/// the racing claims meet an idle producer within bound 2.
+model::world make_try_model(
+    std::size_t cells,
+    model::producer_mutation pmut = model::producer_mutation::none,
+    model::consumer_mutation cmut = model::consumer_mutation::none) {
+  model::world w(cells, 3);
+  w.producer_ranges_ = {{1, 3}};
+  w.threads_.push_back(
+      std::make_unique<model::alg1_bulk_producer>(1, 3, 3, pmut));
+  w.threads_.push_back(std::make_unique<model::alg1_try_consumer>(2, cmut));
+  w.threads_.push_back(std::make_unique<model::alg1_try_consumer>(2, cmut));
+  return w;
+}
+
 /// The shard-scheduler shape check_explore uses for --model shard: two
 /// shards (one wraps its ring, one runs short so steals happen), two
 /// scheduler consumers starting on opposite cursors.
@@ -349,6 +365,46 @@ TEST(CheckExplore, InjectedLine29BugIsCaughtWithReplayableWitness) {
       << clean.violation;
 }
 
+TEST(CheckExplore, CleanTryConsumerModelsPassExhaustiveBound2) {
+  for (const std::size_t cells : {2, 4}) {
+    const auto r = chk::dfs_explore(make_try_model(cells), {});
+    EXPECT_TRUE(r.ok) << cells << " cells: " << r.violation;
+    EXPECT_TRUE(r.exhausted);
+    EXPECT_GT(r.terminals, 0u);
+  }
+}
+
+/// The mutation is caught by bound-2 DFS with `expected` in the verdict,
+/// and its witness replays to the same violation.
+void expect_caught_and_replayed(const model::world& w,
+                                const std::string& expected) {
+  const auto r = chk::dfs_explore(w, {});
+  ASSERT_FALSE(r.ok);
+  EXPECT_NE(r.violation.find(expected), std::string::npos) << r.violation;
+  const auto parsed = chk::parse_schedule(chk::format_schedule(r.witness));
+  ASSERT_TRUE(parsed.has_value());
+  const auto replay = chk::replay_model(w, *parsed);
+  ASSERT_FALSE(replay.ok);
+  EXPECT_EQ(replay.violation, r.violation);
+}
+
+// Defect: the bulk producer stores tail only after its batch, so when the
+// batch wraps the ring it waits for a cell no try_ consumer can see.
+TEST(CheckExplore, TailStoredOnlyAfterTheBatchIsCaught) {
+  expect_caught_and_replayed(
+      make_try_model(2, model::producer_mutation::tail_after_batch),
+      "publish-before-stall");
+}
+
+// Defect: a try_ claim by fetch-and-add, sized from a stale head, lands
+// past the tail once a racing claim got there first.
+TEST(CheckExplore, FaaTryClaimIsCaught) {
+  expect_caught_and_replayed(
+      make_try_model(4, model::producer_mutation::none,
+                     model::consumer_mutation::faa_try_claim),
+      "idle-producer");
+}
+
 TEST(CheckExplore, CleanShardSchedulerModelPassesExhaustiveBound2) {
   const auto r = chk::dfs_explore(make_shard_model(), {});
   EXPECT_TRUE(r.ok) << r.violation;
@@ -426,6 +482,42 @@ TEST(CheckQueues, BulkPathsFuzzCleanToo) {
   cfg.dequeue_batch = 2;
   const auto r = chk::fuzz_queue<q_spsc>(cfg, 15, 300);
   EXPECT_TRUE(r.ok) << r.failure.violation;
+}
+
+TEST(CheckQueues, TryBulkClaimsOnMultiConsumerQueuesFuzzClean) {
+  auto cfg = small_cfg(1, 2);
+  cfg.enqueue_batch = 5;  // one batch wraps the 4-cell ring
+  cfg.dequeue_batch = 4;
+  const auto s = chk::fuzz_queue<q_spmc>(cfg, 18, 300);
+  EXPECT_TRUE(s.ok) << s.failure.violation
+                    << "\nschedule: " << chk::format_schedule(s.failure.sched);
+  auto two = small_cfg(2, 2);
+  two.items_per_producer = 3;  // keeps the Wing-Gong search small
+  two.enqueue_batch = 3;
+  two.dequeue_batch = 4;
+  const auto m = chk::fuzz_queue<q_mpmc>(two, 19, 300);
+  EXPECT_TRUE(m.ok) << m.failure.violation
+                    << "\nschedule: " << chk::format_schedule(m.failure.sched);
+}
+
+namespace {
+
+/// A try_dequeue that commits like the blocking dequeue: on an idle,
+/// empty ring it waits forever, which is what the idle-producer oracle
+/// exists to report.
+struct committing_try_queue : q_spmc {
+  using q_spmc::q_spmc;
+  bool try_dequeue(long long& v) noexcept { return dequeue(v); }
+};
+
+}  // namespace
+
+TEST(CheckQueues, IdleProducerOracleFlagsATryCallThatWaits) {
+  chk::random_driver d(20);
+  const auto r = chk::run_program<committing_try_queue>(small_cfg(1, 2), d);
+  ASSERT_FALSE(r.ok);
+  EXPECT_NE(r.violation.find("idle-producer"), std::string::npos)
+      << r.violation;
 }
 
 TEST(CheckQueues, FuzzShardFabricBothModesPass) {

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,37 @@ chk::run_result run_seeded(const chk::program_config& cfg,
   EXPECT_TRUE(r.ok) << r.violation
                     << "\nschedule: " << chk::format_schedule(r.sched);
   return r;
+}
+
+/// Each producer's items in the order the consumer streams delivered
+/// them, streams taken in consumer order. With one consumer this is the
+/// whole observable per-producer order.
+std::map<long long, std::vector<long long>> per_producer_orders(
+    const chk::run_result& r) {
+  std::map<long long, std::vector<long long>> out;
+  for (const auto& s : r.streams) {
+    for (long long v : s) out[v / chk::kProducerStride].push_back(v);
+  }
+  return out;
+}
+
+/// The seeded program run twice over Queue — scalar calls, then
+/// enqueue_bulk / try_dequeue_bulk batches — must hand out the same
+/// multiset and, with one consumer, the same per-producer orders.
+template <typename Queue>
+void expect_scalar_and_bulk_agree(chk::program_config scalar) {
+  auto bulk = scalar;
+  bulk.enqueue_batch = 3;
+  bulk.dequeue_batch = 2;
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    const auto a = run_seeded<Queue>(scalar, seed);
+    const auto b = run_seeded<Queue>(bulk, seed);
+    ASSERT_EQ(a.dequeued_sorted, b.dequeued_sorted) << "seed " << seed;
+    if (scalar.consumers == 1) {
+      ASSERT_EQ(per_producer_orders(a), per_producer_orders(b))
+          << "seed " << seed;
+    }
+  }
 }
 
 chk::program_config shape(int producers, int consumers, int items) {
@@ -100,15 +132,27 @@ TEST(Differential, SpmcShapeAgreesBetweenSpmcAndMpmc) {
 // other): scalar vs batched enqueue/dequeue is a program-level detail
 // the queue contract must not observe.
 TEST(Differential, ScalarAndBulkPathsAgreeOnMpmc) {
-  auto scalar = shape(2, 2, 8);
-  auto bulk = scalar;
-  bulk.enqueue_batch = 3;
-  bulk.dequeue_batch = 2;
-  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
-    const auto a = run_seeded<q_mpmc>(scalar, seed);
-    const auto b = run_seeded<q_mpmc>(bulk, seed);
-    ASSERT_EQ(a.dequeued_sorted, b.dequeued_sorted) << "seed " << seed;
-  }
+  expect_scalar_and_bulk_agree<q_mpmc>(shape(2, 2, 8));
+}
+
+// Every variant, scalar against bulk: the scalar calls are the bulk-of-one
+// case of the shared publish and claim loops, so the program-level choice
+// between them must not be observable. One consumer pins the per-producer
+// orders exactly; two consumers (where the contract allows them) add the
+// racing try_ claims.
+TEST(Differential, ScalarAndBulkPathsAgreeOnEveryVariant) {
+  expect_scalar_and_bulk_agree<q_spsc>(shape(1, 1, 10));
+  expect_scalar_and_bulk_agree<q_wait>(shape(1, 1, 10));
+  expect_scalar_and_bulk_agree<q_spmc>(shape(1, 1, 10));
+  expect_scalar_and_bulk_agree<q_spmc>(shape(1, 2, 10));
+  expect_scalar_and_bulk_agree<q_mpmc>(shape(2, 1, 8));
+  auto fabric = shape(2, 1, 8);
+  fabric.check_linearizability = false;  // sharded: not one FIFO by design
+  expect_scalar_and_bulk_agree<q_shard>(fabric);
+  expect_scalar_and_bulk_agree<q_shard_ord>(fabric);
+  fabric.consumers = 2;
+  expect_scalar_and_bulk_agree<q_shard>(fabric);
+  expect_scalar_and_bulk_agree<q_shard_ord>(fabric);
 }
 
 // The shard fabric against the scalar queues: same two-producer program,

@@ -5,6 +5,8 @@
 //   check_explore --model spmc --fuzz 5000        seeded random schedules
 //   check_explore --model spmc --mutate skip_line29_recheck --fuzz 5000
 //   check_explore --model spmc --mutate skip_line29_recheck --replay 0.1*3.0
+//   check_explore --model spmc_bulk --mutate tail_after_batch --bound 2
+//   check_explore --model spmc_try --mutate faa_try_claim --bound 2
 //
 // Real queues (FFQ_CHECK_YIELD instrumentation; random + replay drivers):
 //   check_explore --queue all --fuzz 10000 --seed 1
@@ -44,13 +46,15 @@ namespace model = ffq::model;
 
 int usage() {
   std::fprintf(stderr,
-               "usage: check_explore --model spsc|spmc|mpmc|shard [--bound N] "
+               "usage: check_explore --model "
+               "spsc|spmc|spmc_bulk|spmc_try|mpmc|shard [--bound N] "
                "[--fuzz N] [--replay SCHED] [--mutate NAME] [--seed S]\n"
                "       check_explore --queue "
                "spsc|spmc|mpmc|waitable|shard|shard_ordered|all "
                "--fuzz N [--replay SCHED] [--seed S]\n"
                "mutations: publish_before_data skip_line29_recheck "
-               "claim_publishes_directly gap_ignores_rank claim_ignores_gap\n");
+               "tail_after_batch faa_try_claim claim_publishes_directly "
+               "gap_ignores_rank claim_ignores_gap\n");
   return 2;
 }
 
@@ -58,6 +62,10 @@ int usage() {
 
 /// SPSC shape: 1 producer x 3 items, 1 consumer, 2 cells (forces wraps).
 /// SPMC shape: 1 producer x 4 items, 2 consumers x quota 2, 2 cells.
+/// SPMC bulk / try shapes: 1 producer x one 3-item batch, 2 try_
+/// consumers (batch 2); 2 cells for spmc_bulk, so the batch wraps the
+/// ring (publish before stall), 4 for spmc_try, so the racing claims
+/// meet an idle producer within preemption bound 2.
 /// MPMC shape: 2 producers x 2 items, 2 consumers x quota 2, 2 cells.
 /// Shard shape: 2 shards x 2 items, 2 consumers x quota 2 batch 2,
 /// 2 cells per shard (exercises visit, steal, and the stale-head race).
@@ -69,6 +77,10 @@ model::world make_model(const std::string& name, const std::string& mutate) {
     pmut = model::producer_mutation::publish_before_data;
   } else if (mutate == "skip_line29_recheck") {
     cmut = model::consumer_mutation::skip_line29_recheck;
+  } else if (mutate == "tail_after_batch") {
+    pmut = model::producer_mutation::tail_after_batch;
+  } else if (mutate == "faa_try_claim") {
+    cmut = model::consumer_mutation::faa_try_claim;
   } else if (mutate == "claim_publishes_directly") {
     mmut = model::alg2_mutation::claim_publishes_directly;
   } else if (mutate == "gap_ignores_rank") {
@@ -92,6 +104,16 @@ model::world make_model(const std::string& name, const std::string& mutate) {
     w.threads_.push_back(std::make_unique<model::alg1_producer>(1, 4, pmut));
     w.threads_.push_back(std::make_unique<model::alg1_consumer>(2, cmut));
     w.threads_.push_back(std::make_unique<model::alg1_consumer>(2, cmut));
+    return w;
+  }
+  if (name == "spmc_bulk" || name == "spmc_try") {
+    model::world w(name == "spmc_try" ? 4 : 2, 3);
+    w.producer_ranges_ = {{1, 3}};
+    w.threads_.push_back(
+        std::make_unique<model::alg1_bulk_producer>(1, 3, 3, pmut));
+    for (int c = 0; c < 2; ++c) {
+      w.threads_.push_back(std::make_unique<model::alg1_try_consumer>(2, cmut));
+    }
     return w;
   }
   if (name == "mpmc") {
