@@ -18,13 +18,8 @@
 //
 // Output: the standard table/CSV plus the JSON report (--json) consumed
 // by BENCH_batch_ops.json, the repo's perf-trajectory baseline.
-#include <algorithm>
-#include <atomic>
-#include <cassert>
 #include <cstdio>
-#include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "ffq/baselines/spsc/batchqueue.hpp"
@@ -32,144 +27,13 @@
 #include "ffq/core/ffq.hpp"
 #include "ffq/harness/driver.hpp"
 #include "ffq/harness/report.hpp"
+#include "ffq/harness/run.hpp"
 #include "ffq/harness/stats.hpp"
-#include "ffq/runtime/backoff.hpp"
-#include "ffq/runtime/barrier.hpp"
-#include "ffq/runtime/timing.hpp"
 
 using namespace ffq;
 using namespace ffq::harness;
 
 namespace {
-
-/// One fan-out run over an FFQ-family queue: a producer streams `items`
-/// integers, `consumers` threads drain them; batch > 1 uses the bulk
-/// APIs on both sides. Returns items/second.
-template <typename Queue>
-double run_ffq_fanout_once(std::size_t consumers, std::size_t batch,
-                           std::uint64_t items, std::size_t capacity) {
-  Queue q(capacity);
-  const std::size_t total_threads = consumers + 1;
-  ffq::runtime::spin_barrier barrier(total_threads + 1);
-  ffq::runtime::time_window_recorder window(total_threads);
-  std::atomic<std::uint64_t> drained{0};
-
-  std::vector<std::thread> threads;
-  threads.reserve(total_threads);
-  for (std::size_t ci = 0; ci < consumers; ++ci) {
-    threads.emplace_back([&, ci] {
-      barrier.arrive_and_wait();
-      window.mark_start(ci);
-      std::uint64_t count = 0;
-      if (batch <= 1) {
-        std::uint64_t v;
-        while (q.dequeue(v)) ++count;
-      } else {
-        std::vector<std::uint64_t> buf(batch);
-        std::size_t n;
-        while ((n = q.dequeue_bulk(buf.data(), batch)) > 0) count += n;
-      }
-      window.mark_end(ci);
-      drained.fetch_add(count, std::memory_order_relaxed);
-      barrier.arrive_and_wait();
-    });
-  }
-  threads.emplace_back([&] {
-    const std::size_t slot = consumers;
-    barrier.arrive_and_wait();
-    window.mark_start(slot);
-    // Implicit flow control: stay under half the ring so the producer
-    // never reaches the gap-flood / full-ring regime.
-    const std::int64_t high_water =
-        static_cast<std::int64_t>(capacity) / 2;
-    std::vector<std::uint64_t> buf(batch);
-    ffq::runtime::yielding_backoff idle;
-    std::uint64_t next = 1;
-    while (next <= items) {
-      if (q.approx_size() > high_water) {
-        idle.pause();
-        continue;
-      }
-      idle.reset();
-      if (batch <= 1) {
-        q.enqueue(next);
-        ++next;
-      } else {
-        const std::uint64_t chunk =
-            std::min<std::uint64_t>(batch, items - next + 1);
-        for (std::uint64_t i = 0; i < chunk; ++i) {
-          buf[static_cast<std::size_t>(i)] = next + i;
-        }
-        q.enqueue_bulk(buf.data(), static_cast<std::size_t>(chunk));
-        next += chunk;
-      }
-    }
-    q.close();
-    window.mark_end(slot);
-    barrier.arrive_and_wait();
-  });
-
-  barrier.arrive_and_wait();
-  barrier.arrive_and_wait();
-  for (auto& t : threads) t.join();
-  assert(drained.load() == items && "conservation");
-  (void)drained;
-  return static_cast<double>(items) / window.seconds();
-}
-
-/// Single-consumer reference line over a try-API SPSC baseline.
-/// `Flush` force-publishes the producer side at stream end.
-template <typename Queue, typename Flush>
-double run_spsc_baseline_once(Queue& q, std::uint64_t items, Flush&& flush) {
-  ffq::runtime::spin_barrier barrier(3);
-  ffq::runtime::time_window_recorder window(2);
-
-  std::thread consumer([&] {
-    barrier.arrive_and_wait();
-    window.mark_start(0);
-    std::uint64_t v, count = 0;
-    ffq::runtime::yielding_backoff bo;
-    while (count < items) {
-      if (q.try_dequeue(v)) {
-        ++count;
-        bo.reset();
-      } else {
-        bo.pause();
-      }
-    }
-    window.mark_end(0);
-    barrier.arrive_and_wait();
-  });
-  std::thread producer([&] {
-    barrier.arrive_and_wait();
-    window.mark_start(1);
-    ffq::runtime::yielding_backoff bo;
-    for (std::uint64_t i = 1; i <= items;) {
-      if (q.try_enqueue(i)) {
-        ++i;
-        bo.reset();
-      } else {
-        bo.pause();
-      }
-    }
-    flush();
-    window.mark_end(1);
-    barrier.arrive_and_wait();
-  });
-
-  barrier.arrive_and_wait();
-  barrier.arrive_and_wait();
-  consumer.join();
-  producer.join();
-  return static_cast<double>(items) / window.seconds();
-}
-
-run_stats sample(int runs, const std::function<double()>& once) {
-  std::vector<double> s;
-  s.reserve(static_cast<std::size_t>(runs));
-  for (int r = 0; r < runs; ++r) s.push_back(once());
-  return summarize(s);
-}
 
 void add_row(table& t, const char* queue, std::size_t batch,
              std::size_t consumers, const run_stats& s) {
@@ -180,16 +44,7 @@ void add_row(table& t, const char* queue, std::size_t batch,
               batch, consumers, human_rate(s.mean).c_str());
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const auto cli = bench_cli::parse(argc, argv);
-  print_experiment_header(
-      "batch_ops — bulk operation ablation",
-      "Producer→consumers fan-out; batch sweeps amortize the head "
-      "fetch-and-add (dequeue_bulk) and tail publication (enqueue_bulk) "
-      "against the scalar FFQ paths and the SPSC batching baselines.");
-
+int run(const bench_cli& cli) {
   std::uint64_t items = static_cast<std::uint64_t>(1'000'000 * cli.scale);
   if (items < 10000) items = 10000;
   constexpr std::size_t kCapacity = 1 << 16;
@@ -202,10 +57,12 @@ int main(int argc, char** argv) {
   using spmc = core::spmc_queue<std::uint64_t, core::layout_aligned>;
   using spsc = core::spsc_queue<std::uint64_t, core::layout_aligned>;
 
+  // One producer; batch > 1 uses the bulk APIs on both sides.
   for (std::size_t consumers : consumer_counts) {
     for (std::size_t batch : batches) {
       const auto s = sample(cli.runs, [&] {
-        return run_ffq_fanout_once<spmc>(consumers, batch, items, kCapacity);
+        return run_stream<spmc>(1, consumers, batch, batch, items,
+                                kCapacity);
       });
       add_row(t, "ffq-spmc", batch, consumers, s);
     }
@@ -215,42 +72,42 @@ int main(int argc, char** argv) {
   // baselines the amortization argument is borrowed from.
   for (std::size_t batch : batches) {
     const auto s = sample(cli.runs, [&] {
-      return run_ffq_fanout_once<spsc>(1, batch, items, kCapacity);
+      return run_stream<spsc>(1, 1, batch, batch, items, kCapacity);
     });
     add_row(t, "ffq-spsc", batch, 1, s);
   }
   for (std::size_t batch : batches) {
     const auto s = sample(cli.runs, [&] {
       baselines::mcring_queue<std::uint64_t> q(kCapacity, batch);
-      return run_spsc_baseline_once(q, items, [&] { q.flush_producer(); });
+      return run_try_stream(q, items);
     });
     add_row(t, "mcringbuffer", batch, 1, s);
   }
   {
     const auto s = sample(cli.runs, [&] {
       baselines::batchqueue<std::uint64_t> q(kCapacity);
-      return run_spsc_baseline_once(q, items, [&] {
-        while (!q.flush_producer()) std::this_thread::yield();
-      });
+      return run_try_stream(q, items);
     });
     // BatchQueue's batch is its half-buffer; report it as such.
     add_row(t, "batchqueue", kCapacity / 2, 1, s);
   }
 
-  std::printf("\n%s", t.str().c_str());
-  if (!cli.csv_path.empty() && t.write_csv(cli.csv_path)) {
-    std::printf("csv written to %s\n", cli.csv_path.c_str());
-  }
-  if (!cli.json_path.empty() &&
-      t.write_json(cli.json_path, "batch_ops")) {
-    std::printf("json written to %s\n", cli.json_path.c_str());
-  }
-  std::printf(
+  return finish_report(
+      cli, t, "batch_ops",
       "\nexpectation: ffq-spmc batch>=16 at 4+ consumers >= 1.5x its "
       "batch-1 row (head fetch-add amortized across the claimed run); "
       "ffq-spsc gains come from the single tail publication only, so "
       "they are smaller; mcringbuffer/batchqueue bound what control-"
       "variable batching buys a pure SPSC design.\n");
-  write_trace_if_requested(cli);
-  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_bench(
+      argc, argv, "batch_ops — bulk operation ablation",
+      "Producer→consumers fan-out; batch sweeps amortize the head "
+      "fetch-and-add (dequeue_bulk) and tail publication (enqueue_bulk) "
+      "against the scalar FFQ paths and the SPSC batching baselines.",
+      run);
 }

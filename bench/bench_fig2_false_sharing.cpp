@@ -47,17 +47,9 @@ double measure(const config_row& c, int runs, double scale) {
   return stats.mean;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const auto cli = bench_cli::parse(argc, argv);
-  print_experiment_header(
-      "Figure 2 — false sharing: alignment x randomization",
-      "FFQ^m microbenchmark (submission SPMC interface, MPMC variant); "
-      "throughput normalized to the not-aligned layout of each config.");
-
+int run(const bench_cli& cli) {
   // Items tuned per configuration so each cell takes seconds, not
-  // minutes, on a small machine; relative results are what matter here.
+  // minutes, on a small machine; relative results are what matter.
   const config_row rows[] = {
       {"1p/1c", 1, 1, 400000},
       {"1p/8c", 1, 8, 60000},
@@ -67,24 +59,31 @@ int main(int argc, char** argv) {
   table t({"config", "not-aligned", "aligned", "randomized", "both",
            "(roundtrips/s @ not-aligned)"});
   for (const auto& r : rows) {
-    const double base = measure<core::layout_compact>(r, cli.runs, cli.scale);
-    const double aligned = measure<core::layout_aligned>(r, cli.runs, cli.scale);
-    const double rnd = measure<core::layout_randomized>(r, cli.runs, cli.scale);
+    const double base =
+        measure<core::layout_compact>(r, cli.runs, cli.scale);
+    const double aligned =
+        measure<core::layout_aligned>(r, cli.runs, cli.scale);
+    const double rnd =
+        measure<core::layout_randomized>(r, cli.runs, cli.scale);
     const double both =
         measure<core::layout_aligned_randomized>(r, cli.runs, cli.scale);
-    t.add_row({r.label, fixed(1.0), fixed(aligned / base), fixed(rnd / base),
-               fixed(both / base), human_rate(base)});
+    t.add_row({r.label, fixed(1.0), fixed(aligned / base),
+               fixed(rnd / base), fixed(both / base), human_rate(base)});
     std::printf("done: %s\n", r.label);
   }
-
-  std::printf("\n%s", t.str().c_str());
-  if (!cli.csv_path.empty() && t.write_csv(cli.csv_path)) {
-    std::printf("csv written to %s\n", cli.csv_path.c_str());
-  }
-  std::printf(
+  return finish_report(
+      cli, t, "fig2_false_sharing",
       "\npaper reference (Skylake): 1p/1c ~1.0/0.95/0.9/0.9; 1p/8c "
-      "alignment and randomization each help, 'both' best; 8p/8c aligned "
-      "best, randomization counter-productive.\n");
-  write_trace_if_requested(cli);
-  return 0;
+      "alignment and randomization each help, 'both' best; 8p/8c "
+      "aligned best, randomization counter-productive.\n");
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_bench(
+      argc, argv, "Figure 2 — false sharing: alignment x randomization",
+      "FFQ^m microbenchmark (submission SPMC interface, MPMC variant); "
+      "throughput normalized to the not-aligned layout of each config.",
+      run);
 }

@@ -10,6 +10,7 @@
 // consumer, peaks when the working set saturates the last cache level
 // that still fits, then decays once it spills.
 #include <cstdio>
+#include <string>
 
 #include "ffq/core/ffq.hpp"
 #include "ffq/harness/report.hpp"
@@ -19,13 +20,9 @@
 using namespace ffq;
 using namespace ffq::harness;
 
-int main(int argc, char** argv) {
-  const auto cli = bench_cli::parse(argc, argv);
-  print_experiment_header(
-      "Figure 3 — throughput vs queue size (1p/1c)",
-      "FFQ SPMC microbenchmark, single producer, single consumer, "
-      "cache-aligned cells; sweep of the ring size.");
+namespace {
 
+int run(const bench_cli& cli) {
   table t({"entries", "roundtrips/s", "stddev", "min", "max"});
   double best = 0.0;
   std::size_t best_entries = 0;
@@ -40,23 +37,29 @@ int main(int argc, char** argv) {
     using q = core::spmc_queue<std::uint64_t, core::layout_aligned>;
     const auto s = run_spmc_bench<q, core::layout_aligned>(cfg, cli.runs);
     t.add_row({std::to_string(entries), human_rate(s.mean),
-               human_rate(s.stddev), human_rate(s.min), human_rate(s.max)});
+               human_rate(s.stddev), human_rate(s.min),
+               human_rate(s.max)});
     if (s.mean > best) {
       best = s.mean;
       best_entries = entries;
     }
     std::printf("done: %zu entries\n", entries);
   }
+  return finish_report(
+      cli, t, "fig3_queue_size",
+      "\npeak at " + std::to_string(best_entries) + " entries (" +
+          human_rate(best) +
+          " roundtrips/s)\npaper reference (Skylake): maximum "
+          "throughput at 64k entries, decline beyond as the ring "
+          "exceeds cache capacity.\n");
+}
 
-  std::printf("\n%s", t.str().c_str());
-  std::printf("\npeak at %zu entries (%s roundtrips/s)\n", best_entries,
-              human_rate(best).c_str());
-  if (!cli.csv_path.empty() && t.write_csv(cli.csv_path)) {
-    std::printf("csv written to %s\n", cli.csv_path.c_str());
-  }
-  std::printf(
-      "paper reference (Skylake): maximum throughput at 64k entries, "
-      "decline beyond as the ring exceeds cache capacity.\n");
-  write_trace_if_requested(cli);
-  return 0;
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_bench(
+      argc, argv, "Figure 3 — throughput vs queue size (1p/1c)",
+      "FFQ SPMC microbenchmark, single producer, single consumer, "
+      "cache-aligned cells; sweep of the ring size.",
+      run);
 }

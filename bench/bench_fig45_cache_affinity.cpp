@@ -15,6 +15,7 @@
 //    L1/L2, cross-core only L3).
 #include <cstdio>
 #include <thread>
+#include <vector>
 
 #include "ffq/cachesim/queue_trace.hpp"
 #include "ffq/core/ffq.hpp"
@@ -41,14 +42,7 @@ const policy_row kPolicies[] = {
     {"no-affinity", false, runtime::placement_policy::none},
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const auto cli = bench_cli::parse(argc, argv);
-  print_experiment_header(
-      "Figures 4+5 — cache behaviour vs queue size and affinity (1p/1c)",
-      "Cache-simulator replay of the FFQ access pattern (always), plus "
-      "hardware PMU counters when available.");
+int run(const bench_cli& cli) {
 
   // --- simulated counters (Figs. 4 panel c + all of Fig. 5) ------------
   table sim({"policy", "entries", "L1-hit", "L2-hit", "L3-hit", "L3-miss",
@@ -70,16 +64,13 @@ int main(int argc, char** argv) {
                    fixed(r.ipc_proxy, 2), fixed(r.cycles_per_pair, 1)});
     }
   }
-  std::printf("%s\n", sim.str().c_str());
-  if (!cli.csv_path.empty() && sim.write_csv(cli.csv_path)) {
-    std::printf("csv written to %s\n", cli.csv_path.c_str());
-  }
 
   // --- hardware counters, when permitted (Fig. 4 panels a+b) -----------
-  runtime::perf_counter_group probe(
-      {runtime::perf_event_kind::cycles, runtime::perf_event_kind::instructions,
-       runtime::perf_event_kind::cache_references,
-       runtime::perf_event_kind::cache_misses});
+  const std::vector<runtime::perf_event_kind> events = {
+      runtime::perf_event_kind::cycles, runtime::perf_event_kind::instructions,
+      runtime::perf_event_kind::cache_references,
+      runtime::perf_event_kind::cache_misses};
+  runtime::perf_counter_group probe(events);
   if (!probe.available()) {
     std::printf("hardware PMU: unavailable (%s); skipping measured IPC.\n",
                 probe.error().c_str());
@@ -87,11 +78,7 @@ int main(int argc, char** argv) {
     table hwt({"policy", "entries", "IPC", "LLC-miss-ratio", "roundtrips/s"});
     for (const auto& p : kPolicies) {
       for (unsigned lg = 8; lg <= 16; lg += 4) {
-        runtime::perf_counter_group grp(
-            {runtime::perf_event_kind::cycles,
-             runtime::perf_event_kind::instructions,
-             runtime::perf_event_kind::cache_references,
-             runtime::perf_event_kind::cache_misses});
+        runtime::perf_counter_group grp(events);
         spmc_bench_config cfg;
         cfg.submission_capacity = std::size_t{1} << lg;
         cfg.response_capacity = cfg.submission_capacity;
@@ -114,12 +101,21 @@ int main(int argc, char** argv) {
     std::printf("%s\n", hwt.str().c_str());
   }
 
-  std::printf(
+  return finish_report(cli, sim, "fig45_cache_affinity",
       "\npaper reference: hit ratios rise with queue size, L3 collapses "
       "when the ring exceeds L3 (Fig. 5); same-core placements show the "
       "best private-cache locality; cross-core placements pay coherence "
       "misses (Fig. 4). Core frequency (Fig. 4 middle panel) is hardware-"
       "only and not modelled by the simulator.\n");
-  write_trace_if_requested(cli);
-  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_bench(
+      argc, argv,
+      "Figures 4+5 — cache behaviour vs queue size and affinity (1p/1c)",
+      "Cache-simulator replay of the FFQ access pattern (always), plus "
+      "hardware PMU counters when available.",
+      run);
 }

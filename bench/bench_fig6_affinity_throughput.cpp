@@ -20,22 +20,20 @@
 using namespace ffq;
 using namespace ffq::harness;
 
-int main(int argc, char** argv) {
-  const auto cli = bench_cli::parse(argc, argv);
-  print_experiment_header(
-      "Figure 6 — throughput vs queue size and affinity",
-      "FFQ SPMC microbenchmark, one consumer per producer; policies "
-      "sibling-HT / same-HT / other-core / no-affinity.");
+namespace {
 
+int run(const bench_cli& cli) {
   const auto topo = runtime::cpu_topology::discover();
-  // The paper runs 1..4 producers on a 4-core machine; scale the sweep
-  // to the cores available here (at least 1, at most 4 groups).
-  const std::size_t max_groups =
-      std::min<std::size_t>(4, std::max<std::size_t>(1, topo.num_cores()));
+  // The paper runs 1..4 producers on a 4-core machine; scale the
+  // sweep to the cores available here (at least 1, at most 4 groups).
+  const std::size_t max_groups = std::min<std::size_t>(
+      4, std::max<std::size_t>(1, topo.num_cores()));
 
   const runtime::placement_policy policies[] = {
-      runtime::placement_policy::sibling_ht, runtime::placement_policy::same_ht,
-      runtime::placement_policy::other_core, runtime::placement_policy::none};
+      runtime::placement_policy::sibling_ht,
+      runtime::placement_policy::same_ht,
+      runtime::placement_policy::other_core,
+      runtime::placement_policy::none};
 
   table t({"policy", "groups", "entries", "roundtrips/s", "stddev"});
   for (auto policy : policies) {
@@ -51,26 +49,31 @@ int main(int argc, char** argv) {
             200000 * cli.scale / static_cast<double>(groups));
         if (cfg.items_per_producer < 1000) cfg.items_per_producer = 1000;
         using q = core::spmc_queue<std::uint64_t, core::layout_aligned>;
-        const auto s = run_spmc_bench<q, core::layout_aligned>(cfg, cli.runs);
+        const auto s =
+            run_spmc_bench<q, core::layout_aligned>(cfg, cli.runs);
         t.add_row({runtime::to_string(policy), std::to_string(groups),
-                   std::to_string(std::size_t{1} << lg), human_rate(s.mean),
-                   human_rate(s.stddev)});
+                   std::to_string(std::size_t{1} << lg),
+                   human_rate(s.mean), human_rate(s.stddev)});
       }
-      std::printf("done: %s, %zu group(s)\n", runtime::to_string(policy),
-                  groups);
+      std::printf("done: %s, %zu group(s)\n",
+                  runtime::to_string(policy), groups);
     }
   }
-
-  std::printf("\n%s", t.str().c_str());
-  if (!cli.csv_path.empty() && t.write_csv(cli.csv_path)) {
-    std::printf("csv written to %s\n", cli.csv_path.c_str());
-  }
-  std::printf(
+  return finish_report(
+      cli, t, "fig6_affinity_throughput",
       "\npaper reference: sibling-HT best at small and large queue "
       "sizes; same-HT wins at cache-friendly medium sizes; other-core/"
-      "no-affinity benefit from large queues that decouple the threads. "
-      "NOTE: on a machine without SMT, sibling-HT degrades to same-HT "
-      "(the topology header above shows HT/core).\n");
-  write_trace_if_requested(cli);
-  return 0;
+      "no-affinity benefit from large queues that decouple the "
+      "threads. NOTE: on a machine without SMT, sibling-HT degrades "
+      "to same-HT (the topology header above shows HT/core).\n");
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_bench(
+      argc, argv, "Figure 6 — throughput vs queue size and affinity",
+      "FFQ SPMC microbenchmark, one consumer per producer; policies "
+      "sibling-HT / same-HT / other-core / no-affinity.",
+      run);
 }

@@ -30,27 +30,21 @@ using namespace ffq::sgxsim;
 
 namespace {
 
-service_result run_avg(service_config cfg, int runs) {
-  std::vector<double> tput, lat;
+/// The last of `runs` runs, with throughput and latency averaged.
+service_result run_avg(const service_config& cfg, int runs) {
   service_result last{};
-  for (int r = 0; r < runs; ++r) {
+  double latency_sum = 0.0;
+  const double calls_per_sec = sample(runs, [&] {
     last = run_syscall_service(cfg);
-    tput.push_back(last.calls_per_sec);
-    lat.push_back(last.avg_latency_cycles);
-  }
-  last.calls_per_sec = summarize(tput).mean;
-  last.avg_latency_cycles = summarize(lat).mean;
+    latency_sum += last.avg_latency_cycles;
+    return last.calls_per_sec;
+  }).mean;
+  last.calls_per_sec = calls_per_sec;
+  last.avg_latency_cycles = latency_sum / runs;
   return last;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const auto cli = bench_cli::parse(argc, argv);
-  print_experiment_header(
-      "Figure 7 — application benchmark: async syscalls for enclaves",
-      "getppid(2) service; native vs simulated-SGX variants (sync ocall, "
-      "external MPMC queue, FFQ).");
+int run(const bench_cli& cli) {
   {
     // Context: in sandboxed environments (gVisor etc.) the raw syscall
     // costs microseconds and dominates every variant.
@@ -125,9 +119,6 @@ int main(int argc, char** argv) {
                 regime == 0 ? "real getppid(2)"
                             : "queue-bound regime (simulated 100 ns syscall)",
                 left.str().c_str());
-    if (regime == 1 && !cli.csv_path.empty() && left.write_csv(cli.csv_path)) {
-      std::printf("csv written to %s\n", cli.csv_path.c_str());
-    }
   }
 
   // --- right panel: single-thread end-to-end latency --------------------
@@ -158,23 +149,21 @@ int main(int argc, char** argv) {
                    std::to_string(e2e.p50), std::to_string(e2e.p99),
                    std::to_string(e2e.p999)});
   }
-  std::printf("\nlatency (single app thread):\n%s", right.str().c_str());
-
-  const auto snap = telemetry::registry::instance().snapshot();
-  if (!cli.json_path.empty() &&
-      right.write_json(cli.json_path, "fig7_application_latency",
-                       snap.empty() ? nullptr : &snap)) {
-    std::printf("json written to %s\n", cli.json_path.c_str());
-  }
-  if (!cli.metrics_path.empty() && snap.write_json_file(cli.metrics_path)) {
-    std::printf("metrics written to %s\n", cli.metrics_path.c_str());
-  }
-  write_trace_if_requested(cli, snap.empty() ? nullptr : &snap);
-
-  std::printf(
+  std::printf("\nlatency (single app thread):");
+  return finish_report(cli, right, "fig7_application_latency",
       "\npaper reference: FFQ ~5x the external-MPMC throughput, scaling "
       "~linearly with cores; latency native < FFQ < MPMC (~2x FFQ). "
       "Caveat: in sandboxed containers the raw syscall cost dominates "
       "and compresses the queue-induced gap; orderings still hold.\n");
-  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_bench(
+      argc, argv,
+      "Figure 7 — application benchmark: async syscalls for enclaves",
+      "getppid(2) service; native vs simulated-SGX variants (sync ocall, "
+      "external MPMC queue, FFQ).",
+      run);
 }

@@ -47,14 +47,7 @@ void bench_queue(table& t, const bench_cli& cli,
   std::printf("done: %s\n", Adapter::name());
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const auto cli = bench_cli::parse(argc, argv);
-  print_experiment_header(
-      "Figure 8 — comparative study (benchmark of Yang & Mellor-Crummey)",
-      "Pairs of enqueue/dequeue split across threads, 50-150 ns think "
-      "time; MPMC variant of every queue.");
+int run(const bench_cli& cli) {
   std::printf("think-time cost: %.0f ns/draw (target mean 100 ns)\n\n",
               measure_think_overhead_ns(50, 150));
 
@@ -64,20 +57,19 @@ int main(int argc, char** argv) {
 
   // Single-thread reference lines (paper: "The throughput values
   // indicated for SPSC and SPMC are for single-threaded runs").
-  bench_queue<ffq_spsc_adapter<>>(t, cli, {1});
-  bench_queue<ffq_spmc_adapter<>>(t, cli, {1});
+  bench_queue<ffq_adapter<core::spsc_queue<std::uint64_t>>>(t, cli, {1});
+  bench_queue<ffq_adapter<core::spmc_queue<std::uint64_t>>>(t, cli, {1});
 
-  bench_queue<ffq_mpmc_adapter<>>(t, cli, threads);
+  bench_queue<ffq_adapter<core::mpmc_queue<std::uint64_t>>>(t, cli,
+                                                            threads);
   bench_queue<wf_adapter>(t, cli, threads);
   bench_queue<lcrq_adapter>(t, cli, threads);
   bench_queue<cc_adapter>(t, cli, threads);
-  bench_queue<ms_adapter>(t, cli, threads);
+  bench_queue<ms_adapter<>>(t, cli, threads);
   bench_queue<htm_adapter>(t, cli, threads);
 
-  std::printf("\n%s", t.str().c_str());
-
-  // The pairwise harness folds every FFQ queue's event counters into the
-  // registry as the queue dies; export them alongside the table. In a
+  // The pairwise harness folds every FFQ queue's event counters into
+  // the registry as the queue dies; the report embeds them. In a
   // default (FFQ_TELEMETRY=OFF) build the snapshot is empty.
   const auto snap = telemetry::registry::instance().snapshot();
   if (!snap.counters.empty()) {
@@ -87,24 +79,23 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(value));
     }
   }
+  return finish_report(
+      cli, t, "fig8_comparative",
+      "\npaper reference (Skylake/Haswell/P8): FFQ^m consistently "
+      "among the fastest at every thread count; SPSC > SPMC > MPMC "
+      "single-thread (SPMC ~50% over MPMC); ccqueue best "
+      "sequentially but drops with threads; wfqueue strongest FAA "
+      "competitor; msqueue worst; HTM fine at 1 thread, collapsing "
+      "under concurrency.\n");
+}
 
-  if (!cli.csv_path.empty() && t.write_csv(cli.csv_path)) {
-    std::printf("csv written to %s\n", cli.csv_path.c_str());
-  }
-  if (!cli.json_path.empty() &&
-      t.write_json(cli.json_path, "fig8_comparative",
-                   snap.empty() ? nullptr : &snap)) {
-    std::printf("json written to %s\n", cli.json_path.c_str());
-  }
-  if (!cli.metrics_path.empty() && snap.write_json_file(cli.metrics_path)) {
-    std::printf("metrics written to %s\n", cli.metrics_path.c_str());
-  }
-  write_trace_if_requested(cli, snap.empty() ? nullptr : &snap);
-  std::printf(
-      "\npaper reference (Skylake/Haswell/P8): FFQ^m consistently among "
-      "the fastest at every thread count; SPSC > SPMC > MPMC single-"
-      "thread (SPMC ~50%% over MPMC); ccqueue best sequentially but "
-      "drops with threads; wfqueue strongest FAA competitor; msqueue "
-      "worst; HTM fine at 1 thread, collapsing under concurrency.\n");
-  return 0;
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_bench(
+      argc, argv,
+      "Figure 8 — comparative study (benchmark of Yang & Mellor-Crummey)",
+      "Pairs of enqueue/dequeue split across threads, 50-150 ns think "
+      "time; MPMC variant of every queue.",
+      run);
 }

@@ -8,83 +8,54 @@
 // neither — its array cells are recycled in place — which is part of its
 // performance story.
 #include <cstdio>
-#include <thread>
-#include <vector>
+#include <string>
 
-#include "ffq/baselines/ms_queue.hpp"
 #include "ffq/baselines/reclaimers.hpp"
+#include "ffq/harness/pairwise.hpp"
 #include "ffq/harness/report.hpp"
 #include "ffq/harness/stats.hpp"
-#include "ffq/runtime/barrier.hpp"
-#include "ffq/runtime/timing.hpp"
 
 using namespace ffq;
-using namespace ffq::baselines;
 using namespace ffq::harness;
 
 namespace {
 
+/// Enqueue/dequeue pairs with no think time and no pinning.
 template <typename Reclaimer>
-double run_once(int threads, std::uint64_t pairs_per_thread) {
-  ms_queue<std::uint64_t, Reclaimer> q;
-  runtime::spin_barrier barrier(static_cast<std::size_t>(threads) + 1);
-  runtime::time_window_recorder window(static_cast<std::size_t>(threads));
-  std::vector<std::thread> ts;
-  for (int t = 0; t < threads; ++t) {
-    ts.emplace_back([&, t] {
-      barrier.arrive_and_wait();
-      window.mark_start(static_cast<std::size_t>(t));
-      std::uint64_t out;
-      runtime::yielding_backoff bo;
-      for (std::uint64_t i = 0; i < pairs_per_thread; ++i) {
-        q.enqueue(i + 1);
-        while (!q.try_dequeue(out)) bo.pause();
-        bo.reset();
-      }
-      window.mark_end(static_cast<std::size_t>(t));
-      barrier.arrive_and_wait();
-    });
-  }
-  barrier.arrive_and_wait();
-  barrier.arrive_and_wait();
-  for (auto& t : ts) t.join();
-  return 2.0 * static_cast<double>(pairs_per_thread) * threads /
-         window.seconds();
+run_stats measure(int threads, std::uint64_t pairs, int runs) {
+  pairwise_config cfg;
+  cfg.threads = threads;
+  cfg.total_pairs = pairs;
+  cfg.think_min_ns = 0;
+  cfg.think_max_ns = 0;
+  cfg.pin_threads = false;
+  return run_pairwise<ms_adapter<Reclaimer>>(cfg, runs);
 }
 
-template <typename Reclaimer>
-run_stats run_many(int threads, std::uint64_t pairs, int runs) {
-  std::vector<double> s;
-  for (int r = 0; r < runs; ++r) s.push_back(run_once<Reclaimer>(threads, pairs));
-  return summarize(s);
+int run(const bench_cli& cli) {
+  const std::uint64_t pairs =
+      static_cast<std::uint64_t>(std::max(10000.0, 300000 * cli.scale));
+  table t({"threads", "hazard (ops/s)", "epoch (ops/s)", "epoch/hazard"});
+  for (int threads : {1, 2, 4}) {
+    const auto hz =
+        measure<baselines::hazard_reclaimer>(threads, pairs, cli.runs);
+    const auto ep =
+        measure<baselines::epoch_reclaimer>(threads, pairs, cli.runs);
+    t.add_row({std::to_string(threads), human_rate(hz.mean),
+               human_rate(ep.mean), fixed(ep.mean / hz.mean, 2)});
+    std::printf("done: %d thread(s)\n", threads);
+  }
+  return finish_report(
+      cli, t, "reclamation",
+      "\nexpectation: epochs win on read-side cost (no per-pointer "
+      "seq_cst publication); hazards bound garbage under stalls.\n");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto cli = bench_cli::parse(argc, argv);
-  print_experiment_header(
-      "Reclamation ablation (extra)",
-      "MS-queue enqueue/dequeue pairs under hazard pointers vs epochs.");
-
-  const std::uint64_t pairs =
-      static_cast<std::uint64_t>(std::max(10000.0, 300000 * cli.scale));
-
-  table t({"threads", "hazard (ops/s)", "epoch (ops/s)", "epoch/hazard"});
-  for (int threads : {1, 2, 4}) {
-    const auto hz = run_many<hazard_reclaimer>(threads, pairs / threads, cli.runs);
-    const auto ep = run_many<epoch_reclaimer>(threads, pairs / threads, cli.runs);
-    t.add_row({std::to_string(threads), human_rate(hz.mean),
-               human_rate(ep.mean), fixed(ep.mean / hz.mean, 2)});
-    std::printf("done: %d thread(s)\n", threads);
-  }
-  std::printf("\n%s", t.str().c_str());
-  if (!cli.csv_path.empty() && t.write_csv(cli.csv_path)) {
-    std::printf("csv written to %s\n", cli.csv_path.c_str());
-  }
-  std::printf(
-      "\nexpectation: epochs win on read-side cost (no per-pointer "
-      "seq_cst publication); hazards bound garbage under stalls.\n");
-  write_trace_if_requested(cli);
-  return 0;
+  return run_bench(
+      argc, argv, "Reclamation ablation (extra)",
+      "MS-queue enqueue/dequeue pairs under hazard pointers vs epochs.",
+      run);
 }

@@ -6,153 +6,55 @@
 // the control-variable traffic differences the related-work section
 // discusses (shared counters vs batched counters vs in-band signalling
 // vs FFQ's rank/gap protocol).
-#include <atomic>
+#include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <thread>
 
 #include "ffq/baselines/baselines.hpp"
 #include "ffq/core/ffq.hpp"
 #include "ffq/harness/report.hpp"
+#include "ffq/harness/run.hpp"
 #include "ffq/harness/stats.hpp"
-#include "ffq/runtime/backoff.hpp"
-#include "ffq/runtime/barrier.hpp"
-#include "ffq/runtime/timing.hpp"
 
 using namespace ffq;
 using namespace ffq::harness;
 
 namespace {
 
-/// Generic streaming driver: `Enq(q, v)->bool try`, `Deq(q, &v)->bool`,
-/// `Flush(q)` at stream end.
-template <typename Q, typename Enq, typename Deq, typename Flush>
-double stream_once(Q& q, std::uint64_t items, Enq enq, Deq deq, Flush flush) {
-  runtime::spin_barrier barrier(3);
-  runtime::time_window_recorder window(2);
-  std::thread consumer([&] {
-    barrier.arrive_and_wait();
-    window.mark_start(0);
-    std::uint64_t out;
-    std::uint64_t received = 0;
-    runtime::yielding_backoff bo;
-    while (received < items) {
-      if (deq(q, out)) {
-        ++received;
-        bo.reset();
-      } else {
-        bo.pause();
-      }
-    }
-    window.mark_end(0);
-    barrier.arrive_and_wait();
-  });
-  std::thread producer([&] {
-    barrier.arrive_and_wait();
-    window.mark_start(1);
-    runtime::yielding_backoff bo;
-    for (std::uint64_t i = 1; i <= items; ++i) {
-      while (!enq(q, i)) bo.pause();
-    }
-    flush(q);
-    window.mark_end(1);
-    barrier.arrive_and_wait();
-  });
-  barrier.arrive_and_wait();
-  barrier.arrive_and_wait();
-  producer.join();
-  consumer.join();
-  return static_cast<double>(items) / window.seconds();
-}
+constexpr std::size_t kCap = 1 << 12;
 
-template <typename MakeQ, typename Enq, typename Deq, typename Flush>
-void bench(table& t, const char* name, const bench_cli& cli, MakeQ make,
-           Enq enq, Deq deq, Flush flush) {
-  const std::uint64_t items =
-      static_cast<std::uint64_t>(2'000'000 * cli.scale);
-  std::vector<double> samples;
-  for (int r = 0; r < cli.runs; ++r) {
-    auto q = make();
-    samples.push_back(stream_once(*q, std::max<std::uint64_t>(items, 10000),
-                                  enq, deq, flush));
-  }
-  const auto s = summarize(samples);
+/// One row: a fresh Queue(kCap, args...) per run, on the heap.
+template <typename Queue, typename... Args>
+void bench(table& t, const char* name, const bench_cli& cli, Args... args) {
+  const std::uint64_t items = std::max<std::uint64_t>(
+      static_cast<std::uint64_t>(2'000'000 * cli.scale), 10000);
+  const auto s = sample(cli.runs, [&] {
+    const auto q = std::make_unique<Queue>(kCap, args...);
+    return run_try_stream(*q, items);
+  });
   t.add_row({name, human_rate(s.mean) + "items/s", human_rate(s.stddev)});
   std::printf("done: %s\n", name);
 }
 
-constexpr std::size_t kCap = 1 << 12;
+int run(const bench_cli& cli) {
+  using value = std::uint64_t;
+  table t({"queue", "throughput", "stddev"});
+  bench<baselines::lamport_queue<value>>(t, "lamport", cli);
+  bench<baselines::fastforward_queue<value>>(t, "fastforward", cli);
+  bench<baselines::mcring_queue<value>>(t, "mcringbuffer", cli, 64);
+  bench<baselines::bqueue<value>>(t, "b-queue", cli, 64);
+  bench<baselines::batchqueue<value>>(t, "batchqueue", cli);
+  bench<core::spsc_queue<value, core::layout_aligned>>(t, "ffq-spsc", cli);
+  bench<core::spsc_queue<value, core::layout_compact>>(t, "ffq-spsc-compact",
+                                                       cli);
+  return finish_report(cli, t, "spsc_family");
+}
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto cli = bench_cli::parse(argc, argv);
-  print_experiment_header(
-      "SPSC family ablation (extra; relates to paper §II)",
-      "1 producer -> 1 consumer streaming through a 4096-entry ring.");
-
-  table t({"queue", "throughput", "stddev"});
-
-  bench(t, "lamport", cli,
-        [] { return std::make_unique<baselines::lamport_queue<std::uint64_t>>(kCap); },
-        [](auto& q, std::uint64_t v) { return q.try_enqueue(v); },
-        [](auto& q, std::uint64_t& o) { return q.try_dequeue(o); },
-        [](auto&) {});
-
-  bench(t, "fastforward", cli,
-        [] { return std::make_unique<baselines::fastforward_queue<std::uint64_t>>(kCap); },
-        [](auto& q, std::uint64_t v) { return q.try_enqueue(v); },
-        [](auto& q, std::uint64_t& o) { return q.try_dequeue(o); },
-        [](auto&) {});
-
-  bench(t, "mcringbuffer", cli,
-        [] { return std::make_unique<baselines::mcring_queue<std::uint64_t>>(kCap, 64); },
-        [](auto& q, std::uint64_t v) { return q.try_enqueue(v); },
-        [](auto& q, std::uint64_t& o) { return q.try_dequeue(o); },
-        [](auto& q) { q.flush_producer(); });
-
-  bench(t, "b-queue", cli,
-        [] { return std::make_unique<baselines::bqueue<std::uint64_t>>(kCap, 64); },
-        [](auto& q, std::uint64_t v) { return q.try_enqueue(v); },
-        [](auto& q, std::uint64_t& o) { return q.try_dequeue(o); },
-        [](auto&) {});
-
-  bench(t, "batchqueue", cli,
-        [] { return std::make_unique<baselines::batchqueue<std::uint64_t>>(kCap); },
-        [](auto& q, std::uint64_t v) { return q.try_enqueue(v); },
-        [](auto& q, std::uint64_t& o) { return q.try_dequeue(o); },
-        [](auto& q) {
-          while (!q.flush_producer()) std::this_thread::yield();
-        });
-
-  bench(t, "ffq-spsc", cli,
-        [] {
-          return std::make_unique<
-              core::spsc_queue<std::uint64_t, core::layout_aligned>>(kCap);
-        },
-        [](auto& q, std::uint64_t v) {
-          q.enqueue(v);  // wait-free under flow control
-          return true;
-        },
-        [](auto& q, std::uint64_t& o) { return q.try_dequeue(o); },
-        [](auto&) {});
-
-  bench(t, "ffq-spsc-compact", cli,
-        [] {
-          return std::make_unique<
-              core::spsc_queue<std::uint64_t, core::layout_compact>>(kCap);
-        },
-        [](auto& q, std::uint64_t v) {
-          q.enqueue(v);
-          return true;
-        },
-        [](auto& q, std::uint64_t& o) { return q.try_dequeue(o); },
-        [](auto&) {});
-
-  std::printf("\n%s", t.str().c_str());
-  if (!cli.csv_path.empty() && t.write_csv(cli.csv_path)) {
-    std::printf("csv written to %s\n", cli.csv_path.c_str());
-  }
-  write_trace_if_requested(cli);
-  return 0;
+  return run_bench(
+      argc, argv, "SPSC family ablation (extra; relates to paper §II)",
+      "1 producer -> 1 consumer streaming through a 4096-entry ring.",
+      run);
 }

@@ -24,7 +24,6 @@
 #include "ffq/harness/pairwise.hpp"
 #include "ffq/harness/report.hpp"
 #include "ffq/harness/stats.hpp"
-#include "ffq/telemetry/registry.hpp"
 #include "ffq/telemetry/telemetry.hpp"
 
 using namespace ffq;
@@ -32,36 +31,10 @@ using namespace ffq::harness;
 
 namespace {
 
-template <typename Q, const char* Name>
-struct policy_adapter {
-  using queue_type = Q;
-  struct context {};
-  static const char* name() { return Name; }
-  static queue_type* create(const bench_params& p) {
-    return new queue_type(p.capacity);
-  }
-  static context make_context(queue_type&, int) { return {}; }
-  static void enqueue(queue_type& q, context&, std::uint64_t v) {
-    q.enqueue(v);
-  }
-  static bool dequeue(queue_type& q, context&, std::uint64_t& out) {
-    return q.dequeue(out);
-  }
-};
-
-constexpr char kSpscOff[] = "spsc/off";
-constexpr char kSpscOn[] = "spsc/on";
-constexpr char kSpmcOff[] = "spmc/off";
-constexpr char kSpmcOn[] = "spmc/on";
-constexpr char kMpmcOff[] = "mpmc/off";
-constexpr char kMpmcOn[] = "mpmc/on";
-
-template <typename Telemetry>
-using spsc_q = core::spsc_queue<std::uint64_t, core::layout_aligned, Telemetry>;
-template <typename Telemetry>
-using spmc_q = core::spmc_queue<std::uint64_t, core::layout_aligned, Telemetry>;
-template <typename Telemetry>
-using mpmc_q = core::mpmc_queue<std::uint64_t, core::layout_aligned, Telemetry>;
+template <template <typename, typename, typename, typename> class Queue,
+          typename Telemetry>
+using adapter = ffq_adapter<
+    Queue<std::uint64_t, core::layout_aligned, Telemetry, trace::default_policy>>;
 
 struct family_result {
   std::string family;
@@ -79,8 +52,10 @@ struct family_result {
   }
 };
 
-template <typename OffAdapter, typename OnAdapter>
+template <template <typename, typename, typename, typename> class Queue>
 family_result measure(const char* family, int threads, const bench_cli& cli) {
+  using OffAdapter = adapter<Queue, telemetry::disabled>;
+  using OnAdapter = adapter<Queue, telemetry::enabled>;
   pairwise_config cfg;
   cfg.threads = threads;
   cfg.total_pairs = static_cast<std::uint64_t>(2'000'000 * cli.scale);
@@ -123,31 +98,16 @@ family_result measure(const char* family, int threads, const bench_cli& cli) {
   return res;
 }
 
-}  // namespace
+int run(const bench_cli& cli) {
+  const family_result results[] = {
+      measure<core::spsc_queue>("ffq-spsc", 1, cli),
+      measure<core::spmc_queue>("ffq-spmc", 1, cli),
+      measure<core::mpmc_queue>("ffq-mpmc", 2, cli),
+  };
 
-int main(int argc, char** argv) {
-  const auto cli = bench_cli::parse(argc, argv);
-  print_experiment_header(
-      "Telemetry overhead — enabled vs disabled counter policy",
-      "Pairwise enqueue/dequeue loop with zero think time; both policies "
-      "in one binary. disabled == pre-telemetry baseline by construction.");
-
-  std::vector<family_result> results;
-  results.push_back(
-      measure<policy_adapter<spsc_q<telemetry::disabled>, kSpscOff>,
-              policy_adapter<spsc_q<telemetry::enabled>, kSpscOn>>("ffq-spsc",
-                                                                   1, cli));
-  results.push_back(
-      measure<policy_adapter<spmc_q<telemetry::disabled>, kSpmcOff>,
-              policy_adapter<spmc_q<telemetry::enabled>, kSpmcOn>>("ffq-spmc",
-                                                                   1, cli));
-  results.push_back(
-      measure<policy_adapter<mpmc_q<telemetry::disabled>, kMpmcOff>,
-              policy_adapter<mpmc_q<telemetry::enabled>, kMpmcOn>>("ffq-mpmc",
-                                                                   2, cli));
-
-  table t({"queue", "disabled ns/op", "disabled min-max", "enabled ns/op",
-           "enabled min-max", "overhead %", "within noise"});
+  table t({"queue", "disabled ns/op", "disabled min-max",
+           "enabled ns/op", "enabled min-max", "overhead %",
+           "within noise"});
   bool all_within_budget = true;
   for (const auto& r : results) {
     t.add_row({r.family, fixed(r.off_ns_med, 2),
@@ -158,27 +118,27 @@ int main(int argc, char** argv) {
     // The budget gate: the median overhead must stay under 5%, or the
     // difference must be within the disabled policy's own run-to-run
     // spread (a noisy box can push any point estimate past a few %).
-    if (r.overhead_pct >= 5.0 && !r.within_noise()) all_within_budget = false;
+    if (r.overhead_pct >= 5.0 && !r.within_noise()) {
+      all_within_budget = false;
+    }
   }
-  std::printf("\n%s", t.str().c_str());
-  std::printf("\nbudget: enabled-policy median overhead must stay < 5%% "
-              "(or within the disabled policy's spread) -> %s\n",
-              all_within_budget ? "PASS" : "FAIL");
-
   // The enabled-policy runs fed the registry through the pairwise
-  // harness; exporting the snapshot demonstrates the full pipeline.
-  const auto snap = telemetry::registry::instance().snapshot();
-  if (!cli.csv_path.empty() && t.write_csv(cli.csv_path)) {
-    std::printf("csv written to %s\n", cli.csv_path.c_str());
-  }
-  if (!cli.json_path.empty() &&
-      t.write_json(cli.json_path, "telemetry_overhead",
-                   snap.empty() ? nullptr : &snap)) {
-    std::printf("json written to %s\n", cli.json_path.c_str());
-  }
-  if (!cli.metrics_path.empty() && snap.write_json_file(cli.metrics_path)) {
-    std::printf("metrics written to %s\n", cli.metrics_path.c_str());
-  }
-  write_trace_if_requested(cli, snap.empty() ? nullptr : &snap);
-  return all_within_budget ? 0 : 1;
+  // harness; the report embeds the snapshot, demonstrating the
+  // full pipeline.
+  const int rc = finish_report(
+      cli, t, "telemetry_overhead",
+      std::string("\nbudget: enabled-policy median overhead must stay "
+                  "< 5% (or within the disabled policy's spread) -> ") +
+          (all_within_budget ? "PASS" : "FAIL") + "\n");
+  return rc != 0 ? rc : all_within_budget ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_bench(
+      argc, argv, "Telemetry overhead — enabled vs disabled counter policy",
+      "Pairwise enqueue/dequeue loop with zero think time; both policies "
+      "in one binary. disabled == pre-telemetry baseline by construction.",
+      run);
 }

@@ -30,10 +30,10 @@
 //
 // Endpoint-style queues (ffq::shard::fabric: producer(p)/consumer()
 // handles, constructed from (producers, shard_capacity)) run the same
-// program through their endpoints. Fabric runs must set
-// check_linearizability = false — a sharded fabric is deliberately not
-// linearizable to one FIFO; conservation and per-producer FIFO are its
-// contract.
+// program through the endpoints of ffq/harness/endpoints.hpp. Fabric
+// runs must set check_linearizability = false — a sharded fabric is
+// deliberately not linearizable to one FIFO; conservation and
+// per-producer FIFO are its contract.
 #pragma once
 
 #include <algorithm>
@@ -47,59 +47,10 @@
 #include "ffq/check/sched.hpp"
 #include "ffq/check/schedule.hpp"
 #include "ffq/check/yield.hpp"
+#include "ffq/harness/endpoints.hpp"
 #include "ffq/runtime/rng.hpp"
 
 namespace ffq::check {
-
-namespace detail {
-
-/// Fabric-like queues (ffq::shard::fabric) expose per-role endpoints —
-/// producer(p) / consumer() — instead of direct enqueue/dequeue, and are
-/// constructed from (producers, shard_capacity).
-template <typename Queue>
-concept has_endpoints = requires(Queue& q) {
-  q.producer(std::size_t{0});
-  q.consumer();
-};
-
-/// Forwarding endpoint for plain queues, so the program body below is
-/// written once against the endpoint interface.
-template <typename Queue>
-struct queue_ref {
-  Queue* q;
-  void enqueue(long long v) noexcept { q->enqueue(v); }
-  template <typename It>
-  void enqueue_bulk(It first, std::size_t n) noexcept {
-    q->enqueue_bulk(first, n);
-  }
-  bool try_dequeue(long long& v) noexcept { return q->try_dequeue(v); }
-  template <typename OutIt>
-    requires requires(Queue& qq, OutIt o) { qq.try_dequeue_bulk(o, std::size_t{1}); }
-  std::size_t try_dequeue_bulk(OutIt out, std::size_t n) noexcept {
-    return q->try_dequeue_bulk(out, n);
-  }
-};
-
-template <typename Queue>
-auto producer_endpoint(Queue& q, int p) {
-  if constexpr (has_endpoints<Queue>) {
-    return q.producer(static_cast<std::size_t>(p));
-  } else {
-    (void)p;
-    return queue_ref<Queue>{&q};
-  }
-}
-
-template <typename Queue>
-auto consumer_endpoint(Queue& q) {
-  if constexpr (has_endpoints<Queue>) {
-    return q.consumer();
-  } else {
-    return queue_ref<Queue>{&q};
-  }
-}
-
-}  // namespace detail
 
 /// Own scheduling steps a try_ call may take once the producers are idle
 /// (a call then meets only decided ranks; real calls need a few dozen).
@@ -134,15 +85,8 @@ struct run_result {
 template <typename Queue, typename Driver>
 run_result run_program(const program_config& cfg, Driver& driver) {
   run_result res;
-  // Fabric queues take (producers, shard_capacity); plain queues take
-  // (capacity). Guaranteed copy elision lets both construct in place.
-  auto q = [&]() -> Queue {
-    if constexpr (detail::has_endpoints<Queue>) {
-      return Queue(static_cast<std::size_t>(cfg.producers), cfg.capacity);
-    } else {
-      return Queue(cfg.capacity);
-    }
-  }();
+  auto q = harness::make_queue<Queue>(static_cast<std::size_t>(cfg.producers),
+                                      cfg.capacity);
   coop_sched sched;
 
   std::uint64_t stamp = 0;  // monotone invocation/response counter
@@ -158,7 +102,7 @@ run_result run_program(const program_config& cfg, Driver& driver) {
 
   for (int p = 0; p < cfg.producers; ++p) {
     sched.spawn([&, p] {
-      auto ep = detail::producer_endpoint(q, p);
+      auto ep = harness::producer_endpoint(q, static_cast<std::size_t>(p));
       std::vector<long long> batch;
       auto flush = [&] {
         if (batch.empty()) return;
@@ -197,7 +141,7 @@ run_result run_program(const program_config& cfg, Driver& driver) {
       const auto ci = static_cast<std::size_t>(c);
       auto& stream = res.streams[ci];
       const int tid = cfg.producers + c;
-      auto ep = detail::consumer_endpoint(q);
+      auto ep = harness::consumer_endpoint(q);
       using endpoint_t = decltype(ep);
       std::vector<long long> buf(
           cfg.dequeue_batch > 0 ? static_cast<std::size_t>(cfg.dequeue_batch)

@@ -15,23 +15,10 @@
 // (*) pairwise benchmarks guarantee the queue is non-empty on average;
 // adapters spin-with-yield on transient emptiness, matching how the
 // framework of [21] drives queues whose dequeue can return EMPTY.
-//
-// Queues with native batched operations (the FFQ family, DESIGN.md §5.8)
-// additionally expose:
-//
-//   static constexpr bool kHasBulk = true;
-//   void enqueue_bulk(queue_type&, context&, const uint64_t*, size_t)
-//   size_t dequeue_bulk(queue_type&, context&, uint64_t*, size_t)
-//
-// so benchmarks can run the same workload in scalar or batched mode.
-// Adapters without native bulk support report kHasBulk = false (the
-// default below); callers fall back to per-item loops.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <thread>
-#include <type_traits>
 
 #include "ffq/baselines/baselines.hpp"
 #include "ffq/core/ffq.hpp"
@@ -58,12 +45,13 @@ void spin_until(F&& f) {
 
 // --- FFQ family ------------------------------------------------------------
 
-template <typename Layout = ffq::core::layout_aligned>
-struct ffq_spsc_adapter {
-  using queue_type = ffq::core::spsc_queue<std::uint64_t, Layout>;
+/// Any FFQ-family queue over uint64 (spsc/spmc/mpmc, any layout,
+/// telemetry or trace policy); named by the queue's kName.
+template <typename Queue>
+struct ffq_adapter {
+  using queue_type = Queue;
   using context = detail::no_context;
-  static constexpr bool kHasBulk = true;
-  static constexpr const char* name() { return "ffq-spsc"; }
+  static constexpr const char* name() { return Queue::kName; }
   static queue_type* create(const bench_params& p) {
     return new queue_type(p.capacity);
   }
@@ -72,77 +60,13 @@ struct ffq_spsc_adapter {
   static bool dequeue(queue_type& q, context&, std::uint64_t& out) {
     return q.dequeue(out);
   }
-  static void enqueue_bulk(queue_type& q, context&, const std::uint64_t* v,
-                           std::size_t n) {
-    q.enqueue_bulk(v, n);
-  }
-  static std::size_t dequeue_bulk(queue_type& q, context&, std::uint64_t* out,
-                                  std::size_t max_n) {
-    return q.dequeue_bulk(out, max_n);
-  }
 };
-
-template <typename Layout = ffq::core::layout_aligned>
-struct ffq_spmc_adapter {
-  using queue_type = ffq::core::spmc_queue<std::uint64_t, Layout>;
-  using context = detail::no_context;
-  static constexpr bool kHasBulk = true;
-  static constexpr const char* name() { return "ffq-spmc"; }
-  static queue_type* create(const bench_params& p) {
-    return new queue_type(p.capacity);
-  }
-  static context make_context(queue_type&, int) { return {}; }
-  static void enqueue(queue_type& q, context&, std::uint64_t v) { q.enqueue(v); }
-  static bool dequeue(queue_type& q, context&, std::uint64_t& out) {
-    return q.dequeue(out);
-  }
-  static void enqueue_bulk(queue_type& q, context&, const std::uint64_t* v,
-                           std::size_t n) {
-    q.enqueue_bulk(v, n);
-  }
-  static std::size_t dequeue_bulk(queue_type& q, context&, std::uint64_t* out,
-                                  std::size_t max_n) {
-    return q.dequeue_bulk(out, max_n);
-  }
-};
-
-template <typename Layout = ffq::core::layout_aligned>
-struct ffq_mpmc_adapter {
-  using queue_type = ffq::core::mpmc_queue<std::uint64_t, Layout>;
-  using context = detail::no_context;
-  static constexpr bool kHasBulk = true;
-  static constexpr const char* name() { return "ffq-mpmc"; }
-  static queue_type* create(const bench_params& p) {
-    return new queue_type(p.capacity);
-  }
-  static context make_context(queue_type&, int) { return {}; }
-  static void enqueue(queue_type& q, context&, std::uint64_t v) { q.enqueue(v); }
-  static bool dequeue(queue_type& q, context&, std::uint64_t& out) {
-    return q.dequeue(out);
-  }
-  static void enqueue_bulk(queue_type& q, context&, const std::uint64_t* v,
-                           std::size_t n) {
-    q.enqueue_bulk(v, n);
-  }
-  static std::size_t dequeue_bulk(queue_type& q, context&, std::uint64_t* out,
-                                  std::size_t max_n) {
-    return q.dequeue_bulk(out, max_n);
-  }
-};
-
-/// kHasBulk detection with a false default, so generic benchmark loops
-/// can fall back to scalar ops for baseline adapters.
-template <typename Adapter, typename = void>
-struct has_bulk : std::false_type {};
-template <typename Adapter>
-struct has_bulk<Adapter, std::enable_if_t<Adapter::kHasBulk>> : std::true_type {};
-template <typename Adapter>
-inline constexpr bool has_bulk_v = has_bulk<Adapter>::value;
 
 // --- baselines ---------------------------------------------------------------
 
+template <typename Reclaimer = ffq::baselines::hazard_reclaimer>
 struct ms_adapter {
-  using queue_type = ffq::baselines::ms_queue<std::uint64_t>;
+  using queue_type = ffq::baselines::ms_queue<std::uint64_t, Reclaimer>;
   using context = detail::no_context;
   static constexpr const char* name() { return "msqueue"; }
   static queue_type* create(const bench_params&) { return new queue_type(); }

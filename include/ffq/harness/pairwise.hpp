@@ -12,14 +12,13 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "ffq/harness/adapters.hpp"
+#include "ffq/harness/run.hpp"
 #include "ffq/harness/stats.hpp"
 #include "ffq/runtime/affinity.hpp"
-#include "ffq/runtime/barrier.hpp"
 #include "ffq/runtime/rng.hpp"
 #include "ffq/runtime/timing.hpp"
 #include "ffq/telemetry/registry.hpp"
@@ -63,59 +62,38 @@ double run_pairwise_once(const pairwise_config& cfg) {
 
   const std::uint64_t pairs_per_thread =
       cfg.total_pairs / static_cast<std::uint64_t>(cfg.threads);
-  ffq::runtime::spin_barrier barrier(static_cast<std::size_t>(cfg.threads) + 1);
   const auto topo = ffq::runtime::cpu_topology::discover();
   const double ghz = ffq::runtime::tsc_ghz();
+  const std::uint64_t think_span = cfg.think_max_ns >= cfg.think_min_ns
+                                       ? cfg.think_max_ns - cfg.think_min_ns + 1
+                                       : 1;
 
-  ffq::runtime::time_window_recorder window(
-      static_cast<std::size_t>(cfg.threads));
-  std::vector<std::thread> workers;
-  workers.reserve(cfg.threads);
-  for (int t = 0; t < cfg.threads; ++t) {
-    workers.emplace_back([&, t] {
-      if (cfg.pin_threads && !topo.cpus().empty()) {
-        const auto& cpus = topo.cpus();
-        ffq::runtime::pin_self_to(
-            cpus[static_cast<std::size_t>(t) % cpus.size()].os_id);
-      }
-      auto ctx = Adapter::make_context(*q, t);
-      ffq::runtime::xoshiro256ss rng(cfg.seed + static_cast<std::uint64_t>(t));
-      const std::uint64_t think_span =
-          cfg.think_max_ns >= cfg.think_min_ns
-              ? cfg.think_max_ns - cfg.think_min_ns + 1
-              : 1;
-
-      barrier.arrive_and_wait();  // start line
-      window.mark_start(static_cast<std::size_t>(t));
-      std::uint64_t out;
-      for (std::uint64_t i = 0; i < pairs_per_thread; ++i) {
-        Adapter::enqueue(*q, ctx,
-                         (static_cast<std::uint64_t>(t) << 40) | (i + 1));
-        if (cfg.think_min_ns > 0) {
+  const double secs = run_workers(
+      static_cast<std::size_t>(cfg.threads),
+      [&](std::size_t t, worker_clock& clock) {
+        if (cfg.pin_threads && !topo.cpus().empty()) {
+          const auto& cpus = topo.cpus();
+          ffq::runtime::pin_self_to(cpus[t % cpus.size()].os_id);
+        }
+        auto ctx = Adapter::make_context(*q, static_cast<int>(t));
+        ffq::runtime::xoshiro256ss rng(cfg.seed + t);
+        auto think = [&] {
+          if (cfg.think_min_ns == 0) return;
           const double ns = static_cast<double>(cfg.think_min_ns +
                                                 rng.bounded(think_span));
-          ffq::runtime::spin_ns_tsc(
-              ffq::runtime::rdtsc() +
-              static_cast<std::uint64_t>(ns * ghz));
+          ffq::runtime::spin_ns_tsc(ffq::runtime::rdtsc() +
+                                    static_cast<std::uint64_t>(ns * ghz));
+        };
+        clock.start();
+        std::uint64_t out;
+        for (std::uint64_t i = 0; i < pairs_per_thread; ++i) {
+          Adapter::enqueue(*q, ctx, (std::uint64_t{t} << 40) | (i + 1));
+          think();
+          Adapter::dequeue(*q, ctx, out);
+          think();
         }
-        Adapter::dequeue(*q, ctx, out);
-        if (cfg.think_min_ns > 0) {
-          const double ns = static_cast<double>(cfg.think_min_ns +
-                                                rng.bounded(think_span));
-          ffq::runtime::spin_ns_tsc(
-              ffq::runtime::rdtsc() +
-              static_cast<std::uint64_t>(ns * ghz));
-        }
-      }
-      window.mark_end(static_cast<std::size_t>(t));
-      barrier.arrive_and_wait();  // finish line
-    });
-  }
-
-  barrier.arrive_and_wait();  // release the start line
-  barrier.arrive_and_wait();  // wait for all workers to finish
-  for (auto& w : workers) w.join();
-  const double secs = window.seconds();
+        clock.stop();
+      });
   detail::export_queue_telemetry(*q);  // queue dies with this scope
 
   const double ops = 2.0 * static_cast<double>(pairs_per_thread) *
@@ -123,17 +101,16 @@ double run_pairwise_once(const pairwise_config& cfg) {
   return ops / secs;
 }
 
-/// Repeat `runs` times and summarize (ops/s samples).
+/// Repeat `runs` times, each with its own think-time seed, and summarize
+/// (ops/s samples).
 template <typename Adapter>
 run_stats run_pairwise(const pairwise_config& cfg, int runs) {
-  std::vector<double> samples;
-  samples.reserve(static_cast<std::size_t>(runs));
-  for (int r = 0; r < runs; ++r) {
-    pairwise_config c = cfg;
-    c.seed = cfg.seed + static_cast<std::uint64_t>(r) * 977;
-    samples.push_back(run_pairwise_once<Adapter>(c));
-  }
-  return summarize(samples);
+  pairwise_config c = cfg;
+  return sample(runs, [&] {
+    const double ops = run_pairwise_once<Adapter>(c);
+    c.seed += 977;
+    return ops;
+  });
 }
 
 }  // namespace ffq::harness

@@ -2,10 +2,12 @@
 //
 // Every bench prints (a) a header block identifying the experiment and
 // environment, (b) an aligned text table mirroring the paper's figure
-// series, and (c) optionally a CSV file for replotting.
+// series, and (c) optionally CSV/JSON/metrics/trace files — all through
+// run_bench() and finish_report().
 #pragma once
 
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -63,17 +65,26 @@ struct bench_cli {
   double scale = 1.0;        ///< workload scale factor (ops multiplier)
   bool quick = false;        ///< --quick: 3 runs, 1/10 workload
 
+  /// `--help` prints the usage and exits 0; an unknown flag or a flag
+  /// missing its value prints the usage to stderr and exits 2.
   static bench_cli parse(int argc, char** argv);
 };
 
-/// Write the "ffq.trace.v1" Chrome trace (every per-thread event ring
-/// captured so far, merged; see DESIGN.md §9) when --trace was given.
-/// `metrics` is embedded as counter tracks when non-null. Returns true
-/// when nothing was requested or the write succeeded. In a build whose
-/// queues use trace::disabled the file is still written — it just
-/// carries only the thread-name metadata.
-bool write_trace_if_requested(const bench_cli& cli,
-                              const ffq::telemetry::metrics_snapshot* metrics =
-                                  nullptr);
+/// The one bench entry point: parse the command line, print the
+/// experiment header, and return `body(cli)`, or 1 when a measured run
+/// throws run_failure (run.hpp).
+int run_bench(int argc, char** argv, const std::string& experiment_id,
+              const std::string& description,
+              const std::function<int(const bench_cli&)>& body);
+
+/// The one report epilogue: print `t`, write every file the command line
+/// asked for (--csv and --json from `t` under `experiment`; --metrics and
+/// --trace from the telemetry registry and the trace rings, with the
+/// registry's snapshot embedded in the JSON report and the trace when it
+/// is non-empty), then print `note`. Returns 0, or 1 after printing an
+/// error when a write failed. In a build whose queues use
+/// trace::disabled the trace file carries only thread-name metadata.
+int finish_report(const bench_cli& cli, const table& t,
+                  const std::string& experiment, const std::string& note = {});
 
 }  // namespace ffq::harness

@@ -22,15 +22,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "ffq/core/ffq.hpp"
+#include "ffq/harness/run.hpp"
 #include "ffq/harness/stats.hpp"
 #include "ffq/runtime/affinity.hpp"
 #include "ffq/runtime/backoff.hpp"
-#include "ffq/runtime/barrier.hpp"
-#include "ffq/runtime/timing.hpp"
 
 namespace ffq::harness {
 
@@ -73,125 +71,101 @@ double run_spmc_bench_once(const spmc_bench_config& cfg) {
   const auto topo = ffq::runtime::cpu_topology::discover();
   const auto plan = ffq::runtime::plan_placement(topo, cfg.policy, cfg.groups);
 
-  const std::size_t total_threads =
-      cfg.groups * (1 + cfg.consumers_per_group);
-  ffq::runtime::spin_barrier barrier(total_threads + 1);
-  // Timing is recorded by the workers themselves (min start / max end):
-  // a coordinator-side stopwatch can start or stop arbitrarily late when
-  // the benchmark oversubscribes the machine and the coordinator is not
-  // scheduled during the run.
-  ffq::runtime::time_window_recorder window(total_threads);
-  std::size_t next_window_slot = 0;
-
-  std::vector<std::thread> threads;
-  threads.reserve(total_threads);
-
   // The in-flight window: small enough that neither the submission ring
   // nor any single response ring can fill (implicit flow control).
   const std::uint64_t inflight_window = static_cast<std::uint64_t>(
       std::max<std::size_t>(
           1, std::min(cfg.submission_capacity, cfg.response_capacity) / 2));
 
-  for (std::size_t gi = 0; gi < cfg.groups; ++gi) {
-    // Consumers.
-    for (std::size_t ci = 0; ci < cfg.consumers_per_group; ++ci) {
-      const std::size_t slot = next_window_slot++;
-      threads.emplace_back([&, gi, ci, slot] {
-        if (!plan[gi].consumer_cpus.empty()) {
-          ffq::runtime::pin_self_to(plan[gi].consumer_cpus);
+  // Each group runs its consumers, then its producer.
+  const std::size_t per_group = cfg.consumers_per_group + 1;
+  auto worker = [&](std::size_t w, worker_clock& clock) {
+    const std::size_t gi = w / per_group;
+    const std::size_t ci = w % per_group;
+    auto& g = groups[gi];
+    if (ci < cfg.consumers_per_group) {
+      if (!plan[gi].consumer_cpus.empty()) {
+        ffq::runtime::pin_self_to(plan[gi].consumer_cpus);
+      }
+      auto& sub = *g.submission;
+      auto& resp = *g.responses[ci];
+      clock.start();
+      if (cfg.batch <= 1) {
+        std::uint64_t v;
+        while (sub.dequeue(v)) {
+          resp.enqueue(v + 1);  // "enqueue a 64-bit integer" as the reply
         }
-        auto& sub = *groups[gi].submission;
-        auto& resp = *groups[gi].responses[ci];
-        barrier.arrive_and_wait();
-        window.mark_start(slot);
-        if (cfg.batch <= 1) {
-          std::uint64_t v;
-          while (sub.dequeue(v)) {
-            resp.enqueue(v + 1);  // "enqueue a 64-bit integer" as the reply
-          }
-        } else {
-          // Batched mode: one head fetch-and-add claims up to `batch`
-          // requests; replies go back with one tail publication.
-          std::vector<std::uint64_t> buf(cfg.batch);
-          std::size_t n;
-          while ((n = sub.dequeue_bulk(buf.data(), cfg.batch)) > 0) {
-            for (std::size_t i = 0; i < n; ++i) buf[i] += 1;
-            resp.enqueue_bulk(buf.data(), n);
-          }
+      } else {
+        // Batched mode: one head fetch-and-add claims up to `batch`
+        // requests; replies go back with one tail publication.
+        std::vector<std::uint64_t> buf(cfg.batch);
+        std::size_t n;
+        while ((n = sub.dequeue_bulk(buf.data(), cfg.batch)) > 0) {
+          for (std::size_t i = 0; i < n; ++i) buf[i] += 1;
+          resp.enqueue_bulk(buf.data(), n);
         }
-        window.mark_end(slot);
-        barrier.arrive_and_wait();
-      });
+      }
+      clock.stop();
+      return;
     }
-    // Producer.
-    const std::size_t pslot = next_window_slot++;
-    threads.emplace_back([&, gi, pslot] {
-      if (!plan[gi].producer_cpus.empty()) {
-        ffq::runtime::pin_self_to(plan[gi].producer_cpus);
-      }
-      auto& g2 = groups[gi];
-      barrier.arrive_and_wait();
-      window.mark_start(pslot);
-      std::uint64_t submitted = 0, received = 0;
-      std::size_t rr = 0;  // round-robin cursor over response queues
-      std::uint64_t out;
-      std::vector<std::uint64_t> sub_buf(cfg.batch);
-      std::vector<std::uint64_t> resp_buf(cfg.batch);
-      ffq::runtime::yielding_backoff idle;
-      while (received < cfg.items_per_producer) {
-        bool progressed = false;
-        while (submitted < cfg.items_per_producer &&
-               submitted - received < inflight_window) {
-          if (cfg.batch <= 1) {
-            g2.submission->enqueue(submitted + 1);
-            ++submitted;
-          } else {
-            const std::uint64_t chunk = std::min<std::uint64_t>(
-                {static_cast<std::uint64_t>(cfg.batch),
-                 cfg.items_per_producer - submitted,
-                 inflight_window - (submitted - received)});
-            for (std::uint64_t i = 0; i < chunk; ++i) {
-              sub_buf[static_cast<std::size_t>(i)] = submitted + 1 + i;
-            }
-            g2.submission->enqueue_bulk(sub_buf.data(),
-                                        static_cast<std::size_t>(chunk));
-            submitted += chunk;
-          }
-          progressed = true;
-        }
-        // "loop through the response queues for dequeuing values"
-        for (std::size_t i = 0; i < g2.responses.size(); ++i) {
-          if (cfg.batch <= 1) {
-            while (g2.responses[rr]->try_dequeue(out)) {
-              ++received;
-              progressed = true;
-            }
-          } else {
-            std::size_t n;
-            while ((n = g2.responses[rr]->try_dequeue_bulk(
-                        resp_buf.data(), cfg.batch)) > 0) {
-              received += n;
-              progressed = true;
-            }
-          }
-          rr = (rr + 1) % g2.responses.size();
-        }
-        if (progressed) {
-          idle.reset();
+    if (!plan[gi].producer_cpus.empty()) {
+      ffq::runtime::pin_self_to(plan[gi].producer_cpus);
+    }
+    clock.start();
+    std::uint64_t submitted = 0, received = 0;
+    std::size_t rr = 0;  // round-robin cursor over response queues
+    std::uint64_t out;
+    std::vector<std::uint64_t> sub_buf(cfg.batch);
+    std::vector<std::uint64_t> resp_buf(cfg.batch);
+    ffq::runtime::yielding_backoff idle;
+    while (received < cfg.items_per_producer) {
+      bool progressed = false;
+      while (submitted < cfg.items_per_producer &&
+             submitted - received < inflight_window) {
+        if (cfg.batch <= 1) {
+          g.submission->enqueue(submitted + 1);
+          ++submitted;
         } else {
-          idle.pause();
+          const std::uint64_t chunk = std::min<std::uint64_t>(
+              {static_cast<std::uint64_t>(cfg.batch),
+               cfg.items_per_producer - submitted,
+               inflight_window - (submitted - received)});
+          for (std::uint64_t i = 0; i < chunk; ++i) {
+            sub_buf[static_cast<std::size_t>(i)] = submitted + 1 + i;
+          }
+          g.submission->enqueue_bulk(sub_buf.data(),
+                                     static_cast<std::size_t>(chunk));
+          submitted += chunk;
         }
+        progressed = true;
       }
-      g2.submission->close();  // consumers drain out
-      window.mark_end(pslot);
-      barrier.arrive_and_wait();
-    });
-  }
-
-  barrier.arrive_and_wait();  // start
-  barrier.arrive_and_wait();  // all threads done
-  for (auto& t : threads) t.join();
-  const double secs = window.seconds();
+      // "loop through the response queues for dequeuing values"
+      for (std::size_t i = 0; i < g.responses.size(); ++i) {
+        if (cfg.batch <= 1) {
+          while (g.responses[rr]->try_dequeue(out)) {
+            ++received;
+            progressed = true;
+          }
+        } else {
+          std::size_t n;
+          while ((n = g.responses[rr]->try_dequeue_bulk(resp_buf.data(),
+                                                        cfg.batch)) > 0) {
+            received += n;
+            progressed = true;
+          }
+        }
+        rr = (rr + 1) % g.responses.size();
+      }
+      if (progressed) {
+        idle.reset();
+      } else {
+        idle.pause();
+      }
+    }
+    g.submission->close();  // consumers drain out
+    clock.stop();
+  };
+  const double secs = run_workers(cfg.groups * per_group, worker);
 
   const double roundtrips =
       static_cast<double>(cfg.items_per_producer) *
@@ -201,12 +175,8 @@ double run_spmc_bench_once(const spmc_bench_config& cfg) {
 
 template <typename SubmissionQueue, typename Layout>
 run_stats run_spmc_bench(const spmc_bench_config& cfg, int runs) {
-  std::vector<double> samples;
-  samples.reserve(static_cast<std::size_t>(runs));
-  for (int r = 0; r < runs; ++r) {
-    samples.push_back(run_spmc_bench_once<SubmissionQueue, Layout>(cfg));
-  }
-  return summarize(samples);
+  return sample(
+      runs, [&] { return run_spmc_bench_once<SubmissionQueue, Layout>(cfg); });
 }
 
 }  // namespace ffq::harness

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ffq::harness {
@@ -21,6 +22,15 @@ struct run_stats {
 
 /// Summarize a set of per-run measurements (any unit).
 run_stats summarize(std::vector<double> samples);
+
+/// Summarize `runs` measurements, each the value one call of `once()`
+/// returns.
+template <typename Fn>
+run_stats sample(int runs, Fn&& once) {
+  std::vector<double> samples;
+  for (int r = 0; r < runs; ++r) samples.push_back(once());
+  return summarize(std::move(samples));
+}
 
 /// "12.34M" style human formatting for ops/s values.
 std::string human_rate(double ops_per_sec);

@@ -6,10 +6,12 @@
 #include <cstring>
 #include <sstream>
 
+#include "ffq/harness/run.hpp"
 #include "ffq/runtime/perf_counters.hpp"
 #include "ffq/runtime/timing.hpp"
 #include "ffq/runtime/topology.hpp"
 #include "ffq/telemetry/json.hpp"
+#include "ffq/telemetry/registry.hpp"
 #include "ffq/trace/export.hpp"
 
 namespace ffq::harness {
@@ -130,27 +132,47 @@ void print_experiment_header(const std::string& experiment_id,
               "shifts crossover points but preserves orderings.\n\n");
 }
 
+namespace {
+
+constexpr const char* kUsage =
+    "flags: --csv <path>  --json <path>  --metrics <path>  --trace <path>  "
+    "--runs <n>  --scale <f>  --quick  --help\n";
+
+[[noreturn]] void usage_error(const char* what, const char* flag) {
+  std::fprintf(stderr, "%s: %s\n%s", what, flag, kUsage);
+  std::exit(2);
+}
+
+}  // namespace
+
 bench_cli bench_cli::parse(int argc, char** argv) {
   bench_cli cli;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
-      cli.csv_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      cli.json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
-      cli.metrics_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      cli.trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--runs") == 0 && i + 1 < argc) {
-      cli.runs = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
-      cli.scale = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
+    const char* flag = argv[i];
+    auto is = [&](const char* name) { return std::strcmp(flag, name) == 0; };
+    auto value = [&] {
+      if (i + 1 >= argc) usage_error("missing value for", flag);
+      return argv[++i];
+    };
+    if (is("--help")) {
+      std::printf("%s", kUsage);
+      std::exit(0);
+    } else if (is("--quick")) {
       cli.quick = true;
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      std::printf(
-          "flags: --csv <path>  --json <path>  --metrics <path>  "
-          "--trace <path>  --runs <n>  --scale <f>  --quick\n");
+    } else if (is("--csv")) {
+      cli.csv_path = value();
+    } else if (is("--json")) {
+      cli.json_path = value();
+    } else if (is("--metrics")) {
+      cli.metrics_path = value();
+    } else if (is("--trace")) {
+      cli.trace_path = value();
+    } else if (is("--runs")) {
+      cli.runs = std::atoi(value());
+    } else if (is("--scale")) {
+      cli.scale = std::atof(value());
+    } else {
+      usage_error("unknown flag", flag);
     }
   }
   if (cli.quick) {
@@ -161,19 +183,52 @@ bench_cli bench_cli::parse(int argc, char** argv) {
   return cli;
 }
 
-bool write_trace_if_requested(const bench_cli& cli,
-                              const ffq::telemetry::metrics_snapshot* metrics) {
-  if (cli.trace_path.empty()) return true;
-  ffq::trace::export_options opts;
-  opts.metrics = metrics;
-  if (!ffq::trace::write_chrome_trace(cli.trace_path, opts)) {
-    std::fprintf(stderr, "cannot write trace to %s\n",
-                 cli.trace_path.c_str());
-    return false;
+int run_bench(int argc, char** argv, const std::string& experiment_id,
+              const std::string& description,
+              const std::function<int(const bench_cli&)>& body) {
+  const auto cli = bench_cli::parse(argc, argv);
+  print_experiment_header(experiment_id, description);
+  try {
+    return body(cli);
+  } catch (const run_failure& e) {
+    std::fprintf(stderr, "run failed: %s\n", e.what());
+    return 1;
   }
-  std::printf("trace written to %s (open at ui.perfetto.dev)\n",
-              cli.trace_path.c_str());
-  return true;
+}
+
+int finish_report(const bench_cli& cli, const table& t,
+                  const std::string& experiment, const std::string& note) {
+  std::printf("\n%s", t.str().c_str());
+  const auto snap = ffq::telemetry::registry::instance().snapshot();
+  const auto* metrics = snap.empty() ? nullptr : &snap;
+  int rc = 0;
+  auto written = [&](bool ok, const char* what, const std::string& path) {
+    if (ok) {
+      std::printf("%s written to %s\n", what, path.c_str());
+    } else {
+      std::fprintf(stderr, "cannot write %s to %s\n", what, path.c_str());
+      rc = 1;
+    }
+  };
+  if (!cli.csv_path.empty()) {
+    written(t.write_csv(cli.csv_path), "csv", cli.csv_path);
+  }
+  if (!cli.json_path.empty()) {
+    written(t.write_json(cli.json_path, experiment, metrics), "json",
+            cli.json_path);
+  }
+  if (!cli.metrics_path.empty()) {
+    written(snap.write_json_file(cli.metrics_path), "metrics",
+            cli.metrics_path);
+  }
+  if (!cli.trace_path.empty()) {
+    ffq::trace::export_options opts;
+    opts.metrics = metrics;
+    written(ffq::trace::write_chrome_trace(cli.trace_path, opts), "trace",
+            cli.trace_path);
+  }
+  std::printf("%s", note.c_str());
+  return rc;
 }
 
 }  // namespace ffq::harness

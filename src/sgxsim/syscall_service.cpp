@@ -5,13 +5,14 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
-#include <thread>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "ffq/baselines/vyukov_mpmc.hpp"
 #include "ffq/core/ffq.hpp"
+#include "ffq/harness/run.hpp"
 #include "ffq/runtime/backoff.hpp"
-#include "ffq/runtime/barrier.hpp"
 #include "ffq/runtime/timing.hpp"
 #include "ffq/runtime/topology.hpp"
 #include "ffq/runtime/affinity.hpp"
@@ -51,141 +52,136 @@ inline std::uint64_t do_syscall(const service_config& cfg) {
   return static_cast<std::uint64_t>(::getppid());
 }
 
-void maybe_pin(const service_config& cfg, const rt::cpu_topology& topo, int idx) {
-  if (!cfg.pin_threads || topo.cpus().empty()) return;
-  const auto& cpus = topo.cpus();
-  std::size_t usable = cpus.size();
-  if (cfg.cpu_limit > 0) {
-    usable = std::min<std::size_t>(usable, static_cast<std::size_t>(cfg.cpu_limit));
-  }
-  rt::pin_self_to(cpus[static_cast<std::size_t>(idx) % usable].os_id);
-}
-
 namespace tel = ffq::telemetry;
+using harness::worker_clock;
 
-/// Latency recorders for one service run; all pointers null when
-/// cfg.collect_telemetry is off, so the hot paths pay one predictable
-/// branch per sample and nothing else.
-struct service_recorders {
+/// What every runner shares: placement, the latency recorders (all null
+/// when cfg.collect_telemetry is off, so the hot paths pay one
+/// predictable branch per sample and nothing else), and the two totals
+/// the result is computed from.
+struct service_run {
+  const service_config& cfg;
+  const rt::cpu_topology topo = rt::cpu_topology::discover();
   tel::latency_recorder* enqueue = nullptr;
   tel::latency_recorder* dequeue = nullptr;
   tel::latency_recorder* e2e = nullptr;
   double tsc_ghz = 1.0;
+  std::atomic<std::uint64_t> latency_sum{0};
+  std::atomic<std::uint64_t> transitions{0};
 
-  static service_recorders make(const service_config& cfg, bool queued) {
-    service_recorders r;
-    if (!cfg.collect_telemetry) return r;
+  service_run(const service_config& c, bool queued) : cfg(c) {
+    if (!cfg.collect_telemetry) return;
     auto& reg = tel::registry::instance();
     const std::string base = std::string("syscall.") + to_string(cfg.variant);
-    r.e2e = &reg.recorder(base + ".e2e_ns");
+    e2e = &reg.recorder(base + ".e2e_ns");
     if (queued) {
-      r.enqueue = &reg.recorder(base + ".enqueue_ns");
-      r.dequeue = &reg.recorder(base + ".dequeue_ns");
+      enqueue = &reg.recorder(base + ".enqueue_ns");
+      dequeue = &reg.recorder(base + ".dequeue_ns");
     }
-    r.tsc_ghz = rt::tsc_ghz();
-    return r;
+    tsc_ghz = rt::tsc_ghz();
   }
 
-  std::uint64_t to_ns(std::uint64_t cycles) const noexcept {
-    return static_cast<std::uint64_t>(static_cast<double>(cycles) / tsc_ghz);
+  /// A fresh single-writer shard of `rec`, or null when not recording.
+  static tel::log_histogram* shard(tel::latency_recorder* rec) {
+    return rec != nullptr ? rec->new_shard() : nullptr;
+  }
+
+  void record_ns(tel::log_histogram* shard,
+                 std::uint64_t cycles) const noexcept {
+    if (shard != nullptr) {
+      shard->record(
+          static_cast<std::uint64_t>(static_cast<double>(cycles) / tsc_ghz));
+    }
+  }
+
+  void pin(int idx) const {
+    if (!cfg.pin_threads || topo.cpus().empty()) return;
+    const auto& cpus = topo.cpus();
+    std::size_t usable = cpus.size();
+    if (cfg.cpu_limit > 0) {
+      usable = std::min(usable, static_cast<std::size_t>(cfg.cpu_limit));
+    }
+    rt::pin_self_to(cpus[static_cast<std::size_t>(idx) % usable].os_id);
+  }
+
+  /// An app thread's measured section: cfg.calls_per_thread calls of
+  /// `call()`, which returns the TSC its request was issued at, each
+  /// timed end to end into the e2e histogram and latency_sum; then
+  /// `finish()`, still inside the thread's window.
+  template <typename Call, typename Finish>
+  void timed_calls(worker_clock& clock, Call&& call, Finish&& finish) {
+    auto* e2e_shard = shard(e2e);
+    clock.start();
+    std::uint64_t local_lat = 0;
+    for (std::uint64_t i = 0; i < cfg.calls_per_thread; ++i) {
+      const std::uint64_t issued = call();
+      const std::uint64_t d = rt::rdtsc() - issued;
+      local_lat += d;
+      record_ns(e2e_shard, d);
+    }
+    finish();
+    latency_sum.fetch_add(local_lat, std::memory_order_relaxed);
+    clock.stop();
+  }
+
+  /// Run `threads` workers of `body`; every app thread's calls were
+  /// summed into latency_sum.
+  template <typename Body>
+  service_result measure(int threads, Body&& body) {
+    const double secs = harness::run_workers(static_cast<std::size_t>(threads),
+                                             std::forward<Body>(body));
+    service_result res;
+    res.total_calls =
+        cfg.calls_per_thread * static_cast<std::uint64_t>(cfg.app_threads);
+    const auto calls = static_cast<double>(res.total_calls);
+    res.calls_per_sec = calls / secs;
+    res.avg_latency_cycles = static_cast<double>(latency_sum.load()) / calls;
+    res.enclave_transitions = transitions.load();
+    return res;
   }
 };
-
-inline void record_ns(const service_recorders& rec, tel::log_histogram* shard,
-                      std::uint64_t cycles) noexcept {
-  if (shard != nullptr) shard->record(rec.to_ns(cycles));
-}
 
 // --------------------------------------------------------------------------
 // native: direct calls.
 // --------------------------------------------------------------------------
 service_result run_native(const service_config& cfg) {
-  const auto topo = rt::cpu_topology::discover();
-  const auto rec = service_recorders::make(cfg, /*queued=*/false);
-  rt::spin_barrier barrier(static_cast<std::size_t>(cfg.app_threads) + 1);
-  rt::time_window_recorder window(static_cast<std::size_t>(cfg.app_threads));
-  std::atomic<std::uint64_t> latency_sum{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < cfg.app_threads; ++t) {
-    threads.emplace_back([&, t] {
-      maybe_pin(cfg, topo, t);
-      auto* e2e = rec.e2e != nullptr ? rec.e2e->new_shard() : nullptr;
-      barrier.arrive_and_wait();
-      window.mark_start(static_cast<std::size_t>(t));
-      std::uint64_t local_lat = 0;
-      for (std::uint64_t i = 0; i < cfg.calls_per_thread; ++i) {
-        const std::uint64_t t0 = rt::rdtsc();
-        volatile std::uint64_t r = do_syscall(cfg);
-        (void)r;
-        const std::uint64_t d = rt::rdtsc() - t0;
-        local_lat += d;
-        record_ns(rec, e2e, d);
-      }
-      latency_sum.fetch_add(local_lat, std::memory_order_relaxed);
-      window.mark_end(static_cast<std::size_t>(t));
-      barrier.arrive_and_wait();
-    });
-  }
-  barrier.arrive_and_wait();
-  barrier.arrive_and_wait();
-  for (auto& t : threads) t.join();
-  const double secs = window.seconds();
-
-  service_result res;
-  res.total_calls = cfg.calls_per_thread * static_cast<std::uint64_t>(cfg.app_threads);
-  res.calls_per_sec = static_cast<double>(res.total_calls) / secs;
-  res.avg_latency_cycles =
-      static_cast<double>(latency_sum.load()) / static_cast<double>(res.total_calls);
-  return res;
+  service_run run(cfg, /*queued=*/false);
+  return run.measure(cfg.app_threads, [&](std::size_t t, worker_clock& clock) {
+    run.pin(static_cast<int>(t));
+    run.timed_calls(
+        clock,
+        [&] {
+          const std::uint64_t t0 = rt::rdtsc();
+          volatile std::uint64_t r = do_syscall(cfg);
+          (void)r;
+          return t0;
+        },
+        [] {});
+  });
 }
 
 // --------------------------------------------------------------------------
 // sgx_sync: the traditional exit/trap/re-enter path.
 // --------------------------------------------------------------------------
 service_result run_sgx_sync(const service_config& cfg) {
-  const auto topo = rt::cpu_topology::discover();
-  const auto rec = service_recorders::make(cfg, /*queued=*/false);
-  rt::spin_barrier barrier(static_cast<std::size_t>(cfg.app_threads) + 1);
-  rt::time_window_recorder window(static_cast<std::size_t>(cfg.app_threads));
-  std::atomic<std::uint64_t> latency_sum{0};
-  std::atomic<std::uint64_t> transitions{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < cfg.app_threads; ++t) {
-    threads.emplace_back([&, t] {
-      maybe_pin(cfg, topo, t);
-      enclave_thread enclave(cfg.cost, &transitions);
-      enclave.eenter();
-      auto* e2e = rec.e2e != nullptr ? rec.e2e->new_shard() : nullptr;
-      barrier.arrive_and_wait();
-      window.mark_start(static_cast<std::size_t>(t));
-      std::uint64_t local_lat = 0;
-      for (std::uint64_t i = 0; i < cfg.calls_per_thread; ++i) {
-        const std::uint64_t t0 = rt::rdtsc();
-        enclave.charge_inside_op();
-        volatile std::uint64_t r = enclave.ocall([&] { return do_syscall(cfg); });
-        (void)r;
-        const std::uint64_t d = rt::rdtsc() - t0;
-        local_lat += d;
-        record_ns(rec, e2e, d);
-      }
-      latency_sum.fetch_add(local_lat, std::memory_order_relaxed);
-      window.mark_end(static_cast<std::size_t>(t));
-      barrier.arrive_and_wait();
-      enclave.eexit();
-    });
-  }
-  barrier.arrive_and_wait();
-  barrier.arrive_and_wait();
-  for (auto& t : threads) t.join();
-  const double secs = window.seconds();
-
-  service_result res;
-  res.total_calls = cfg.calls_per_thread * static_cast<std::uint64_t>(cfg.app_threads);
-  res.calls_per_sec = static_cast<double>(res.total_calls) / secs;
-  res.avg_latency_cycles =
-      static_cast<double>(latency_sum.load()) / static_cast<double>(res.total_calls);
-  res.enclave_transitions = transitions.load();
-  return res;
+  service_run run(cfg, /*queued=*/false);
+  return run.measure(cfg.app_threads, [&](std::size_t t, worker_clock& clock) {
+    run.pin(static_cast<int>(t));
+    enclave_thread enclave(cfg.cost, &run.transitions);
+    enclave.eenter();
+    run.timed_calls(
+        clock,
+        [&] {
+          const std::uint64_t t0 = rt::rdtsc();
+          enclave.charge_inside_op();
+          volatile std::uint64_t r =
+              enclave.ocall([&] { return do_syscall(cfg); });
+          (void)r;
+          return t0;
+        },
+        [] {});
+    enclave.eexit();
+  });
 }
 
 // --------------------------------------------------------------------------
@@ -195,7 +191,6 @@ service_result run_sgx_ffq(const service_config& cfg) {
   using submission_q = ffq::core::spmc_queue<syscall_request>;
   using response_q = ffq::core::spsc_queue<syscall_response>;
 
-  const auto topo = rt::cpu_topology::discover();
   const int apps = cfg.app_threads;
   // Every submission queue needs at least one executor.
   const int oss = std::max(cfg.os_threads, apps);
@@ -213,95 +208,73 @@ service_result run_sgx_ffq(const service_config& cfg) {
         std::make_unique<response_q>(cfg.queue_capacity));
   }
 
-  const auto rec = service_recorders::make(cfg, /*queued=*/true);
-  rt::spin_barrier barrier(static_cast<std::size_t>(apps + oss) + 1);
-  rt::time_window_recorder window(static_cast<std::size_t>(apps + oss));
-  std::atomic<std::uint64_t> latency_sum{0};
-  std::atomic<std::uint64_t> transitions{0};
-  std::vector<std::thread> threads;
-
-  // OS executor threads: each serves the submission queues assigned to
-  // it round-robin (os thread j primarily serves queue j % apps; with
-  // more OS threads than apps, queues get multiple consumers — the SPMC
-  // fan-out the design exists for).
-  for (int j = 0; j < oss; ++j) {
-    threads.emplace_back([&, j] {
-      maybe_pin(cfg, topo, apps + j);
+  service_run run(cfg, /*queued=*/true);
+  // Workers 0..oss-1 are the OS executor threads, the rest app threads.
+  const auto res = run.measure(oss + apps, [&](std::size_t w,
+                                               worker_clock& clock) {
+    const int idx = static_cast<int>(w);
+    if (idx < oss) {
+      // OS executor thread j serves submission queue j % apps; with more
+      // OS threads than apps, queues get multiple consumers — the SPMC
+      // fan-out the design exists for.
+      const int j = idx;
+      run.pin(apps + j);
       if (!cfg.trace_path.empty()) {
         ffq::trace::set_thread_name("os-" + std::to_string(j));
       }
       auto& sub = *submissions[static_cast<std::size_t>(j % apps)];
       auto& resp = *responses[static_cast<std::size_t>(j % apps)]
                              [static_cast<std::size_t>(j / apps)];
-      auto* deq = rec.dequeue != nullptr ? rec.dequeue->new_shard() : nullptr;
-      barrier.arrive_and_wait();
-      window.mark_start(static_cast<std::size_t>(apps + j));
+      auto* deq = service_run::shard(run.dequeue);
+      clock.start();
       syscall_request req;
       for (;;) {
         // The dequeue sample includes the blocking wait for work — that
         // is the latency an executor actually pays per request.
         const std::uint64_t t0 = deq != nullptr ? rt::rdtsc() : 0;
         if (!sub.dequeue(req)) break;
-        if (deq != nullptr) record_ns(rec, deq, rt::rdtsc() - t0);
+        if (deq != nullptr) run.record_ns(deq, rt::rdtsc() - t0);
         syscall_response r;
         r.result = do_syscall(cfg);
         r.issue_tsc = req.issue_tsc;
         resp.enqueue(r);
       }
-      window.mark_end(static_cast<std::size_t>(apps + j));
-      barrier.arrive_and_wait();
-    });
-  }
-
-  // App threads ("inside the enclave"): one outstanding call at a time —
-  // the paper's flow-control assumption.
-  for (int a = 0; a < apps; ++a) {
-    threads.emplace_back([&, a] {
-      maybe_pin(cfg, topo, a);
-      if (!cfg.trace_path.empty()) {
-        ffq::trace::set_thread_name("app-" + std::to_string(a));
+      clock.stop();
+      return;
+    }
+    // App threads ("inside the enclave"): one outstanding call at a time
+    // — the paper's flow-control assumption.
+    const int a = idx - oss;
+    run.pin(a);
+    if (!cfg.trace_path.empty()) {
+      ffq::trace::set_thread_name("app-" + std::to_string(a));
+    }
+    enclave_thread enclave(cfg.cost, &run.transitions);
+    enclave.eenter();
+    auto* enq = service_run::shard(run.enqueue);
+    auto& sub = *submissions[a];
+    auto& my_responses = responses[a];
+    std::size_t rr = 0;  // round-robin over this thread's response queues
+    auto call = [&] {
+      enclave.charge_inside_op();
+      syscall_request req;
+      req.app_thread = static_cast<std::uint32_t>(a);
+      req.issue_tsc = rt::rdtsc();
+      sub.enqueue(req);
+      if (enq != nullptr) run.record_ns(enq, rt::rdtsc() - req.issue_tsc);
+      // "loop through the response queues for dequeuing values".
+      syscall_response r;
+      rt::yielding_backoff bo;
+      for (;;) {
+        if (my_responses[rr]->try_dequeue(r)) break;
+        rr = (rr + 1) % my_responses.size();
+        if (rr == 0) bo.pause();
       }
-      enclave_thread enclave(cfg.cost, &transitions);
-      enclave.eenter();
-      auto* enq = rec.enqueue != nullptr ? rec.enqueue->new_shard() : nullptr;
-      auto* e2e = rec.e2e != nullptr ? rec.e2e->new_shard() : nullptr;
-      barrier.arrive_and_wait();
-      window.mark_start(static_cast<std::size_t>(a));
-      auto& sub = *submissions[a];
-      auto& my_responses = responses[a];
-      std::uint64_t local_lat = 0;
-      std::size_t rr = 0;  // round-robin over this thread's response queues
-      for (std::uint64_t i = 0; i < cfg.calls_per_thread; ++i) {
-        enclave.charge_inside_op();
-        syscall_request req;
-        req.app_thread = static_cast<std::uint32_t>(a);
-        req.issue_tsc = rt::rdtsc();
-        sub.enqueue(req);
-        if (enq != nullptr) record_ns(rec, enq, rt::rdtsc() - req.issue_tsc);
-        // "loop through the response queues for dequeuing values".
-        syscall_response r;
-        rt::yielding_backoff bo;
-        for (;;) {
-          if (my_responses[rr]->try_dequeue(r)) break;
-          rr = (rr + 1) % my_responses.size();
-          if (rr == 0) bo.pause();
-        }
-        const std::uint64_t d = rt::rdtsc() - r.issue_tsc;
-        local_lat += d;
-        record_ns(rec, e2e, d);
-      }
-      sub.close();
-      latency_sum.fetch_add(local_lat, std::memory_order_relaxed);
-      window.mark_end(static_cast<std::size_t>(a));
-      barrier.arrive_and_wait();
-      enclave.eexit();
-    });
-  }
-
-  barrier.arrive_and_wait();
-  barrier.arrive_and_wait();
-  for (auto& t : threads) t.join();
-  const double secs = window.seconds();
+      return r.issue_tsc;
+    };
+    run.timed_calls(clock, call, [&] { sub.close(); });
+    enclave.eexit();
+  });
 
   if (cfg.collect_telemetry) {
     // Fold queue event counters into registry totals before the queues
@@ -317,13 +290,6 @@ service_result run_sgx_ffq(const service_config& cfg) {
       }
     }
   }
-
-  service_result res;
-  res.total_calls = cfg.calls_per_thread * static_cast<std::uint64_t>(apps);
-  res.calls_per_sec = static_cast<double>(res.total_calls) / secs;
-  res.avg_latency_cycles =
-      static_cast<double>(latency_sum.load()) / static_cast<double>(res.total_calls);
-  res.enclave_transitions = transitions.load();
   return res;
 }
 
@@ -335,7 +301,6 @@ service_result run_sgx_mpmc(const service_config& cfg) {
   using submission_q = ffq::baselines::vyukov_mpmc_queue<syscall_request>;
   using response_q = ffq::baselines::vyukov_mpmc_queue<syscall_response>;
 
-  const auto topo = rt::cpu_topology::discover();
   const int apps = cfg.app_threads;
   const int oss = std::max(cfg.os_threads, 1);
 
@@ -345,95 +310,63 @@ service_result run_sgx_mpmc(const service_config& cfg) {
     responses.push_back(std::make_unique<response_q>(cfg.queue_capacity));
   }
 
-  const auto rec = service_recorders::make(cfg, /*queued=*/true);
-  rt::spin_barrier barrier(static_cast<std::size_t>(apps + oss) + 1);
-  rt::time_window_recorder window(static_cast<std::size_t>(apps + oss));
-  std::atomic<std::uint64_t> latency_sum{0};
-  std::atomic<std::uint64_t> transitions{0};
+  service_run run(cfg, /*queued=*/true);
   std::atomic<int> producers_done{0};
-  std::vector<std::thread> threads;
-
-  for (int j = 0; j < oss; ++j) {
-    threads.emplace_back([&, j] {
-      maybe_pin(cfg, topo, apps + j);
-      auto* deq = rec.dequeue != nullptr ? rec.dequeue->new_shard() : nullptr;
-      barrier.arrive_and_wait();
-      window.mark_start(static_cast<std::size_t>(apps + j));
+  // Workers 0..oss-1 are the OS executor threads, the rest app threads.
+  return run.measure(oss + apps, [&](std::size_t w, worker_clock& clock) {
+    const int idx = static_cast<int>(w);
+    if (idx < oss) {
+      run.pin(apps + idx);
+      auto* deq = service_run::shard(run.dequeue);
+      clock.start();
       syscall_request req;
       rt::yielding_backoff bo;
+      auto serve = [&] {
+        syscall_response r;
+        r.result = do_syscall(cfg);
+        r.issue_tsc = req.issue_tsc;
+        responses[req.app_thread]->enqueue(r);
+      };
       std::uint64_t wait_start = deq != nullptr ? rt::rdtsc() : 0;
       for (;;) {
         if (submission.try_dequeue(req)) {
           bo.reset();
-          if (deq != nullptr) {
-            const std::uint64_t now = rt::rdtsc();
-            record_ns(rec, deq, now - wait_start);
-          }
-          syscall_response r;
-          r.result = do_syscall(cfg);
-          r.issue_tsc = req.issue_tsc;
-          responses[req.app_thread]->enqueue(r);
+          if (deq != nullptr) run.record_ns(deq, rt::rdtsc() - wait_start);
+          serve();
           if (deq != nullptr) wait_start = rt::rdtsc();
         } else if (producers_done.load(std::memory_order_acquire) == apps) {
           if (!submission.try_dequeue(req)) break;
-          syscall_response r;
-          r.result = do_syscall(cfg);
-          r.issue_tsc = req.issue_tsc;
-          responses[req.app_thread]->enqueue(r);
+          serve();
         } else {
           bo.pause();
         }
       }
-      window.mark_end(static_cast<std::size_t>(apps + j));
-      barrier.arrive_and_wait();
-    });
-  }
-
-  for (int a = 0; a < apps; ++a) {
-    threads.emplace_back([&, a] {
-      maybe_pin(cfg, topo, a);
-      enclave_thread enclave(cfg.cost, &transitions);
-      enclave.eenter();
-      auto* enq = rec.enqueue != nullptr ? rec.enqueue->new_shard() : nullptr;
-      auto* e2e = rec.e2e != nullptr ? rec.e2e->new_shard() : nullptr;
-      barrier.arrive_and_wait();
-      window.mark_start(static_cast<std::size_t>(a));
-      auto& resp = *responses[a];
-      std::uint64_t local_lat = 0;
-      for (std::uint64_t i = 0; i < cfg.calls_per_thread; ++i) {
-        enclave.charge_inside_op();
-        syscall_request req;
-        req.app_thread = static_cast<std::uint32_t>(a);
-        req.issue_tsc = rt::rdtsc();
-        submission.enqueue(req);
-        if (enq != nullptr) record_ns(rec, enq, rt::rdtsc() - req.issue_tsc);
-        syscall_response r;
-        rt::yielding_backoff bo;
-        while (!resp.try_dequeue(r)) bo.pause();
-        const std::uint64_t d = rt::rdtsc() - r.issue_tsc;
-        local_lat += d;
-        record_ns(rec, e2e, d);
-      }
+      clock.stop();
+      return;
+    }
+    const int a = idx - oss;
+    run.pin(a);
+    enclave_thread enclave(cfg.cost, &run.transitions);
+    enclave.eenter();
+    auto* enq = service_run::shard(run.enqueue);
+    auto& resp = *responses[a];
+    auto call = [&] {
+      enclave.charge_inside_op();
+      syscall_request req;
+      req.app_thread = static_cast<std::uint32_t>(a);
+      req.issue_tsc = rt::rdtsc();
+      submission.enqueue(req);
+      if (enq != nullptr) run.record_ns(enq, rt::rdtsc() - req.issue_tsc);
+      syscall_response r;
+      rt::yielding_backoff bo;
+      while (!resp.try_dequeue(r)) bo.pause();
+      return r.issue_tsc;
+    };
+    run.timed_calls(clock, call, [&] {
       producers_done.fetch_add(1, std::memory_order_release);
-      latency_sum.fetch_add(local_lat, std::memory_order_relaxed);
-      window.mark_end(static_cast<std::size_t>(a));
-      barrier.arrive_and_wait();
-      enclave.eexit();
     });
-  }
-
-  barrier.arrive_and_wait();
-  barrier.arrive_and_wait();
-  for (auto& t : threads) t.join();
-  const double secs = window.seconds();
-
-  service_result res;
-  res.total_calls = cfg.calls_per_thread * static_cast<std::uint64_t>(apps);
-  res.calls_per_sec = static_cast<double>(res.total_calls) / secs;
-  res.avg_latency_cycles =
-      static_cast<double>(latency_sum.load()) / static_cast<double>(res.total_calls);
-  res.enclave_transitions = transitions.load();
-  return res;
+    enclave.eexit();
+  });
 }
 
 }  // namespace

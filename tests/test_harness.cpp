@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <string>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -12,8 +14,10 @@
 #include "ffq/harness/driver.hpp"
 #include "ffq/harness/pairwise.hpp"
 #include "ffq/harness/report.hpp"
+#include "ffq/harness/run.hpp"
 #include "ffq/harness/spmc_bench.hpp"
 #include "ffq/harness/stats.hpp"
+#include "ffq/shard/shard.hpp"
 
 using namespace ffq::harness;
 
@@ -147,6 +151,44 @@ TEST(Report, CliParsing) {
   auto quick = bench_cli::parse(2, const_cast<char**>(argv2));
   EXPECT_LE(quick.runs, 3);
   EXPECT_LT(quick.scale, 1.0);
+
+  // --help exits 0; an unknown flag or a missing value exits 2.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const char* help[] = {"bench", "--help"};
+  EXPECT_EXIT(bench_cli::parse(2, const_cast<char**>(help)),
+              testing::ExitedWithCode(0), "");
+  const char* unknown[] = {"bench", "--runs", "2", "--bogus"};
+  EXPECT_EXIT(bench_cli::parse(4, const_cast<char**>(unknown)),
+              testing::ExitedWithCode(2), "unknown flag: --bogus");
+  const char* missing[] = {"bench", "--json"};
+  EXPECT_EXIT(bench_cli::parse(2, const_cast<char**>(missing)),
+              testing::ExitedWithCode(2), "missing value for: --json");
+
+  // A failed --csv/--json/--metrics/--trace write makes the bench exit 1.
+  table t({"a"});
+  t.add_row({"1"});
+  const std::string bad = "/nonexistent-dir/out";
+  for (std::string bench_cli::*path :
+       {&bench_cli::csv_path, &bench_cli::json_path, &bench_cli::metrics_path,
+        &bench_cli::trace_path}) {
+    bench_cli out;
+    out.*path = bad;
+    EXPECT_EXIT(std::exit(finish_report(out, t, "x")),
+                testing::ExitedWithCode(1), "cannot write .* to " + bad);
+  }
+  EXPECT_EQ(finish_report(bench_cli{}, t, "x"), 0);
+}
+
+TEST(Report, RunBenchTurnsARunFailureIntoExitOne) {
+  const char* argv[] = {"bench"};
+  EXPECT_EQ(run_bench(1, const_cast<char**>(argv), "id", "desc",
+                      [](const bench_cli&) -> int {
+                        throw run_failure("conservation: test");
+                      }),
+            1);
+  EXPECT_EQ(run_bench(1, const_cast<char**>(argv), "id", "desc",
+                      [](const bench_cli&) { return 0; }),
+            0);
 }
 
 TEST(Driver, ThinkOverheadIsNearTheRequestedMean) {
@@ -159,6 +201,9 @@ TEST(Driver, ThinkOverheadIsNearTheRequestedMean) {
 
 // --- pairwise driver over a few representative adapters --------------------
 
+using ffq_mpmc = ffq_adapter<ffq::core::mpmc_queue<std::uint64_t>>;
+using ffq_spsc = ffq_adapter<ffq::core::spsc_queue<std::uint64_t>>;
+
 template <typename Adapter>
 void smoke_pairwise(int threads) {
   pairwise_config cfg;
@@ -170,10 +215,10 @@ void smoke_pairwise(int threads) {
   EXPECT_GT(ops, 1000.0) << "implausibly slow — likely a stall";
 }
 
-TEST(Pairwise, FfqMpmcSingleThread) { smoke_pairwise<ffq_mpmc_adapter<>>(1); }
-TEST(Pairwise, FfqMpmcFourThreads) { smoke_pairwise<ffq_mpmc_adapter<>>(4); }
-TEST(Pairwise, FfqSpscSingleThread) { smoke_pairwise<ffq_spsc_adapter<>>(1); }
-TEST(Pairwise, MsQueueTwoThreads) { smoke_pairwise<ms_adapter>(2); }
+TEST(Pairwise, FfqMpmcSingleThread) { smoke_pairwise<ffq_mpmc>(1); }
+TEST(Pairwise, FfqMpmcFourThreads) { smoke_pairwise<ffq_mpmc>(4); }
+TEST(Pairwise, FfqSpscSingleThread) { smoke_pairwise<ffq_spsc>(1); }
+TEST(Pairwise, MsQueueTwoThreads) { smoke_pairwise<ms_adapter<>>(2); }
 TEST(Pairwise, CcQueueTwoThreads) { smoke_pairwise<cc_adapter>(2); }
 TEST(Pairwise, LcrqTwoThreads) { smoke_pairwise<lcrq_adapter>(2); }
 TEST(Pairwise, WfQueueTwoThreads) { smoke_pairwise<wf_adapter>(2); }
@@ -186,7 +231,7 @@ TEST(Pairwise, WithThinkTimeStillTerminates) {
   cfg.total_pairs = 5000;
   cfg.think_min_ns = 50;
   cfg.think_max_ns = 150;
-  const double ops = run_pairwise_once<ffq_mpmc_adapter<>>(cfg);
+  const double ops = run_pairwise_once<ffq_mpmc>(cfg);
   EXPECT_GT(ops, 100.0);
 }
 
@@ -195,7 +240,7 @@ TEST(Pairwise, MultiRunSummary) {
   cfg.threads = 2;
   cfg.total_pairs = 10000;
   cfg.think_min_ns = 0;
-  auto stats = run_pairwise<ffq_mpmc_adapter<>>(cfg, 3);
+  auto stats = run_pairwise<ffq_mpmc>(cfg, 3);
   EXPECT_EQ(stats.runs, 3u);
   EXPECT_GT(stats.mean, 0.0);
   EXPECT_GE(stats.max, stats.min);
@@ -259,4 +304,57 @@ TEST(SpmcBench, TinyQueuesExerciseFlowControl) {
       ffq::core::spmc_queue<std::uint64_t, ffq::core::layout_aligned>,
       ffq::core::layout_aligned>(cfg);
   EXPECT_GT(rt, 10.0);
+}
+
+// --- stream loops -----------------------------------------------------------
+
+template <typename Queue>
+void expect_stream_delivers(std::size_t producers, std::size_t consumers) {
+  for (std::size_t batch : {std::size_t{1}, std::size_t{16}}) {
+    double rate = 0.0;
+    EXPECT_NO_THROW(rate = run_stream<Queue>(producers, consumers, batch,
+                                             batch, 20000, 1 << 10))
+        << "batch " << batch;
+    EXPECT_GT(rate, 0.0) << "batch " << batch;
+  }
+}
+
+TEST(Stream, DeliversEveryItemOverSpsc) {
+  expect_stream_delivers<ffq::core::spsc_queue<std::uint64_t>>(1, 1);
+}
+TEST(Stream, DeliversEveryItemOverSpmc) {
+  expect_stream_delivers<ffq::core::spmc_queue<std::uint64_t>>(1, 3);
+}
+TEST(Stream, DeliversEveryItemOverMpmc) {
+  expect_stream_delivers<ffq::core::mpmc_queue<std::uint64_t>>(3, 2);
+}
+TEST(Stream, DeliversEveryItemOverFabric) {
+  expect_stream_delivers<ffq::shard::fabric<std::uint64_t, false>>(3, 2);
+}
+TEST(Stream, DeliversEveryItemOverOrderedFabric) {
+  expect_stream_delivers<ffq::shard::fabric<std::uint64_t, true>>(3, 2);
+}
+
+TEST(Stream, TryStreamDeliversEveryItemOverMcRingBuffer) {
+  ffq::baselines::mcring_queue<std::uint64_t> q(1 << 10, 64);
+  double rate = 0.0;
+  EXPECT_NO_THROW(rate = run_try_stream(q, 20000));
+  EXPECT_GT(rate, 0.0);
+}
+
+namespace {
+
+/// An SPMC queue whose producer endpoint loses the value 7.
+struct dropping_queue : ffq::core::spmc_queue<std::uint64_t> {
+  using spmc_queue::spmc_queue;
+  void enqueue(std::uint64_t v) noexcept {
+    if (v != 7) spmc_queue::enqueue(v);
+  }
+};
+
+}  // namespace
+
+TEST(Stream, ReportsALostItem) {
+  EXPECT_THROW(run_stream<dropping_queue>(1, 2, 1, 1, 1000, 1 << 8),
+               run_failure);
 }

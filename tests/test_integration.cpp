@@ -112,11 +112,15 @@ void adapter_roundtrip() {
   EXPECT_GT(ops, 0.0);
 }
 
-TEST(Integration, AdapterFfqMpmc) { adapter_roundtrip<ffq::harness::ffq_mpmc_adapter<>>(); }
-TEST(Integration, AdapterFfqMpmcCompact) {
-  adapter_roundtrip<ffq::harness::ffq_mpmc_adapter<ffq::core::layout_compact>>();
+TEST(Integration, AdapterFfqMpmc) {
+  adapter_roundtrip<
+      ffq::harness::ffq_adapter<ffq::core::mpmc_queue<std::uint64_t>>>();
 }
-TEST(Integration, AdapterMs) { adapter_roundtrip<ffq::harness::ms_adapter>(); }
+TEST(Integration, AdapterFfqMpmcCompact) {
+  adapter_roundtrip<ffq::harness::ffq_adapter<
+      ffq::core::mpmc_queue<std::uint64_t, ffq::core::layout_compact>>>();
+}
+TEST(Integration, AdapterMs) { adapter_roundtrip<ffq::harness::ms_adapter<>>(); }
 TEST(Integration, AdapterCc) { adapter_roundtrip<ffq::harness::cc_adapter>(); }
 TEST(Integration, AdapterLcrq) { adapter_roundtrip<ffq::harness::lcrq_adapter>(); }
 TEST(Integration, AdapterWf) { adapter_roundtrip<ffq::harness::wf_adapter>(); }
