@@ -15,8 +15,8 @@
 #            MPMC trace_stress tool exports a Perfetto trace that
 #            trace_check must validate (per-producer FIFO, no loss, no
 #            duplication);
-#  tsan      the core queue + shard + telemetry suites rebuilt with
-#            -fsanitize=thread (telemetry ON, so the instrumented hot
+#  tsan      the core queue + shard + telemetry + harness suites rebuilt
+#            with -fsanitize=thread (telemetry ON, so the instrumented hot
 #            paths are the ones checked) and run to completion, plus
 #            trace_stress as a multi-threaded race hunt —
 #            halt_on_error=1 turns any reported race into failure;
@@ -25,13 +25,16 @@
 #            lifetime bugs the race hunt can't see;
 #  check     FFQ_CHECK=ON build + full suite with live yield points,
 #            then check_explore end to end — exhaustive
-#            preemption-bound-2 DFS over the SPSC, SPMC, SPMC bulk/try_
-#            and shard-scheduler models, a seeded schedule fuzz of every
-#            real queue (both fabric modes included via --queue all), and
-#            a mutation-catch gate: three injected bugs (the line-29
-#            re-check dropped, the tail stored only after a batch that
-#            waits on a full ring, the FAA try_ claim) must each be caught
-#            with a schedule string that replays to the same violation;
+#            preemption-bound-2 DFS over the SPSC, SPMC, SPMC bulk/try_,
+#            shard-scheduler and MPMC (Algorithm 2) models plus a seeded
+#            MPMC model fuzz, a seeded schedule fuzz of every real queue
+#            (both fabric modes included via --queue all), and a
+#            mutation-catch gate: five injected bugs (the line-29 re-check
+#            dropped, the tail stored only after a batch that waits on a
+#            full ring, the FAA try_ claim, and Algorithm 2's claim that
+#            publishes without the -2 reservation or ignores the gap) must
+#            each be caught with a schedule string that replays to the
+#            same violation;
 #  ffqbench  the gating benchmark end to end: its fault-injection
 #            --selftest, then each of the four workloads for a short
 #            seeded run (--seed 1 --seconds 2 --trace 0). Every run checks
@@ -71,7 +74,7 @@ while [[ $# -gt 0 ]]; do
     --fresh) FRESH=1; shift ;;
     --jobs) JOBS="$2"; shift 2 ;;
     --jobs=*) JOBS="${1#--jobs=}"; shift ;;
-    -h|--help) sed -n '2,51p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
+    -h|--help) sed -n '2,54p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
     [0-9]*) JOBS="$1"; shift ;;  # legacy: ./ci.sh 8
     *) echo "ci.sh: unknown argument '$1' (see --help)" >&2; exit 2 ;;
   esac
@@ -152,9 +155,10 @@ leg_trace() {
 
 # The binaries both sanitizer legs build and run: the scalar queue
 # suites, the bulk-path liveness suite, the shard fabric suite, the
-# wait/park paths, and telemetry.
+# wait/park paths, telemetry, and the measured-run harness (its stream
+# loops read the SPSC consumer's head from the producer).
 SAN_TESTS=(test_spsc test_spmc test_mpmc test_liveness test_shard
-           test_waitable test_eventcount test_telemetry)
+           test_waitable test_eventcount test_telemetry test_harness)
 
 leg_tsan() {
   configure tsan build-tsan FFQ_SANITIZE_THREAD=ON FFQ_TELEMETRY=ON
@@ -190,9 +194,9 @@ leg_check() {
   configure check build-check FFQ_CHECK=ON
   cmake --build build-check -j "$JOBS"
   ctest --test-dir build-check --output-on-failure -j "$JOBS"
-  echo "--- exhaustive: bound-2 DFS over the SPSC, SPMC, SPMC bulk/try_, shard models ---"
+  echo "--- exhaustive: bound-2 DFS over the SPSC, SPMC, SPMC bulk/try_, shard, MPMC models ---"
   local m
-  for m in spsc spmc spmc_bulk spmc_try shard; do
+  for m in spsc spmc spmc_bulk spmc_try shard mpmc; do
     ./build-check/tools/check_explore --model "$m" --bound 2
   done
   ./build-check/tools/check_explore --model mpmc --fuzz 2000 --seed 1
@@ -201,6 +205,8 @@ leg_check() {
   catch_mutation spmc skip_line29_recheck
   catch_mutation spmc_bulk tail_after_batch
   catch_mutation spmc_try faa_try_claim
+  catch_mutation mpmc claim_publishes_directly
+  catch_mutation mpmc claim_ignores_gap
 }
 
 # catch_mutation <model> <mutation>: the injected bug must be caught by

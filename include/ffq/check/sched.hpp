@@ -3,7 +3,7 @@
 // ffq::runtime::fiber_scheduler runs fibers round-robin; checking needs
 // the opposite: an external driver decides, at every scheduling point,
 // which task runs next. coop_sched exposes exactly that. Tasks are
-// ucontext fibers on one OS thread (same idiom as src/runtime/fiber.cpp);
+// ffq::runtime::fiber objects (ucontext) on one OS thread;
 // step(t) resumes task t until it either yields — by calling
 // coop_sched::yield() directly, or transitively through an
 // FFQ_CHECK_YIELD() hook inside a queue operation (yield.hpp installs the

@@ -13,6 +13,7 @@
 // single-thread reference line).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -119,7 +120,10 @@ class spsc_queue : public detail::ring<T, detail::spmc_cell_fields, Layout,
       }
       break;  // next rank not published yet
     }
-    *this->head_ = h;  // remember progress past consumed gaps
+    // Remember progress past consumed gaps. Relaxed atomic store: the
+    // producer's approx_size() reads head through an atomic_ref.
+    std::atomic_ref<std::int64_t>(*this->head_).store(
+        h, std::memory_order_relaxed);
     return taken;
   }
 

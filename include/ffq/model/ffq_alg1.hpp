@@ -5,6 +5,12 @@
 // the pseudo-code (under SC; the implementation's acquire/release pairs
 // reconstruct SC for this communication pattern).
 //
+// Like core/ring.hpp, the model writes the cell protocol once per side:
+// `cell_writer` holds the producer's per-cell steps and `rank_resolver`
+// the consumer's resolution of a claimed run, with the per-producer FIFO
+// monitor. Each machine adds only what differs: which tail its cell steps
+// advance, and how it claims ranks.
+//
 // Mutations (each reverts a detail the paper argues is necessary; tests
 // prove the checker flags the resulting bug):
 //   * consumer_mutation::skip_line29_recheck — drop the "cell.rank ≠
@@ -35,80 +41,203 @@ namespace ffq::model {
 enum class producer_mutation { none, publish_before_data, tail_after_batch };
 enum class consumer_mutation { none, skip_line29_recheck, faa_try_claim };
 
-/// Single producer of Algorithm 1: enqueues values first..first+count-1.
-/// `tail` lives in world::tail_ but is producer-private (consumers never
-/// read it), so combining a cell store with the tail increment in one
-/// step does not hide any observable interleaving.
+/// Algorithm 1's per-cell enqueue steps, written once for both producer
+/// machines: load the rank at the tail; on a free cell store the data,
+/// then publish the rank; on a cell still holding an older item announce
+/// a gap and move on (lines 13–14). Each step is one shared access (a gap
+/// store or publication also bumps the tail the machine passes in). The steps wait instead — returning `stalled` with the tail in
+/// place — on a cell holding an item of the current call (rank ≥
+/// own_from), or once a whole sweep found no free cell: the shipped
+/// loop's bound, without which a full ring would grow the tail, and the
+/// state space, without bound.
+class cell_writer {
+ public:
+  enum class result { working, stalled, published };
+
+  /// One step enqueuing `value` in `shard` at local rank `tail`. The
+  /// current call's items hold local ranks [own_from, tail).
+  result step(world& w, int shard, int& tail, int own_from, int value,
+              producer_mutation mut) {
+    const int rank = world::rank_of(shard, tail);
+    cell_m& c = w.cells_[w.slot(rank)];
+    switch (pc_) {
+      case pc::load_rank: {
+        const int r = c.rank;  // one load
+        if (r < 0) {
+          consec_gaps_ = 0;
+          pc_ = pc::store_data;
+        } else if (r < world::rank_of(shard, own_from) &&
+                   consec_gaps_ < static_cast<int>(w.shard_cells_)) {
+          pc_ = pc::announce_gap;
+        } else {
+          return result::stalled;
+        }
+        return result::working;
+      }
+      case pc::announce_gap:
+        c.gap = rank;  // one store (+ tail bump)
+        w.record_gap(rank);
+        ++tail;
+        ++consec_gaps_;
+        pc_ = pc::load_rank;
+        return result::working;
+      case pc::store_data:
+        if (mut == producer_mutation::publish_before_data) {
+          c.rank = rank;  // MUTATION: publish first, write data after
+          w.record_publish(rank);
+          pc_ = pc::store_data_late;
+        } else {
+          c.data = value;  // one store
+          pc_ = pc::publish;
+        }
+        return result::working;
+      case pc::store_data_late:
+        c.data = value;
+        break;
+      case pc::publish:
+        c.rank = rank;  // linearization store
+        w.record_publish(rank);
+        break;
+    }
+    ++tail;
+    pc_ = pc::load_rank;
+    return result::published;
+  }
+
+  void encode(std::vector<int>& out) const {
+    out.push_back(static_cast<int>(pc_));
+    out.push_back(consec_gaps_);
+  }
+
+ private:
+  enum class pc { load_rank, announce_gap, store_data, store_data_late, publish };
+
+  pc pc_ = pc::load_rank;
+  int consec_gaps_ = 0;
+};
+
+/// Algorithm 1's consumer side, written once for every consumer machine:
+/// resolve each rank of a claimed run [rank, end) against its cell — take
+/// the item, drop a skipped rank in place, or wait for the rank to be
+/// decided — one shared access per step, with the per-producer FIFO
+/// monitor. A machine starts a run with begin() and steps the resolver
+/// while busy().
+class rank_resolver {
+ public:
+  enum class result { working, waiting, taken };
+
+  bool busy() const { return rank_ != end_; }
+  int rank() const { return rank_; }
+
+  void begin(int first, int k) {
+    rank_ = first;
+    end_ = first + k;
+  }
+
+  result step(world& w, consumer_mutation mut) {
+    cell_m& c = w.cells_[w.slot(rank_)];
+    switch (pc_) {
+      case pc::check_rank:
+        pc_ = c.rank == rank_ ? pc::read_data : pc::check_gap;  // one load
+        return result::working;
+      case pc::read_data:
+        val_ = c.data;  // one load
+        pc_ = pc::release_cell;
+        return result::working;
+      case pc::release_cell:
+        c.rank = -1;  // linearization store
+        w.record_consume(val_);
+        w.record_taken_rank(rank_);
+        check_fifo(w);
+        decided();
+        return result::taken;
+      case pc::check_gap:
+        if (c.gap < rank_) {  // one load
+          pc_ = pc::check_rank;  // undecided: back off and re-examine
+          return result::waiting;
+        }
+        if (mut != consumer_mutation::skip_line29_recheck) {
+          pc_ = pc::recheck_rank;
+          return result::working;
+        }
+        break;  // MUTATION: drop the rank without the re-check
+      case pc::recheck_rank:
+        if (c.rank == rank_) {  // one load: published before the gap
+          pc_ = pc::check_rank;
+          return result::working;
+        }
+        break;  // gap >= rank AND rank != rank: truly skipped
+    }
+    w.record_skip(rank_);
+    decided();  // dropped in place: no fresh claim
+    return result::working;
+  }
+
+  void encode(std::vector<int>& out) const {
+    out.push_back(static_cast<int>(pc_));
+    out.push_back(rank_);
+    out.push_back(end_);
+    out.push_back(val_);
+    for (int v : last_from_) out.push_back(v);
+  }
+
+ private:
+  enum class pc { check_rank, read_data, release_cell, check_gap, recheck_rank };
+
+  void decided() {
+    ++rank_;
+    pc_ = pc::check_rank;
+  }
+
+  /// Per-producer FIFO monitor: a consumer's successive values from one
+  /// producer must increase (ranks are drawn in order).
+  void check_fifo(world& w) {
+    const int p = w.producer_of(val_);
+    if (p < 0) return;
+    const auto i = static_cast<std::size_t>(p);
+    if (i >= last_from_.size()) last_from_.resize(i + 1, 0);
+    if (val_ <= last_from_[i]) {
+      w.violation_ = "per-producer FIFO violated: saw " +
+                     std::to_string(val_) + " after " +
+                     std::to_string(last_from_[i]);
+    }
+    last_from_[i] = val_;
+  }
+
+  pc pc_ = pc::check_rank;
+  int rank_ = -1;
+  int end_ = -1;
+  int val_ = 0;
+  std::vector<int> last_from_;  ///< last value taken per producer
+};
+
+/// Single producer of Algorithm 1 driving `shard` (0 for a plain ring):
+/// enqueues values first..first+count-1, one enqueue call per item. Its
+/// cell steps advance the world's shard tail directly: consumers of the
+/// plain ring never read it and the shard scheduler only probes it, so
+/// bumping it in the step that stores a cell hides no interleaving.
 class alg1_producer : public thread_m {
  public:
-  alg1_producer(int first, int count, producer_mutation mut = producer_mutation::none)
-      : next_(first), last_(first + count - 1), mut_(mut) {}
+  alg1_producer(int first, int count,
+                producer_mutation mut = producer_mutation::none, int shard = 0)
+      : shard_(shard), next_(first), last_(first + count - 1), mut_(mut) {}
 
-  bool done() const override { return pc_ == pc::finished; }
+  bool done() const override { return next_ > last_; }
   bool is_producer() const override { return true; }
 
   void step(world& w) override {
-    switch (pc_) {
-      case pc::load_rank: {
-        const int r = w.cells_[w.slot(w.tail_)].rank;  // one load
-        if (r >= 0) {
-          // Occupied. The shipped implementation (and this model — the
-          // verbatim pseudo-code would grow `tail` without bound while
-          // the ring is full, making the state space infinite) stops
-          // announcing gaps after one full fruitless sweep and waits for
-          // the current cell to drain.
-          pc_ = consec_gaps_ >= static_cast<int>(w.cells_.size())
-                    ? pc::load_rank  // spin in place (self-loop state)
-                    : pc::announce_gap;
-        } else {
-          consec_gaps_ = 0;
-          pc_ = pc::store_data;
-        }
-        break;
-      }
-      case pc::announce_gap: {
-        cell_m& c = w.cells_[w.slot(w.tail_)];
-        c.gap = w.tail_;  // one store (+ private tail bump)
-        w.record_gap(w.tail_);
-        w.tail_ += 1;
-        ++consec_gaps_;
-        pc_ = pc::load_rank;
-        break;
-      }
-      case pc::store_data: {
-        if (mut_ == producer_mutation::publish_before_data) {
-          // MUTATION: publish first (wrong), write data after.
-          w.cells_[w.slot(w.tail_)].rank = w.tail_;
-          w.record_publish(w.tail_);
-          pc_ = pc::store_data_late;
-        } else {
-          w.cells_[w.slot(w.tail_)].data = next_;  // one store
-          pc_ = pc::publish;
-        }
-        break;
-      }
-      case pc::store_data_late: {
-        w.cells_[w.slot(w.tail_)].data = next_;
-        w.tail_ += 1;
-        advance_item();
-        break;
-      }
-      case pc::publish: {
-        w.cells_[w.slot(w.tail_)].rank = w.tail_;  // linearization store
-        w.record_publish(w.tail_);
-        w.tail_ += 1;
-        advance_item();
-        break;
-      }
-      case pc::finished:
-        break;
+    int& tail = w.tails_[static_cast<std::size_t>(shard_)];
+    // An enqueue of one has no item of its own in the ring: own_from is
+    // the tail. A stall waits in place (self-loop state).
+    if (cell_.step(w, shard_, tail, tail, next_, mut_) ==
+        cell_writer::result::published) {
+      ++next_;
     }
   }
 
   void encode(std::vector<int>& out) const override {
-    out.push_back(static_cast<int>(pc_));
     out.push_back(next_);
-    out.push_back(consec_gaps_);
+    cell_.encode(out);
   }
 
   std::unique_ptr<thread_m> clone() const override {
@@ -116,229 +245,61 @@ class alg1_producer : public thread_m {
   }
 
  private:
-  enum class pc { load_rank, announce_gap, store_data, store_data_late, publish, finished };
-
-  void advance_item() {
-    if (next_ == last_) {
-      pc_ = pc::finished;
-    } else {
-      ++next_;
-      pc_ = pc::load_rank;
-    }
-  }
-
-  pc pc_ = pc::load_rank;
+  int shard_;
   int next_;
   int last_;
-  int consec_gaps_ = 0;
   producer_mutation mut_;
+  cell_writer cell_;
 };
 
-/// Consumer of Algorithm 1 with a fixed dequeue quota.
-class alg1_consumer : public thread_m {
- public:
-  explicit alg1_consumer(int quota, consumer_mutation mut = consumer_mutation::none)
-      : quota_(quota), mut_(mut) {}
-
-  bool done() const override { return pc_ == pc::finished; }
-
-  void step(world& w) override {
-    switch (pc_) {
-      case pc::faa_head: {
-        rank_ = w.head_;  // fetch-and-increment: one RMW
-        w.head_ += 1;
-        pc_ = pc::check_rank;
-        break;
-      }
-      case pc::check_rank: {
-        const int r = w.cells_[w.slot(rank_)].rank;  // one load
-        pc_ = r == rank_ ? pc::read_data : pc::check_gap;
-        break;
-      }
-      case pc::read_data: {
-        val_ = w.cells_[w.slot(rank_)].data;  // one load
-        pc_ = pc::release_cell;
-        break;
-      }
-      case pc::release_cell: {
-        w.cells_[w.slot(rank_)].rank = -1;  // linearization store
-        w.record_consume(val_);
-        w.record_taken_rank(rank_);
-        // Per-producer FIFO monitor: a consumer's successive values from
-        // one producer must increase (ranks are drawn in order).
-        const int p = w.producer_of(val_);
-        if (p >= 0) {
-          if (static_cast<std::size_t>(p) >= last_from_.size()) {
-            last_from_.resize(static_cast<std::size_t>(p) + 1, 0);
-          }
-          if (val_ <= last_from_[static_cast<std::size_t>(p)]) {
-            w.violation_ = "per-producer FIFO violated: saw " +
-                           std::to_string(val_) + " after " +
-                           std::to_string(last_from_[static_cast<std::size_t>(p)]);
-          }
-          last_from_[static_cast<std::size_t>(p)] = val_;
-        }
-        ++taken_;
-        pc_ = taken_ == quota_ ? pc::finished : pc::faa_head;
-        break;
-      }
-      case pc::check_gap: {
-        const int g = w.cells_[w.slot(rank_)].gap;  // one load
-        if (g >= rank_) {
-          if (mut_ == consumer_mutation::skip_line29_recheck) {
-            w.record_skip(rank_);  // MUTATION: no rank re-check
-            pc_ = pc::faa_head;
-          } else {
-            pc_ = pc::recheck_rank;
-          }
-        } else {
-          pc_ = pc::check_rank;  // back off and re-examine (spin)
-        }
-        break;
-      }
-      case pc::recheck_rank: {
-        const int r = w.cells_[w.slot(rank_)].rank;  // one load
-        // gap >= rank AND rank != rank  => the rank was truly skipped.
-        if (r != rank_) {
-          w.record_skip(rank_);
-          pc_ = pc::faa_head;
-        } else {
-          pc_ = pc::check_rank;
-        }
-        break;
-      }
-      case pc::finished:
-        break;
-    }
-  }
-
-  void encode(std::vector<int>& out) const override {
-    out.push_back(static_cast<int>(pc_));
-    out.push_back(rank_);
-    out.push_back(val_);
-    out.push_back(taken_);
-    for (int v : last_from_) out.push_back(v);
-  }
-
-  std::unique_ptr<thread_m> clone() const override {
-    return std::make_unique<alg1_consumer>(*this);
-  }
-
-  int taken() const { return taken_; }
-
- private:
-  enum class pc {
-    faa_head,
-    check_rank,
-    read_data,
-    release_cell,
-    check_gap,
-    recheck_rank,
-    finished
-  };
-
-  pc pc_ = pc::faa_head;
-  int rank_ = -1;
-  int val_ = 0;
-  int taken_ = 0;
-  int quota_;
-  consumer_mutation mut_;
-  std::vector<int> last_from_;  ///< FIFO monitor: last value per producer
-};
-
-/// Producer issuing enqueue_bulk(batch) (DESIGN.md §5.8). Per-cell
-/// behaviour — gap announcements and data-before-rank publication — is
-/// identical to alg1_producer, but the producer works against a private
-/// tail register and stores the SHARED tail once per batch. Scalar
-/// consumers never read the tail, so for them this is indistinguishable
-/// from Algorithm 1; bulk consumers bound their run claims by the
-/// published tail and fall back to single-rank claims between
-/// publications. Unlike the scalar model, the tail store here is a real
-/// separate shared step because bulk consumers observe it.
-///
-/// Full ring (the shared publish loop in core/ring.hpp): the producer
-/// waits on a cell that holds an item of its own batch, or after a whole
-/// fruitless sweep — and stores the shared tail before it starts waiting
-/// (publish before stall), unless producer_mutation::tail_after_batch.
+/// Producer issuing enqueue_bulk(batch) (DESIGN.md §5.8): the same cell
+/// steps as alg1_producer, run on a private tail register, plus the two
+/// stores of the shared tail the shipped publish loop makes — once per
+/// batch, and before any full-ring wait (publish before stall; skipped
+/// under producer_mutation::tail_after_batch). Scalar consumers never
+/// read the tail, so for them this is indistinguishable from Algorithm 1;
+/// bulk and try_ consumers bound their claims by it, so each store is a
+/// separate shared step. On a full ring the producer waits on a cell that
+/// holds an item of its own batch, or after a whole fruitless sweep.
 class alg1_bulk_producer : public thread_m {
  public:
   alg1_bulk_producer(int first, int count, int batch,
                      producer_mutation mut = producer_mutation::none)
       : next_(first), last_(first + count - 1), batch_(batch), mut_(mut) {}
 
-  bool done() const override { return pc_ == pc::finished; }
+  bool done() const override { return next_ > last_ && pc_ == pc::cells; }
   bool is_producer() const override { return true; }
 
   void step(world& w) override {
+    int& shared = w.tails_[0];
     switch (pc_) {
-      case pc::load_rank: {
-        const int r = w.cells_[w.slot(pt_)].rank;  // one load
-        if (r >= 0) {
-          if (r < batch_start_ &&
-              consec_gaps_ < static_cast<int>(w.cells_.size())) {
-            pc_ = pc::announce_gap;
-          } else if (w.tail_ < pt_ &&
-                     mut_ != producer_mutation::tail_after_batch) {
-            pc_ = pc::stall_publish_tail;
-          } else {
-            w.record_full_stall(pt_);  // wait in place (self-loop state)
-          }
-        } else {
-          consec_gaps_ = 0;
-          pc_ = pc::store_data;
-        }
+      case pc::cells:
         break;
-      }
-      case pc::announce_gap: {
-        w.cells_[w.slot(pt_)].gap = pt_;  // one store (+ private tail bump)
-        w.record_gap(pt_);
-        pt_ += 1;
-        ++consec_gaps_;
-        pc_ = pc::load_rank;
-        break;
-      }
-      case pc::store_data: {
-        if (mut_ == producer_mutation::publish_before_data) {
-          w.cells_[w.slot(pt_)].rank = pt_;  // MUTATION: publish first
-          w.record_publish(pt_);
-          pc_ = pc::store_data_late;
-        } else {
-          w.cells_[w.slot(pt_)].data = next_;  // one store
-          pc_ = pc::publish;
-        }
-        break;
-      }
-      case pc::store_data_late: {
-        w.cells_[w.slot(pt_)].data = next_;
-        pt_ += 1;
-        advance_item();
-        break;
-      }
-      case pc::publish: {
-        w.cells_[w.slot(pt_)].rank = pt_;  // per-cell publication store
-        w.record_publish(pt_);
-        pt_ += 1;
-        advance_item();
-        break;
-      }
-      case pc::stall_publish_tail: {
-        w.tail_ = pt_;  // publish before stall
-        pc_ = pc::load_rank;
-        break;
-      }
-      case pc::publish_tail: {
-        w.tail_ = pt_;  // ONE shared tail store per batch
+      case pc::stall_publish_tail:
+        shared = pt_;  // publish before stall
+        pc_ = pc::cells;
+        return;
+      case pc::publish_tail:
+        shared = pt_;  // one shared tail store per batch
         in_batch_ = 0;
         batch_start_ = pt_;
-        if (next_ == last_) {
-          pc_ = pc::finished;
+        pc_ = pc::cells;
+        return;
+    }
+    switch (cell_.step(w, 0, pt_, batch_start_, next_, mut_)) {
+      case cell_writer::result::working:
+        break;
+      case cell_writer::result::stalled:
+        if (shared < pt_ && mut_ != producer_mutation::tail_after_batch) {
+          pc_ = pc::stall_publish_tail;
         } else {
-          ++next_;
-          pc_ = pc::load_rank;
+          w.record_full_stall(pt_);  // wait in place (self-loop state)
         }
         break;
-      }
-      case pc::finished:
+      case cell_writer::result::published:
+        ++next_;
+        ++in_batch_;
+        if (next_ > last_ || in_batch_ == batch_) pc_ = pc::publish_tail;
         break;
     }
   }
@@ -349,7 +310,7 @@ class alg1_bulk_producer : public thread_m {
     out.push_back(pt_);
     out.push_back(in_batch_);
     out.push_back(batch_start_);
-    out.push_back(consec_gaps_);
+    cell_.encode(out);
   }
 
   std::unique_ptr<thread_m> clone() const override {
@@ -357,134 +318,94 @@ class alg1_bulk_producer : public thread_m {
   }
 
  private:
-  enum class pc {
-    load_rank,
-    announce_gap,
-    store_data,
-    store_data_late,
-    publish,
-    stall_publish_tail,
-    publish_tail,
-    finished
-  };
+  enum class pc { cells, stall_publish_tail, publish_tail };
 
-  void advance_item() {
-    ++in_batch_;
-    if (next_ == last_ || in_batch_ == batch_) {
-      pc_ = pc::publish_tail;
-    } else {
-      ++next_;
-      pc_ = pc::load_rank;
-    }
-  }
-
-  pc pc_ = pc::load_rank;
+  pc pc_ = pc::cells;
   int next_;
   int last_;
   int batch_;
-  int pt_ = 0;  ///< private tail; w.tail_ lags until publish_tail
+  int pt_ = 0;  ///< private tail; the shared tail lags until a tail store
   int in_batch_ = 0;
   int batch_start_ = 0;  ///< first rank of the current batch
-  int consec_gaps_ = 0;
   producer_mutation mut_;
+  cell_writer cell_;
+};
+
+/// Consumer of Algorithm 1 with a fixed dequeue quota: claims one rank
+/// per fetch-and-increment of the head.
+class alg1_consumer : public thread_m {
+ public:
+  explicit alg1_consumer(int quota, consumer_mutation mut = consumer_mutation::none)
+      : quota_(quota), mut_(mut) {}
+
+  bool done() const override { return taken_ == quota_ && !run_.busy(); }
+
+  void step(world& w) override {
+    if (!run_.busy()) {
+      run_.begin(w.heads_[0]++, 1);  // fetch-and-increment: one RMW
+    } else if (run_.step(w, mut_) == rank_resolver::result::taken) {
+      ++taken_;
+    }
+  }
+
+  void encode(std::vector<int>& out) const override {
+    out.push_back(taken_);
+    run_.encode(out);
+  }
+
+  std::unique_ptr<thread_m> clone() const override {
+    return std::make_unique<alg1_consumer>(*this);
+  }
+
+  int taken() const { return taken_; }
+
+ private:
+  int taken_ = 0;
+  int quota_;
+  consumer_mutation mut_;
+  rank_resolver run_;
 };
 
 /// Consumer issuing dequeue_bulk(batch) with a fixed total quota. The
 /// claim is modelled with the implementation's exact access sequence —
 /// tail load, head load, then the head fetch-and-add — so the checker
 /// explores the stale-head race where another consumer advances the head
-/// between the load and the RMW. The claimed run [rank_, end_) is then
-/// resolved rank by rank with the scalar cell protocol; ranks that turn
-/// out to be gaps are dropped in place (no fresh fetch-and-add), which is
-/// the property consumer_mutation::skip_line29_recheck breaks inside a
-/// run (a just-published item in the run is silently dropped).
+/// between the load and the RMW. Ranks of the run that turn out to be
+/// gaps are dropped in place (no fresh fetch-and-add), which is the
+/// property consumer_mutation::skip_line29_recheck breaks inside a run (a
+/// just-published item in the run is silently dropped).
 class alg1_bulk_consumer : public thread_m {
  public:
   alg1_bulk_consumer(int quota, int batch,
                      consumer_mutation mut = consumer_mutation::none)
       : quota_(quota), batch_(batch), mut_(mut) {}
 
-  bool done() const override { return pc_ == pc::finished; }
+  bool done() const override { return taken_ == quota_ && !run_.busy(); }
 
   void step(world& w) override {
+    if (run_.busy()) {
+      if (run_.step(w, mut_) == rank_resolver::result::taken) ++taken_;
+      return;
+    }
     switch (pc_) {
-      case pc::load_tail: {
-        t_ = w.tail_;  // one load (acquire in the implementation)
+      case pc::load_tail:
+        t_ = w.tails_[0];  // one load (acquire in the implementation)
         pc_ = pc::load_head;
         break;
-      }
-      case pc::load_head: {
-        h0_ = w.head_;  // one load; may be stale by claim time
+      case pc::load_head:
+        h0_ = w.heads_[0];  // one load; may be stale by claim time
         pc_ = pc::claim;
         break;
-      }
       case pc::claim: {
         const int avail = t_ - h0_;
         const int k = avail > 1
                           ? std::min({batch_, avail, quota_ - taken_})
                           : 1;  // empty/near-empty: claim one and park
-        rank_ = w.head_;  // fetch-and-add: one RMW
-        w.head_ += k;
-        end_ = rank_ + k;
-        pc_ = pc::check_rank;
+        run_.begin(w.heads_[0], k);  // fetch-and-add: one RMW
+        w.heads_[0] += k;
+        pc_ = pc::load_tail;
         break;
       }
-      case pc::check_rank: {
-        const int r = w.cells_[w.slot(rank_)].rank;  // one load
-        pc_ = r == rank_ ? pc::read_data : pc::check_gap;
-        break;
-      }
-      case pc::read_data: {
-        val_ = w.cells_[w.slot(rank_)].data;  // one load
-        pc_ = pc::release_cell;
-        break;
-      }
-      case pc::release_cell: {
-        w.cells_[w.slot(rank_)].rank = -1;  // linearization store
-        w.record_consume(val_);
-        w.record_taken_rank(rank_);
-        const int p = w.producer_of(val_);
-        if (p >= 0) {
-          if (static_cast<std::size_t>(p) >= last_from_.size()) {
-            last_from_.resize(static_cast<std::size_t>(p) + 1, 0);
-          }
-          if (val_ <= last_from_[static_cast<std::size_t>(p)]) {
-            w.violation_ = "per-producer FIFO violated: saw " +
-                           std::to_string(val_) + " after " +
-                           std::to_string(last_from_[static_cast<std::size_t>(p)]);
-          }
-          last_from_[static_cast<std::size_t>(p)] = val_;
-        }
-        ++taken_;
-        advance_rank();
-        break;
-      }
-      case pc::check_gap: {
-        const int g = w.cells_[w.slot(rank_)].gap;  // one load
-        if (g >= rank_) {
-          if (mut_ == consumer_mutation::skip_line29_recheck) {
-            w.record_skip(rank_);  // MUTATION: drop the rank without re-check
-            advance_rank();
-          } else {
-            pc_ = pc::recheck_rank;
-          }
-        } else {
-          pc_ = pc::check_rank;  // back off and re-examine (spin)
-        }
-        break;
-      }
-      case pc::recheck_rank: {
-        const int r = w.cells_[w.slot(rank_)].rank;  // one load
-        if (r != rank_) {
-          w.record_skip(rank_);
-          advance_rank();  // truly skipped: drop in place, stay in run
-        } else {
-          pc_ = pc::check_rank;
-        }
-        break;
-      }
-      case pc::finished:
-        break;
     }
   }
 
@@ -492,11 +413,8 @@ class alg1_bulk_consumer : public thread_m {
     out.push_back(static_cast<int>(pc_));
     out.push_back(t_);
     out.push_back(h0_);
-    out.push_back(rank_);
-    out.push_back(end_);
-    out.push_back(val_);
     out.push_back(taken_);
-    for (int v : last_from_) out.push_back(v);
+    run_.encode(out);
   }
 
   std::unique_ptr<thread_m> clone() const override {
@@ -506,52 +424,27 @@ class alg1_bulk_consumer : public thread_m {
   int taken() const { return taken_; }
 
  private:
-  enum class pc {
-    load_tail,
-    load_head,
-    claim,
-    check_rank,
-    read_data,
-    release_cell,
-    check_gap,
-    recheck_rank,
-    finished
-  };
-
-  /// A rank in the claimed run is decided (consumed or dropped): move to
-  /// the next one, or re-claim / finish when the run is exhausted.
-  void advance_rank() {
-    ++rank_;
-    if (rank_ != end_) {
-      pc_ = pc::check_rank;
-    } else if (taken_ == quota_) {
-      pc_ = pc::finished;
-    } else {
-      pc_ = pc::load_tail;
-    }
-  }
+  enum class pc { load_tail, load_head, claim };
 
   pc pc_ = pc::load_tail;
   int t_ = 0;
   int h0_ = 0;
-  int rank_ = -1;
-  int end_ = -1;
-  int val_ = 0;
   int taken_ = 0;
   int quota_;
   int batch_;
   consumer_mutation mut_;
-  std::vector<int> last_from_;  ///< FIFO monitor: last value per producer
+  rank_resolver run_;
 };
 
 /// Consumer polling try_dequeue_bulk(batch) until the producers are idle
 /// and the ring is empty. Same access sequence as the implementation's
 /// claim loop (core/ring.hpp): tail load, head load, then a CAS of head
 /// from the observed h to h + k with k = min(batch, t - h) — a failed CAS
-/// re-reads both. Nothing published (t <= h) claims no rank. The claimed
-/// run is resolved with the scalar cell protocol, gaps dropped in place.
-/// consumer_mutation::faa_try_claim replaces the CAS with the old
-/// fetch-and-add of k, which a racing claim can push past the tail.
+/// re-reads both. Nothing published (t <= h) claims no rank. A wait on an
+/// undecided rank of the run feeds the idle-producer oracle
+/// (world::record_try_wait). consumer_mutation::faa_try_claim replaces
+/// the CAS with the old fetch-and-add of k, which a racing claim can push
+/// past the tail.
 class alg1_try_consumer : public thread_m {
  public:
   explicit alg1_try_consumer(int batch,
@@ -561,86 +454,39 @@ class alg1_try_consumer : public thread_m {
   bool done() const override { return pc_ == pc::finished; }
 
   void step(world& w) override {
+    if (run_.busy()) {
+      if (run_.step(w, mut_) == rank_resolver::result::waiting) {
+        w.record_try_wait(run_.rank());
+      }
+      return;
+    }
     switch (pc_) {
-      case pc::load_tail: {
+      case pc::load_tail:
         // The harness's close: producers idle before this tail load means
         // t_ is the final tail. (A monitor read, not a memory access.)
         idle_ = w.producers_idle();
-        t_ = w.tail_;  // one load
+        t_ = w.tails_[0];  // one load
         pc_ = pc::load_head;
         break;
-      }
-      case pc::load_head: {
-        h0_ = w.head_;  // one load
+      case pc::load_head:
+        h0_ = w.heads_[0];  // one load
         if (t_ > h0_) {
           pc_ = pc::claim;
         } else {
           pc_ = idle_ ? pc::finished : pc::load_tail;  // try_ returned 0
         }
         break;
-      }
       case pc::claim: {
+        int& head = w.heads_[0];
+        pc_ = pc::load_tail;
+        if (mut_ != consumer_mutation::faa_try_claim && head != h0_) {
+          break;  // CAS failed: re-read tail and head
+        }
+        // CAS h0 -> h0 + k succeeded (MUTATION: fetch-and-add from a
+        // stale size): one RMW.
         const int k = std::min(batch_, t_ - h0_);
-        if (mut_ == consumer_mutation::faa_try_claim) {
-          rank_ = w.head_;  // MUTATION: fetch-and-add from a stale size
-        } else if (w.head_ == h0_) {
-          rank_ = h0_;  // CAS h0 -> h0 + k succeeded: one RMW
-        } else {
-          pc_ = pc::load_tail;  // CAS failed: re-read tail and head
-          break;
-        }
-        w.head_ = rank_ + k;
-        end_ = rank_ + k;
-        pc_ = pc::check_rank;
-        break;
-      }
-      case pc::check_rank: {
-        const int r = w.cells_[w.slot(rank_)].rank;  // one load
-        pc_ = r == rank_ ? pc::read_data : pc::check_gap;
-        break;
-      }
-      case pc::read_data: {
-        val_ = w.cells_[w.slot(rank_)].data;  // one load
-        pc_ = pc::release_cell;
-        break;
-      }
-      case pc::release_cell: {
-        w.cells_[w.slot(rank_)].rank = -1;  // linearization store
-        w.record_consume(val_);
-        w.record_taken_rank(rank_);
-        const int p = w.producer_of(val_);
-        if (p >= 0) {
-          if (static_cast<std::size_t>(p) >= last_from_.size()) {
-            last_from_.resize(static_cast<std::size_t>(p) + 1, 0);
-          }
-          if (val_ <= last_from_[static_cast<std::size_t>(p)]) {
-            w.violation_ = "per-producer FIFO violated: saw " +
-                           std::to_string(val_) + " after " +
-                           std::to_string(last_from_[static_cast<std::size_t>(p)]);
-          }
-          last_from_[static_cast<std::size_t>(p)] = val_;
-        }
-        advance_rank();
-        break;
-      }
-      case pc::check_gap: {
-        const int g = w.cells_[w.slot(rank_)].gap;  // one load
-        if (g >= rank_) {
-          pc_ = pc::recheck_rank;
-        } else {
-          w.record_try_wait(rank_);
-          pc_ = pc::check_rank;  // back off and re-examine (spin)
-        }
-        break;
-      }
-      case pc::recheck_rank: {
-        const int r = w.cells_[w.slot(rank_)].rank;  // one load
-        if (r != rank_) {
-          w.record_skip(rank_);
-          advance_rank();  // truly skipped: drop in place, stay in run
-        } else {
-          pc_ = pc::check_rank;
-        }
+        run_.begin(head, k);
+        head += k;
         break;
       }
       case pc::finished:
@@ -653,10 +499,7 @@ class alg1_try_consumer : public thread_m {
     out.push_back(idle_ ? 1 : 0);
     out.push_back(t_);
     out.push_back(h0_);
-    out.push_back(rank_);
-    out.push_back(end_);
-    out.push_back(val_);
-    for (int v : last_from_) out.push_back(v);
+    run_.encode(out);
   }
 
   std::unique_ptr<thread_m> clone() const override {
@@ -664,35 +507,15 @@ class alg1_try_consumer : public thread_m {
   }
 
  private:
-  enum class pc {
-    load_tail,
-    load_head,
-    claim,
-    check_rank,
-    read_data,
-    release_cell,
-    check_gap,
-    recheck_rank,
-    finished
-  };
-
-  /// A rank of the run is decided: resolve the next one, or start the
-  /// next try_ call when the run is exhausted.
-  void advance_rank() {
-    ++rank_;
-    pc_ = rank_ != end_ ? pc::check_rank : pc::load_tail;
-  }
+  enum class pc { load_tail, load_head, claim, finished };
 
   pc pc_ = pc::load_tail;
   bool idle_ = false;
   int t_ = 0;
   int h0_ = 0;
-  int rank_ = -1;
-  int end_ = -1;
-  int val_ = 0;
   int batch_;
   consumer_mutation mut_;
-  std::vector<int> last_from_;  ///< FIFO monitor: last value per producer
+  rank_resolver run_;
 };
 
 }  // namespace ffq::model

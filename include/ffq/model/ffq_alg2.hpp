@@ -1,7 +1,7 @@
 // ffq_alg2.hpp — step-machine model of Algorithm 2 (FFQ^m producers).
 //
-// Consumers are shared with Algorithm 1 (alg1_consumer): the dequeue
-// protocol is identical, and a -2 reservation simply fails both the
+// Consumers are shared with Algorithm 1 (alg1_consumer and its
+// rank_resolver): the dequeue protocol is identical, and a -2 reservation simply fails both the
 // rank and gap comparisons, i.e. "producer still writing — back off".
 //
 // Mutations (paper §III-B explains why each safeguard exists; tests
@@ -41,8 +41,8 @@ enum class alg2_mutation {
   throttle_ignores_rank_order,
 };
 
-/// One MPMC producer: enqueues values first..first+count-1; world::tail_
-/// is the shared fetch-and-add counter.
+/// One MPMC producer: enqueues values first..first+count-1; shard 0's
+/// tail is the shared fetch-and-add counter.
 class alg2_producer : public thread_m {
  public:
   alg2_producer(int first, int count, alg2_mutation mut = alg2_mutation::none)
@@ -54,8 +54,7 @@ class alg2_producer : public thread_m {
   void step(world& w) override {
     switch (pc_) {
       case pc::faa_tail: {
-        rank_ = w.tail_;  // fetch-and-increment: one RMW
-        w.tail_ += 1;
+        rank_ = w.tails_[0]++;  // fetch-and-increment: one RMW
         pc_ = pc::load_gap;
         break;
       }

@@ -60,28 +60,21 @@ class thread_m {
 /// The shared state plus all threads: one node of the execution graph.
 class world {
  public:
-  world(std::size_t cells, int num_values)
-      : cells_(cells),
+  /// `shards` equal cell segments of `shard_cells` cells each, with one
+  /// head and one tail per shard. A plain ring is shard 0 of a one-shard
+  /// world.
+  world(std::size_t shard_cells, int num_values, std::size_t shards = 1)
+      : cells_(shards * shard_cells),
+        shard_cells_(shard_cells),
+        heads_(shards, 0),
+        tails_(shards, 0),
         consumed_count_(static_cast<std::size_t>(num_values) + 1, 0) {}
-
-  /// Sharded world (model/shard_sched.hpp): `shards` equal cell segments
-  /// of `shard_cells` cells each, with per-shard head/tail indices.
-  static world sharded(std::size_t shards, std::size_t shard_cells,
-                       int num_values) {
-    world w(shards * shard_cells, num_values);
-    w.shard_cells_ = shard_cells;
-    w.shard_heads_.assign(shards, 0);
-    w.shard_tails_.assign(shards, 0);
-    return w;
-  }
 
   world(const world& o)
       : cells_(o.cells_),
-        head_(o.head_),
-        tail_(o.tail_),
         shard_cells_(o.shard_cells_),
-        shard_heads_(o.shard_heads_),
-        shard_tails_(o.shard_tails_),
+        heads_(o.heads_),
+        tails_(o.tails_),
         producer_ranges_(o.producer_ranges_),
         consumed_count_(o.consumed_count_),
         violation_(o.violation_),
@@ -96,31 +89,27 @@ class world {
   world& operator=(const world&) = delete;
 
   // --- shared memory ----------------------------------------------------
+  // Ranks are namespaced per shard: shard s's local rank r appears
+  // everywhere (cells, monitors) as the global rank s * kShardRankStride
+  // + r, and slot() maps it into its shard's segment. So the
+  // gap-accounting monitor's slot/rank comparisons stay exact: ranks from
+  // different shards never share a slot, and ranks within a shard compare
+  // in shard order. In a one-shard world the global rank is the local
+  // one; the stride is far above any rank the small model programs reach.
+  static constexpr int kShardRankStride = 1 << 20;
   std::vector<cell_m> cells_;
-  int head_ = 0;
-  int tail_ = 0;  ///< shared in the MPMC model; producer-owned in SPMC
+  std::size_t shard_cells_;
+  std::vector<int> heads_;  ///< local (un-namespaced) per-shard heads
+  std::vector<int> tails_;  ///< local per-shard tails; shared in the MPMC model
 
-  // Sharded mode (shard_cells_ > 0): the cell array is partitioned into
-  // equal per-shard segments and ranks are namespaced per shard — shard
-  // s's local rank r appears everywhere (cells, monitors) as the global
-  // rank s * kShardRankStride + r. slot() maps a namespaced rank into
-  // its shard's segment, so the gap-accounting monitor's slot/rank
-  // comparisons stay exact: ranks from different shards never share a
-  // slot, and ranks within a shard compare in shard order.
-  static constexpr int kShardRankStride = 1 << 12;
-  std::size_t shard_cells_ = 0;
-  std::vector<int> shard_heads_;  ///< local (un-namespaced) per-shard heads
-  std::vector<int> shard_tails_;  ///< local per-shard tails, producer-owned
+  static int rank_of(int shard, int local) {
+    return shard * kShardRankStride + local;
+  }
 
   std::size_t slot(int rank) const {
-    if (shard_cells_ > 0) {
-      const auto s = static_cast<std::size_t>(rank) /
-                     static_cast<std::size_t>(kShardRankStride);
-      const auto r = static_cast<std::size_t>(rank) %
-                     static_cast<std::size_t>(kShardRankStride);
-      return s * shard_cells_ + r % shard_cells_;
-    }
-    return static_cast<std::size_t>(rank) % cells_.size();
+    const auto s = static_cast<std::size_t>(rank / kShardRankStride);
+    const auto r = static_cast<std::size_t>(rank % kShardRankStride);
+    return s * shard_cells_ + r % shard_cells_;
   }
 
   // --- threads ------------------------------------------------------------
@@ -224,7 +213,8 @@ class world {
   // --- liveness monitors (DESIGN.md §5.8) ----------------------------------
   // The explorer cannot see a wedge (a spin loop is a memoized self-loop),
   // so the two rules that keep try_ consumers live are checked as safety
-  // properties on the edge where they break.
+  // properties on the edge where they break. Both watch a plain ring:
+  // shard 0's tail.
 
   bool producers_idle() const {
     for (const auto& t : threads_) {
@@ -238,9 +228,9 @@ class world {
   /// must be below the shared tail, or try_ consumers (which claim only
   /// below it) see an empty ring and the wait never ends.
   void record_full_stall(int private_tail) {
-    if (violation_.empty() && tail_ < private_tail) {
+    if (violation_.empty() && tails_[0] < private_tail) {
       violation_ = "publish-before-stall: producer waits on a full ring "
-                   "while ranks " + std::to_string(tail_) + ".." +
+                   "while ranks " + std::to_string(tails_[0]) + ".." +
                    std::to_string(private_tail - 1) +
                    " are hidden above the shared tail";
     }
@@ -254,7 +244,7 @@ class world {
     if (violation_.empty() && producers_idle()) {
       violation_ = "idle-producer: a try_ consumer waits on rank " +
                    std::to_string(rank) + " at or past the final tail " +
-                   std::to_string(tail_);
+                   std::to_string(tails_[0]);
     }
   }
 
@@ -295,10 +285,8 @@ class world {
       v.push_back(c.gap);
       v.push_back(c.data);
     }
-    v.push_back(head_);
-    v.push_back(tail_);
-    for (int h : shard_heads_) v.push_back(h);
-    for (int t : shard_tails_) v.push_back(t);
+    v.insert(v.end(), heads_.begin(), heads_.end());
+    v.insert(v.end(), tails_.begin(), tails_.end());
     for (const auto& t : threads_) t->encode(v);
     return std::string(reinterpret_cast<const char*>(v.data()),
                        v.size() * sizeof(int));

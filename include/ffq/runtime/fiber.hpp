@@ -23,11 +23,40 @@
 
 namespace ffq::runtime {
 
+/// One ucontext fiber: its own stack and the function it runs there.
+/// resume() runs the function on the calling OS thread until it calls
+/// fiber::suspend() or returns. fiber_scheduler and the checking
+/// scheduler (ffq::check::coop_sched) are both loops over fibers.
+class fiber {
+ public:
+  /// Fiber stack size. Syscall-shim fibers and check tasks are shallow;
+  /// 64 KiB is plenty and keeps m:n configurations cheap.
+  static constexpr std::size_t kStackBytes = 64 * 1024;
+
+  explicit fiber(std::function<void()> fn);
+  ~fiber();
+
+  fiber(const fiber&) = delete;
+  fiber& operator=(const fiber&) = delete;
+
+  /// Run until the function suspends or returns. No-op once finished.
+  void resume();
+
+  bool finished() const noexcept;
+
+  /// From inside a fiber: back to the resume() that entered it. No-op
+  /// outside any fiber.
+  static void suspend();
+
+ private:
+  struct state;
+  std::unique_ptr<state> s_;
+};
+
 class fiber_scheduler {
  public:
-  /// Per-fiber stack size. Syscall-shim fibers are shallow; 64 KiB is
-  /// plenty and keeps m:n configurations cheap.
-  static constexpr std::size_t kStackBytes = 64 * 1024;
+  /// Per-fiber stack size.
+  static constexpr std::size_t kStackBytes = fiber::kStackBytes;
 
   fiber_scheduler();
   ~fiber_scheduler();

@@ -8,33 +8,60 @@
 
 namespace ffq::runtime {
 
-namespace {
-
-struct fiber_state {
+struct fiber::state {
   ucontext_t ctx{};
+  ucontext_t caller{};  ///< where suspend() and completion return to
   std::vector<char> stack;
   std::function<void()> fn;
   bool finished = false;
-};
 
-}  // namespace
-
-struct fiber_scheduler::impl {
-  ucontext_t main_ctx{};
-  std::deque<fiber_state*> ready;
-  std::vector<std::unique_ptr<fiber_state>> all;
-  fiber_state* current = nullptr;
-
-  static thread_local impl* active;  // scheduler running on this OS thread
+  static thread_local state* current;  // fiber running on this OS thread
 
   static void trampoline() {
-    impl* self = active;
-    fiber_state* f = self->current;
+    state* f = current;
     f->fn();
     f->finished = true;
-    // Back to the scheduler loop; this context is never resumed again.
-    swapcontext(&f->ctx, &self->main_ctx);
+    // Back to resume(); this context is never resumed again.
+    swapcontext(&f->ctx, &f->caller);
   }
+};
+
+thread_local fiber::state* fiber::state::current = nullptr;
+
+fiber::fiber(std::function<void()> fn) : s_(std::make_unique<state>()) {
+  s_->stack.resize(kStackBytes);
+  s_->fn = std::move(fn);
+  getcontext(&s_->ctx);
+  s_->ctx.uc_stack.ss_sp = s_->stack.data();
+  s_->ctx.uc_stack.ss_size = s_->stack.size();
+  s_->ctx.uc_link = nullptr;  // termination handled by the trampoline
+  makecontext(&s_->ctx, &state::trampoline, 0);
+}
+
+fiber::~fiber() = default;
+
+void fiber::resume() {
+  if (s_->finished) return;
+  state* prev = state::current;
+  state::current = s_.get();
+  swapcontext(&s_->caller, &s_->ctx);
+  state::current = prev;
+}
+
+bool fiber::finished() const noexcept { return s_->finished; }
+
+void fiber::suspend() {
+  state* f = state::current;
+  if (f == nullptr) return;  // not in a fiber
+  swapcontext(&f->ctx, &f->caller);
+}
+
+struct fiber_scheduler::impl {
+  std::deque<fiber*> ready;
+  std::vector<std::unique_ptr<fiber>> all;
+  fiber* current = nullptr;
+
+  static thread_local impl* active;  // scheduler running on this OS thread
 };
 
 thread_local fiber_scheduler::impl* fiber_scheduler::impl::active = nullptr;
@@ -43,28 +70,20 @@ fiber_scheduler::fiber_scheduler() : impl_(std::make_unique<impl>()) {}
 fiber_scheduler::~fiber_scheduler() = default;
 
 void fiber_scheduler::spawn(std::function<void()> fn) {
-  auto f = std::make_unique<fiber_state>();
-  f->stack.resize(kStackBytes);
-  f->fn = std::move(fn);
-  getcontext(&f->ctx);
-  f->ctx.uc_stack.ss_sp = f->stack.data();
-  f->ctx.uc_stack.ss_size = f->stack.size();
-  f->ctx.uc_link = nullptr;  // termination handled by the trampoline
-  makecontext(&f->ctx, reinterpret_cast<void (*)()>(&impl::trampoline), 0);
-  impl_->ready.push_back(f.get());
-  impl_->all.push_back(std::move(f));
+  impl_->all.push_back(std::make_unique<fiber>(std::move(fn)));
+  impl_->ready.push_back(impl_->all.back().get());
 }
 
 void fiber_scheduler::run() {
   assert(impl::active == nullptr && "nested schedulers on one OS thread");
   impl::active = impl_.get();
   while (!impl_->ready.empty()) {
-    fiber_state* f = impl_->ready.front();
+    fiber* f = impl_->ready.front();
     impl_->ready.pop_front();
     impl_->current = f;
-    swapcontext(&impl_->main_ctx, &f->ctx);
+    f->resume();
     impl_->current = nullptr;
-    if (!f->finished) {
+    if (!f->finished()) {
       impl_->ready.push_back(f);  // yielded: reschedule round-robin
     }
   }
@@ -74,16 +93,13 @@ void fiber_scheduler::run() {
 std::size_t fiber_scheduler::live_fibers() const noexcept {
   std::size_t n = 0;
   for (const auto& f : impl_->all) {
-    if (!f->finished) ++n;
+    if (!f->finished()) ++n;
   }
   return n;
 }
 
 void fiber_scheduler::yield() {
-  impl* self = impl::active;
-  if (self == nullptr || self->current == nullptr) return;  // not in a fiber
-  fiber_state* f = self->current;
-  swapcontext(&f->ctx, &self->main_ctx);
+  if (in_fiber()) fiber::suspend();
 }
 
 bool fiber_scheduler::in_fiber() noexcept {

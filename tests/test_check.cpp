@@ -20,7 +20,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,9 +27,7 @@
 #include "ffq/core/spmc.hpp"
 #include "ffq/core/spsc.hpp"
 #include "ffq/core/waitable.hpp"
-#include "ffq/model/ffq_alg1.hpp"
-#include "ffq/model/ffq_alg2.hpp"
-#include "ffq/model/shard_sched.hpp"
+#include "ffq/model/shapes.hpp"
 #include "ffq/shard/shard.hpp"
 
 namespace chk = ffq::check;
@@ -105,61 +102,6 @@ static_assert(alignof(q_spsc) == alignof(spsc_mirror));
 static_assert(alignof(q_spmc) == alignof(spmc_mirror));
 static_assert(alignof(q_mpmc) == alignof(mpmc_mirror));
 static_assert(alignof(q_wait) == alignof(waitable_mirror));
-
-// Model shapes shared with tools/check_explore.cpp (kept tiny so DFS
-// bound 2 finishes in milliseconds).
-model::world make_spsc_model(model::consumer_mutation cmut =
-                                 model::consumer_mutation::none) {
-  model::world w(2, 3);
-  w.producer_ranges_ = {{1, 3}};
-  w.threads_.push_back(std::make_unique<model::alg1_producer>(
-      1, 3, model::producer_mutation::none));
-  w.threads_.push_back(std::make_unique<model::alg1_consumer>(3, cmut));
-  return w;
-}
-
-model::world make_spmc_model(model::consumer_mutation cmut =
-                                 model::consumer_mutation::none) {
-  model::world w(2, 4);
-  w.producer_ranges_ = {{1, 4}};
-  w.threads_.push_back(std::make_unique<model::alg1_producer>(
-      1, 4, model::producer_mutation::none));
-  w.threads_.push_back(std::make_unique<model::alg1_consumer>(2, cmut));
-  w.threads_.push_back(std::make_unique<model::alg1_consumer>(2, cmut));
-  return w;
-}
-
-/// The --model spmc_bulk / spmc_try shapes: one 3-item batch, two try_
-/// consumers; 2 cells wrap the batch (publish before stall), 4 cells let
-/// the racing claims meet an idle producer within bound 2.
-model::world make_try_model(
-    std::size_t cells,
-    model::producer_mutation pmut = model::producer_mutation::none,
-    model::consumer_mutation cmut = model::consumer_mutation::none) {
-  model::world w(cells, 3);
-  w.producer_ranges_ = {{1, 3}};
-  w.threads_.push_back(
-      std::make_unique<model::alg1_bulk_producer>(1, 3, 3, pmut));
-  w.threads_.push_back(std::make_unique<model::alg1_try_consumer>(2, cmut));
-  w.threads_.push_back(std::make_unique<model::alg1_try_consumer>(2, cmut));
-  return w;
-}
-
-/// The shard-scheduler shape check_explore uses for --model shard: two
-/// shards (one wraps its ring, one runs short so steals happen), two
-/// scheduler consumers starting on opposite cursors.
-model::world make_shard_model(model::consumer_mutation cmut =
-                                  model::consumer_mutation::none) {
-  model::world w = model::world::sharded(2, 2, 6);
-  w.producer_ranges_ = {{1, 4}, {5, 6}};
-  w.threads_.push_back(std::make_unique<model::shard_producer>(
-      0, 1, 4, model::producer_mutation::none));
-  w.threads_.push_back(std::make_unique<model::shard_producer>(
-      1, 5, 2, model::producer_mutation::none));
-  w.threads_.push_back(std::make_unique<model::shard_consumer>(0, 3, 2, cmut));
-  w.threads_.push_back(std::make_unique<model::shard_consumer>(1, 3, 2, cmut));
-  return w;
-}
 
 }  // namespace
 
@@ -321,15 +263,18 @@ TEST(CheckOracles, LinearizabilityRejectsDequeueBeforeAnyEnqueue) {
 // Model exploration: clean DFS passes, mutation catches, witness replay.
 // ---------------------------------------------------------------------------
 
+// The model shapes are check_explore's (model/shapes.hpp), kept tiny so
+// DFS bound 2 finishes in milliseconds.
+
 TEST(CheckExplore, CleanSpscModelPassesExhaustiveBound2) {
-  const auto r = chk::dfs_explore(make_spsc_model(), {});
+  const auto r = chk::dfs_explore(model::make_shape("spsc"), {});
   EXPECT_TRUE(r.ok) << r.violation;
   EXPECT_TRUE(r.exhausted);
   EXPECT_GT(r.terminals, 0u);
 }
 
 TEST(CheckExplore, CleanSpmcModelPassesExhaustiveBound2) {
-  const auto r = chk::dfs_explore(make_spmc_model(), {});
+  const auto r = chk::dfs_explore(model::make_shape("spmc"), {});
   EXPECT_TRUE(r.ok) << r.violation;
   EXPECT_TRUE(r.exhausted);
   EXPECT_GT(r.terminals, 0u);
@@ -339,8 +284,7 @@ TEST(CheckExplore, InjectedLine29BugIsCaughtWithReplayableWitness) {
   // The paper's line-29 re-check omitted: a consumer skips a rank the
   // producer already published. DFS must find it within preemption bound
   // 2 and hand back a schedule that reproduces it exactly.
-  const auto w =
-      make_spmc_model(model::consumer_mutation::skip_line29_recheck);
+  const auto w = model::make_shape("spmc", "skip_line29_recheck");
   const auto r = chk::dfs_explore(w, {});
   ASSERT_FALSE(r.ok);
   EXPECT_NE(r.violation.find("gap-accounting"), std::string::npos)
@@ -360,15 +304,15 @@ TEST(CheckExplore, InjectedLine29BugIsCaughtWithReplayableWitness) {
   // the witness pins the bug, not the schedule shape. (The witness is
   // truncated at the violating edge, so on the clean model the only
   // acceptable complaint is that the schedule ends early.)
-  const auto clean = chk::replay_model(make_spmc_model(), *parsed);
+  const auto clean = chk::replay_model(model::make_shape("spmc"), *parsed);
   EXPECT_EQ(clean.violation.find("safety"), std::string::npos)
       << clean.violation;
 }
 
 TEST(CheckExplore, CleanTryConsumerModelsPassExhaustiveBound2) {
-  for (const std::size_t cells : {2, 4}) {
-    const auto r = chk::dfs_explore(make_try_model(cells), {});
-    EXPECT_TRUE(r.ok) << cells << " cells: " << r.violation;
+  for (const char* shape : {"spmc_bulk", "spmc_try"}) {
+    const auto r = chk::dfs_explore(model::make_shape(shape), {});
+    EXPECT_TRUE(r.ok) << shape << ": " << r.violation;
     EXPECT_TRUE(r.exhausted);
     EXPECT_GT(r.terminals, 0u);
   }
@@ -392,45 +336,69 @@ void expect_caught_and_replayed(const model::world& w,
 // batch wraps the ring it waits for a cell no try_ consumer can see.
 TEST(CheckExplore, TailStoredOnlyAfterTheBatchIsCaught) {
   expect_caught_and_replayed(
-      make_try_model(2, model::producer_mutation::tail_after_batch),
+      model::make_shape("spmc_bulk", "tail_after_batch"),
       "publish-before-stall");
 }
 
 // Defect: a try_ claim by fetch-and-add, sized from a stale head, lands
 // past the tail once a racing claim got there first.
 TEST(CheckExplore, FaaTryClaimIsCaught) {
-  expect_caught_and_replayed(
-      make_try_model(4, model::producer_mutation::none,
-                     model::consumer_mutation::faa_try_claim),
-      "idle-producer");
+  expect_caught_and_replayed(model::make_shape("spmc_try", "faa_try_claim"),
+                             "idle-producer");
 }
 
-TEST(CheckExplore, CleanShardSchedulerModelPassesExhaustiveBound2) {
-  const auto r = chk::dfs_explore(make_shard_model(), {});
+TEST(CheckExplore, CleanMpmcModelPassesExhaustiveBound2) {
+  const auto r = chk::dfs_explore(model::make_shape("mpmc"), {});
   EXPECT_TRUE(r.ok) << r.violation;
   EXPECT_TRUE(r.exhausted);
   EXPECT_GT(r.terminals, 0u);
 }
 
-// Differential masking claim (model/shard_sched.hpp): the scheduler's
-// tail-bounded claims decide every rank before it is claimed, so the
-// line-29 consumer race — which the scalar SPMC model catches above —
-// is unreachable through the fabric's bulk drain. The pair of results
-// (flagged scalar, clean scheduler) is the machine-checked statement.
+// Algorithm 2 defect (§III-B): a producer claims a free cell by CAS of
+// rank straight to its final value, skipping the -2 reservation, and
+// writes the data afterwards; a consumer reads the cell in between.
+TEST(CheckExplore, Alg2ClaimPublishingDirectlyIsCaught) {
+  expect_caught_and_replayed(
+      model::make_shape("mpmc", "claim_publishes_directly"), "consumed twice");
+}
+
+// Algorithm 2 defect (§III-B): a claim validates only rank == -1, not
+// gap, so a racing gap announcement over its rank slips under it and
+// the item is enqueued in the past.
+TEST(CheckExplore, Alg2ClaimIgnoringGapIsCaught) {
+  expect_caught_and_replayed(model::make_shape("mpmc", "claim_ignores_gap"),
+                             "enqueue in the past");
+}
+
+TEST(CheckExplore, CleanShardSchedulerModelPassesExhaustiveBound2) {
+  const auto r = chk::dfs_explore(model::make_shape("shard"), {});
+  EXPECT_TRUE(r.ok) << r.violation;
+  EXPECT_TRUE(r.exhausted);
+  EXPECT_GT(r.terminals, 0u);
+}
+
+// Differential masking claim (model/shard_sched.hpp): a tail-bounded
+// claim decides every rank before it is claimed, so the line-29 consumer
+// race — which the scalar SPMC model catches above — is unreachable
+// through the fabric's scheduler and through the CAS-bounded try_ claim.
+// The results (flagged scalar, clean tail-bounded claims) are the
+// machine-checked statement.
 TEST(CheckExplore, ShardSchedulerMasksTheLine29RaceTheScalarPathHas) {
-  const auto scalar = chk::dfs_explore(
-      make_spmc_model(model::consumer_mutation::skip_line29_recheck), {});
+  const auto scalar =
+      chk::dfs_explore(model::make_shape("spmc", "skip_line29_recheck"), {});
   ASSERT_FALSE(scalar.ok);
-  const auto sched = chk::dfs_explore(
-      make_shard_model(model::consumer_mutation::skip_line29_recheck), {});
-  EXPECT_TRUE(sched.ok) << sched.violation;
-  EXPECT_TRUE(sched.exhausted);
+  for (const char* shape : {"shard", "spmc_try"}) {
+    const auto bounded =
+        chk::dfs_explore(model::make_shape(shape, "skip_line29_recheck"), {});
+    EXPECT_TRUE(bounded.ok) << shape << ": " << bounded.violation;
+    EXPECT_TRUE(bounded.exhausted) << shape;
+  }
 }
 
 TEST(CheckExplore, ModelFuzzPassesAndIsSeedDeterministic) {
-  const auto a = chk::fuzz_model(make_spmc_model(), 7, 300);
+  const auto a = chk::fuzz_model(model::make_shape("spmc"), 7, 300);
   EXPECT_TRUE(a.ok) << a.violation;
-  const auto b = chk::fuzz_model(make_spmc_model(), 7, 300);
+  const auto b = chk::fuzz_model(model::make_shape("spmc"), 7, 300);
   EXPECT_EQ(a.states, b.states);
   EXPECT_EQ(a.terminals, b.terminals);
 }

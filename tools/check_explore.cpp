@@ -15,7 +15,8 @@
 // Exit codes: 0 = every explored schedule passed; 1 = an oracle was
 // violated (the offending schedule string is printed for --replay);
 // 2 = usage error. The program shapes are fixed per target name so a
-// printed schedule replays against an identical program.
+// printed schedule replays against an identical program (model shapes:
+// model/shapes.hpp).
 #ifndef FFQ_CHECK
 #define FFQ_CHECK 1  // instrument the queue headers in this TU
 #endif
@@ -24,7 +25,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -34,9 +34,7 @@
 #include "ffq/core/spmc.hpp"
 #include "ffq/core/spsc.hpp"
 #include "ffq/core/waitable.hpp"
-#include "ffq/model/ffq_alg1.hpp"
-#include "ffq/model/ffq_alg2.hpp"
-#include "ffq/model/shard_sched.hpp"
+#include "ffq/model/shapes.hpp"
 #include "ffq/shard/shard.hpp"
 
 namespace {
@@ -56,88 +54,6 @@ int usage() {
                "tail_after_batch faa_try_claim claim_publishes_directly "
                "gap_ignores_rank claim_ignores_gap\n");
   return 2;
-}
-
-// ---- model programs (fixed shapes so schedules replay) -------------------
-
-/// SPSC shape: 1 producer x 3 items, 1 consumer, 2 cells (forces wraps).
-/// SPMC shape: 1 producer x 4 items, 2 consumers x quota 2, 2 cells.
-/// SPMC bulk / try shapes: 1 producer x one 3-item batch, 2 try_
-/// consumers (batch 2); 2 cells for spmc_bulk, so the batch wraps the
-/// ring (publish before stall), 4 for spmc_try, so the racing claims
-/// meet an idle producer within preemption bound 2.
-/// MPMC shape: 2 producers x 2 items, 2 consumers x quota 2, 2 cells.
-/// Shard shape: 2 shards x 2 items, 2 consumers x quota 2 batch 2,
-/// 2 cells per shard (exercises visit, steal, and the stale-head race).
-model::world make_model(const std::string& name, const std::string& mutate) {
-  auto pmut = model::producer_mutation::none;
-  auto cmut = model::consumer_mutation::none;
-  auto mmut = model::alg2_mutation::none;
-  if (mutate == "publish_before_data") {
-    pmut = model::producer_mutation::publish_before_data;
-  } else if (mutate == "skip_line29_recheck") {
-    cmut = model::consumer_mutation::skip_line29_recheck;
-  } else if (mutate == "tail_after_batch") {
-    pmut = model::producer_mutation::tail_after_batch;
-  } else if (mutate == "faa_try_claim") {
-    cmut = model::consumer_mutation::faa_try_claim;
-  } else if (mutate == "claim_publishes_directly") {
-    mmut = model::alg2_mutation::claim_publishes_directly;
-  } else if (mutate == "gap_ignores_rank") {
-    mmut = model::alg2_mutation::gap_ignores_rank;
-  } else if (mutate == "claim_ignores_gap") {
-    mmut = model::alg2_mutation::claim_ignores_gap;
-  } else if (!mutate.empty()) {
-    throw std::invalid_argument("unknown mutation: " + mutate);
-  }
-
-  if (name == "spsc") {
-    model::world w(2, 3);
-    w.producer_ranges_ = {{1, 3}};
-    w.threads_.push_back(std::make_unique<model::alg1_producer>(1, 3, pmut));
-    w.threads_.push_back(std::make_unique<model::alg1_consumer>(3, cmut));
-    return w;
-  }
-  if (name == "spmc") {
-    model::world w(2, 4);
-    w.producer_ranges_ = {{1, 4}};
-    w.threads_.push_back(std::make_unique<model::alg1_producer>(1, 4, pmut));
-    w.threads_.push_back(std::make_unique<model::alg1_consumer>(2, cmut));
-    w.threads_.push_back(std::make_unique<model::alg1_consumer>(2, cmut));
-    return w;
-  }
-  if (name == "spmc_bulk" || name == "spmc_try") {
-    model::world w(name == "spmc_try" ? 4 : 2, 3);
-    w.producer_ranges_ = {{1, 3}};
-    w.threads_.push_back(
-        std::make_unique<model::alg1_bulk_producer>(1, 3, 3, pmut));
-    for (int c = 0; c < 2; ++c) {
-      w.threads_.push_back(std::make_unique<model::alg1_try_consumer>(2, cmut));
-    }
-    return w;
-  }
-  if (name == "mpmc") {
-    model::world w(2, 4);
-    w.producer_ranges_ = {{1, 2}, {3, 4}};
-    w.threads_.push_back(std::make_unique<model::alg2_producer>(1, 2, mmut));
-    w.threads_.push_back(std::make_unique<model::alg2_producer>(3, 2, mmut));
-    w.threads_.push_back(std::make_unique<model::alg1_consumer>(2, cmut));
-    w.threads_.push_back(std::make_unique<model::alg1_consumer>(2, cmut));
-    return w;
-  }
-  if (name == "shard") {
-    model::world w = model::world::sharded(2, 2, 6);
-    w.producer_ranges_ = {{1, 4}, {5, 6}};
-    // Shard 0 wraps its 2 cells twice (gaps + the line-29 race are
-    // reachable); shard 1 is short so consumers cross shards and steal.
-    w.threads_.push_back(std::make_unique<model::shard_producer>(0, 1, 4, pmut));
-    w.threads_.push_back(std::make_unique<model::shard_producer>(1, 5, 2, pmut));
-    // Opposite start cursors so visits and steals both occur.
-    w.threads_.push_back(std::make_unique<model::shard_consumer>(0, 3, 2, cmut));
-    w.threads_.push_back(std::make_unique<model::shard_consumer>(1, 3, 2, cmut));
-    return w;
-  }
-  throw std::invalid_argument("unknown model: " + name);
 }
 
 int report_model(const explore_result& r, const char* what) {
@@ -278,7 +194,7 @@ int main(int argc, char** argv) {
   if (!model_name.empty()) {
     std::optional<model::world> w;
     try {
-      w.emplace(make_model(model_name, mutate));
+      w.emplace(model::make_shape(model_name, mutate));
     } catch (const std::exception& e) {
       std::fprintf(stderr, "check_explore: %s\n", e.what());
       return 2;
