@@ -26,7 +26,10 @@
 #  check     FFQ_CHECK=ON build + full suite with live yield points,
 #            then check_explore end to end — exhaustive
 #            preemption-bound-2 DFS over the SPSC, SPMC, SPMC bulk/try_,
-#            shard-scheduler and MPMC (Algorithm 2) models plus a seeded
+#            shard-scheduler and MPMC (Algorithm 2) models, each with a
+#            one-sided liveness verdict (a bounded run can miss a wedge,
+#            never invent one; a run that reaches no terminal within the
+#            bound is inconclusive and fails the leg), plus a seeded
 #            MPMC model fuzz, a seeded schedule fuzz of every real queue
 #            (both fabric modes included via --queue all), and a
 #            mutation-catch gate: five injected bugs (the line-29 re-check
@@ -194,7 +197,7 @@ leg_check() {
   configure check build-check FFQ_CHECK=ON
   cmake --build build-check -j "$JOBS"
   ctest --test-dir build-check --output-on-failure -j "$JOBS"
-  echo "--- exhaustive: bound-2 DFS over the SPSC, SPMC, SPMC bulk/try_, shard, MPMC models ---"
+  echo "--- exhaustive: bound-2 DFS (safety + one-sided liveness) over the SPSC, SPMC, SPMC bulk/try_, shard, MPMC models ---"
   local m
   for m in spsc spmc spmc_bulk spmc_try shard mpmc; do
     ./build-check/tools/check_explore --model "$m" --bound 2

@@ -20,12 +20,19 @@
 //  * At terminal states (all threads done) the explorer additionally
 //    requires every value consumed exactly once and consistent gap
 //    accounting.
-//
-// The BFS checker (model/checker.hpp) remains the full-interleaving
-// authority for tiny configs; this DFS trades exhaustiveness-in-depth for
-// witness schedules and bigger configs.
+//  * Liveness: after an exhausted search with no safety violation, every
+//    memoized state must reach a terminal state, or a *pruned* state (one
+//    with an edge skipped as over budget, which may finish from there).
+//    A state that reaches neither is a lost item or a wedged protocol;
+//    the witness is the discovery path to the first such state. So a
+//    bounded verdict is one-sided: it never reports a false liveness
+//    violation, but it may miss one a bigger budget would show.
+//  * preemption_bound = kUnbounded prunes no edge, so the memo keys on
+//    the world encoding alone: every interleaving, and a full liveness
+//    verdict.
 #pragma once
 
+#include <climits>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -36,6 +43,8 @@
 namespace ffq::check {
 
 struct dfs_options {
+  /// preemption_bound value that explores every interleaving.
+  static constexpr int kUnbounded = INT_MAX;
   /// Max context switches away from a still-runnable thread.
   int preemption_bound = 2;
   /// Bound on memoized states; hitting it reports exhausted = false.
@@ -49,11 +58,12 @@ struct explore_result {
   std::string violation;   ///< empty when ok
   schedule witness;        ///< replayable path to the violation (when !ok)
   std::size_t states = 0;  ///< memoized states visited
-  std::size_t terminals = 0;
+  std::size_t terminals = 0;  ///< distinct terminal states (replay/fuzz: runs)
   bool exhausted = true;   ///< false if max_states was hit
 };
 
-/// Exhaustive DFS from `initial` under the preemption bound.
+/// Exhaustive DFS from `initial` under the preemption bound, then the
+/// liveness phase.
 explore_result dfs_explore(const ffq::model::world& initial,
                            const dfs_options& opt = {});
 

@@ -5,16 +5,17 @@
 // deterministically; this module models Algorithms 1 and 2 as explicit
 // state machines in which every shared-memory action (one load, one
 // store, one fetch-and-add, one double-word CAS) is a single atomic
-// *step*. The checker (checker.hpp) then explores every interleaving of
-// those steps for small configurations and validates:
+// *step*. The explorer (check/explore.hpp) then walks the interleavings
+// of those steps for small configurations and validates:
 //   * exactly-once delivery (no lost, duplicated, or uninitialized item),
 //   * per-consumer FIFO order,
-//   * absence of deadlock (some thread can always change the state).
+//   * completion: every reachable state can still reach one in which
+//     all threads are done (no lost item, no wedged protocol).
 //
 // Because the model follows the paper's pseudo-code line by line, the
-// checker doubles as a machine-checked argument for the subtle details
+// explorer doubles as a machine-checked argument for the subtle details
 // the paper calls out — each has a "mutation" switch that disables it,
-// and tests assert the checker then finds a violation (see
+// and tests assert the explorer then finds a violation (see
 // ffq_alg1.hpp / ffq_alg2.hpp).
 #pragma once
 
@@ -211,10 +212,11 @@ class world {
   }
 
   // --- liveness monitors (DESIGN.md §5.8) ----------------------------------
-  // The explorer cannot see a wedge (a spin loop is a memoized self-loop),
-  // so the two rules that keep try_ consumers live are checked as safety
-  // properties on the edge where they break. Both watch a plain ring:
-  // shard 0's tail.
+  // The explorer sees a wedge (a spin loop is a memoized self-loop) only
+  // in its liveness phase, on a whole exhausted graph and one-sidedly
+  // under a preemption bound, so the two rules that keep try_ consumers
+  // live are checked as safety properties on the edge where they break.
+  // Both watch a plain ring: shard 0's tail.
 
   bool producers_idle() const {
     for (const auto& t : threads_) {

@@ -395,6 +395,20 @@ TEST(CheckExplore, ShardSchedulerMasksTheLine29RaceTheScalarPathHas) {
   }
 }
 
+// Full liveness: with no preemption bound nothing is pruned, so every
+// reachable state must reach completion. mpmc and shard pass 4M states
+// unbounded and stay at bound 2 (DESIGN.md §10).
+TEST(CheckExplore, CleanSmallShapesPassUnboundedLiveness) {
+  chk::dfs_options opt;
+  opt.preemption_bound = chk::dfs_options::kUnbounded;
+  for (const char* shape : {"spsc", "spmc", "spmc_bulk", "spmc_try"}) {
+    const auto r = chk::dfs_explore(model::make_shape(shape), opt);
+    EXPECT_TRUE(r.ok) << shape << ": " << r.violation;
+    EXPECT_TRUE(r.exhausted) << shape;
+    EXPECT_GT(r.terminals, 0u) << shape;
+  }
+}
+
 TEST(CheckExplore, ModelFuzzPassesAndIsSeedDeterministic) {
   const auto a = chk::fuzz_model(model::make_shape("spmc"), 7, 300);
   EXPECT_TRUE(a.ok) << a.violation;

@@ -1,24 +1,35 @@
 // Model-checking tests: exhaustively explore every interleaving of the
-// Algorithm 1 / Algorithm 2 state machines for small configurations.
+// Algorithm 1 / Algorithm 2 state machines for small configurations
+// (dfs_explore with an unbounded preemption budget).
 //
 // Two kinds of assertions:
 //  * the faithful models PASS (no safety violation, every reachable
 //    state can complete) — a machine-checked version of the paper's
 //    Propositions 1–3 for bounded configurations;
 //  * each mutation that removes one of the paper's §III safeguards is
-//    CAUGHT — which both validates the safeguards and proves the checker
+//    CAUGHT — which both validates the safeguards and proves the explorer
 //    is actually capable of finding these bugs.
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "ffq/model/checker.hpp"
+#include "ffq/check/explore.hpp"
 #include "ffq/model/ffq_alg1.hpp"
 #include "ffq/model/ffq_alg2.hpp"
 
 using namespace ffq::model;
+using ffq::check::dfs_options;
+using ffq::check::explore_result;
 
 namespace {
+
+/// Every interleaving from `w` (no preemption bound), safety and liveness.
+explore_result explore_all(const world& w, std::size_t max_states = 4'000'000) {
+  dfs_options opt;
+  opt.preemption_bound = dfs_options::kUnbounded;
+  opt.max_states = max_states;
+  return ffq::check::dfs_explore(w, opt);
+}
 
 /// 1 producer of `items` values, consumers with the given quotas.
 world make_alg1(std::size_t cells, int items, std::vector<int> quotas,
@@ -72,52 +83,65 @@ world make_alg2(std::size_t cells, int producers, int per,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Faithful models: must verify.
+// Faithful models: must verify. The pinned counts are the full
+// interleaving graph's distinct states and distinct terminal states.
 // ---------------------------------------------------------------------------
 
 TEST(ModelAlg1, SingleConsumerVerifies) {
-  const auto r = check(make_alg1(2, 3, {3}));
+  const auto r = explore_all(make_alg1(2, 3, {3}));
   EXPECT_TRUE(r.ok) << r.violation;
+  EXPECT_EQ(r.states, 212u);
+  EXPECT_EQ(r.terminals, 3u);
   EXPECT_TRUE(r.exhausted);
-  EXPECT_GT(r.states, 10u);
-  EXPECT_GT(r.terminals, 0u);
 }
 
 TEST(ModelAlg1, TwoConsumersVerify) {
-  const auto r = check(make_alg1(2, 3, {2, 1}));
+  const auto r = explore_all(make_alg1(2, 3, {2, 1}));
   EXPECT_TRUE(r.ok) << r.violation;
+  EXPECT_EQ(r.states, 1708u);
+  EXPECT_EQ(r.terminals, 9u);
   EXPECT_TRUE(r.exhausted);
 }
 
 TEST(ModelAlg1, TwoConsumersLargerRingVerifies) {
-  const auto r = check(make_alg1(4, 4, {2, 2}));
+  const auto r = explore_all(make_alg1(4, 4, {2, 2}));
   EXPECT_TRUE(r.ok) << r.violation;
+  EXPECT_EQ(r.states, 1845u);
+  EXPECT_EQ(r.terminals, 4u);
   EXPECT_TRUE(r.exhausted);
 }
 
 TEST(ModelAlg1, ThreeConsumersVerify) {
-  const auto r = check(make_alg1(2, 4, {2, 1, 1}));
+  const auto r = explore_all(make_alg1(2, 4, {2, 1, 1}));
   EXPECT_TRUE(r.ok) << r.violation;
+  EXPECT_EQ(r.states, 71659u);
+  EXPECT_EQ(r.terminals, 104u);
 }
 
 TEST(ModelAlg2, TwoProducersOneConsumerVerifies) {
-  const auto r = check(make_alg2(2, 2, 2, {4}));
+  const auto r = explore_all(make_alg2(2, 2, 2, {4}));
   EXPECT_TRUE(r.ok) << r.violation;
+  EXPECT_EQ(r.states, 389157u);
+  EXPECT_EQ(r.terminals, 112u);
   EXPECT_TRUE(r.exhausted);
 }
 
 TEST(ModelAlg2, TwoProducersTwoConsumersVerify) {
   // One item per producer keeps two consumers tractable (the 2x2-item
   // two-consumer graph exceeds the state budget).
-  const auto r = check(make_alg2(2, 2, 1, {1, 1}));
+  const auto r = explore_all(make_alg2(2, 2, 1, {1, 1}));
   EXPECT_TRUE(r.ok) << r.violation;
+  EXPECT_EQ(r.states, 1537u);
+  EXPECT_EQ(r.terminals, 4u);
   EXPECT_TRUE(r.exhausted);
 }
 
 TEST(ModelAlg2, SingleCellRingVerifies) {
   // One cell maximizes collisions: every rank maps to the same cell.
-  const auto r = check(make_alg2(1, 2, 2, {4}));
+  const auto r = explore_all(make_alg2(1, 2, 2, {4}));
   EXPECT_TRUE(r.ok) << r.violation;
+  EXPECT_EQ(r.states, 510315u);
+  EXPECT_EQ(r.terminals, 138u);
   EXPECT_TRUE(r.exhausted);
 }
 
@@ -130,14 +154,20 @@ TEST(ModelAlg1Bulk, BulkProducerWithScalarConsumersVerifies) {
   // enqueue_bulk defers the shared tail store to the batch boundary;
   // scalar consumers never read the tail, so every interleaving must
   // still deliver exactly once in FIFO order.
-  const auto r = check(make_alg1_bulk(2, 3, /*pbatch=*/2, /*cbatch=*/0, {2, 1}));
+  const auto r =
+      explore_all(make_alg1_bulk(2, 3, /*pbatch=*/2, /*cbatch=*/0, {2, 1}));
   EXPECT_TRUE(r.ok) << r.violation;
+  EXPECT_EQ(r.states, 3037u);
+  EXPECT_EQ(r.terminals, 9u);
   EXPECT_TRUE(r.exhausted);
 }
 
 TEST(ModelAlg1Bulk, BulkProducerWithBulkConsumerVerifies) {
-  const auto r = check(make_alg1_bulk(2, 3, /*pbatch=*/2, /*cbatch=*/2, {3}));
+  const auto r =
+      explore_all(make_alg1_bulk(2, 3, /*pbatch=*/2, /*cbatch=*/2, {3}));
   EXPECT_TRUE(r.ok) << r.violation;
+  EXPECT_EQ(r.states, 937u);
+  EXPECT_EQ(r.terminals, 9u);
   EXPECT_TRUE(r.exhausted);
 }
 
@@ -145,20 +175,23 @@ TEST(ModelAlg1Bulk, TwoBulkConsumersVerify) {
   // Two bulk consumers expose the stale-head claim race (head loaded,
   // then fetched-and-added in a separate step) and runs that land on
   // gap ranks; both must preserve exactly-once and liveness.
-  const auto r = check(make_alg1_bulk(2, 3, /*pbatch=*/2, /*cbatch=*/2, {2, 1}));
+  const auto r =
+      explore_all(make_alg1_bulk(2, 3, /*pbatch=*/2, /*cbatch=*/2, {2, 1}));
   EXPECT_TRUE(r.ok) << r.violation;
+  EXPECT_EQ(r.states, 30924u);
+  EXPECT_EQ(r.terminals, 117u);
   EXPECT_TRUE(r.exhausted);
 }
 
 // ---------------------------------------------------------------------------
-// Mutations: the checker must catch each removed safeguard.
+// Mutations: the explorer must catch each removed safeguard.
 // ---------------------------------------------------------------------------
 
 TEST(ModelAlg1, PublishBeforeDataIsCaught) {
   // Swapping lines 16/17 lets a consumer read data that was never
   // written (or a stale value from a previous round).
-  const auto r = check(make_alg1(2, 3, {2, 1},
-                                 producer_mutation::publish_before_data));
+  const auto r = explore_all(make_alg1(2, 3, {2, 1},
+                                       producer_mutation::publish_before_data));
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.violation.find("safety"), std::string::npos) << r.violation;
 }
@@ -168,9 +201,8 @@ TEST(ModelAlg1, SkippingLine29RecheckIsCaught) {
   // item was already published. The gap-accounting monitor flags the
   // skip-of-a-published-rank on the exact edge (it used to surface only
   // downstream, as a liveness wedge).
-  const auto r = check(make_alg1(2, 4, {2, 2},
-                                 producer_mutation::none,
-                                 consumer_mutation::skip_line29_recheck));
+  const auto r = explore_all(make_alg1(2, 4, {2, 2}, producer_mutation::none,
+                                       consumer_mutation::skip_line29_recheck));
   EXPECT_FALSE(r.ok) << "states=" << r.states;
   EXPECT_NE(r.violation.find("safety"), std::string::npos) << r.violation;
   EXPECT_NE(r.violation.find("gap-accounting"), std::string::npos)
@@ -180,8 +212,9 @@ TEST(ModelAlg1, SkippingLine29RecheckIsCaught) {
 TEST(ModelAlg1Bulk, PublishBeforeDataInBulkIsCaught) {
   // The line 16/17 ordering is per cell, not per batch: deferring the
   // tail store buys no licence to publish a rank before its data.
-  const auto r = check(make_alg1_bulk(2, 3, /*pbatch=*/2, /*cbatch=*/0, {2, 1},
-                                      producer_mutation::publish_before_data));
+  const auto r = explore_all(
+      make_alg1_bulk(2, 3, /*pbatch=*/2, /*cbatch=*/0, {2, 1},
+                     producer_mutation::publish_before_data));
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.violation.find("safety"), std::string::npos) << r.violation;
 }
@@ -190,16 +223,17 @@ TEST(ModelAlg1Bulk, SkippingRecheckInsideClaimedRunIsCaught) {
   // Dropping a rank of the claimed run on gap >= rank alone (without the
   // line-29 rank re-check) loses a just-published item exactly as in the
   // scalar protocol; the claimed-run bookkeeping must not mask it.
-  const auto r = check(make_alg1_bulk(2, 4, /*pbatch=*/2, /*cbatch=*/2, {2, 2},
-                                      producer_mutation::none,
-                                      consumer_mutation::skip_line29_recheck));
+  const auto r = explore_all(
+      make_alg1_bulk(2, 4, /*pbatch=*/2, /*cbatch=*/2, {2, 2},
+                     producer_mutation::none,
+                     consumer_mutation::skip_line29_recheck));
   EXPECT_FALSE(r.ok) << "states=" << r.states;
   EXPECT_FALSE(r.violation.empty());
 }
 
 TEST(ModelAlg2, DirectPublishWithoutReserveIsCaught) {
-  const auto r = check(make_alg2(2, 2, 2, {2, 2},
-                                 alg2_mutation::claim_publishes_directly));
+  const auto r = explore_all(make_alg2(2, 2, 2, {2, 2},
+                                       alg2_mutation::claim_publishes_directly));
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.violation.find("safety"), std::string::npos) << r.violation;
 }
@@ -208,8 +242,8 @@ TEST(ModelAlg2, GapIgnoringRankIsCaught) {
   // The "enqueue in the past" race of §III-B, now named as such: the
   // monitor flags the publish onto an already-skipped rank on the exact
   // edge (previously only visible as the downstream liveness wedge).
-  const auto r = check(make_alg2(1, 2, 2, {4},
-                                 alg2_mutation::gap_ignores_rank));
+  const auto r = explore_all(make_alg2(1, 2, 2, {4},
+                                       alg2_mutation::gap_ignores_rank));
   EXPECT_FALSE(r.ok) << "states=" << r.states;
   EXPECT_NE(r.violation.find("safety"), std::string::npos) << r.violation;
   EXPECT_NE(r.violation.find("enqueue in the past"), std::string::npos)
@@ -217,8 +251,8 @@ TEST(ModelAlg2, GapIgnoringRankIsCaught) {
 }
 
 TEST(ModelAlg2, ClaimIgnoringGapIsCaught) {
-  const auto r = check(make_alg2(1, 2, 2, {4},
-                                 alg2_mutation::claim_ignores_gap));
+  const auto r = explore_all(make_alg2(1, 2, 2, {4},
+                                       alg2_mutation::claim_ignores_gap));
   EXPECT_FALSE(r.ok) << "states=" << r.states;
   EXPECT_NE(r.violation.find("safety"), std::string::npos) << r.violation;
 }
@@ -228,10 +262,24 @@ TEST(ModelAlg2, ThrottleDeadlockRegressionIsCaught) {
   // MPMC implementation (full-ring throttle waiting on a cell that
   // holds a LATER rank). The mutation re-introduces the bug; the fixed
   // model/implementation pass the Verifies tests above.
-  const auto r = check(make_alg2(1, 2, 2, {4},
-                                 alg2_mutation::throttle_ignores_rank_order));
+  const world w = make_alg2(1, 2, 2, {4},
+                            alg2_mutation::throttle_ignores_rank_order);
+  const auto r = explore_all(w);
   EXPECT_FALSE(r.ok) << "states=" << r.states;
-  EXPECT_NE(r.violation.find("liveness"), std::string::npos) << r.violation;
+  EXPECT_NE(r.violation.find("liveness: 30692 reachable state(s) cannot "
+                             "reach completion"),
+            std::string::npos)
+      << r.violation;
+  ASSERT_FALSE(r.witness.picks.empty());
+
+  // The witness leads to a wedged state: from there no schedule at all
+  // completes.
+  world stuck(w);
+  for (const int tid : r.witness.picks) {
+    stuck.threads_[static_cast<std::size_t>(tid)]->step(stuck);
+  }
+  const auto from_stuck = explore_all(stuck);
+  EXPECT_EQ(from_stuck.violation, "liveness: no schedule completes at all");
 }
 
 // ---------------------------------------------------------------------------
@@ -239,8 +287,16 @@ TEST(ModelAlg2, ThrottleDeadlockRegressionIsCaught) {
 // ---------------------------------------------------------------------------
 
 TEST(ModelChecker, ReportsInexhaustiveOnTinyBudget) {
-  const auto r = check(make_alg1(2, 3, {2, 1}), /*max_states=*/50);
+  const auto r = explore_all(make_alg1(2, 3, {2, 1}), /*max_states=*/50);
   EXPECT_FALSE(r.exhausted);
+
+  // A truncated graph skips the liveness phase: the throttle deadlock,
+  // found on the full graph, gets no verdict either way.
+  const auto t = explore_all(
+      make_alg2(1, 2, 2, {4}, alg2_mutation::throttle_ignores_rank_order),
+      /*max_states=*/50);
+  EXPECT_FALSE(t.exhausted);
+  EXPECT_TRUE(t.ok) << t.violation;
 }
 
 TEST(ModelChecker, WorldEncodingDistinguishesStates) {

@@ -12,19 +12,22 @@
 //   check_explore --queue all --fuzz 10000 --seed 1
 //   check_explore --queue mpmc --replay '2*14.0.2*3.1*7'
 //
+// --bound 2147483647 is dfs_options::kUnbounded: every interleaving.
+//
 // Exit codes: 0 = every explored schedule passed; 1 = an oracle was
 // violated (the offending schedule string is printed for --replay);
-// 2 = usage error. The program shapes are fixed per target name so a
-// printed schedule replays against an identical program (model shapes:
-// model/shapes.hpp).
+// 2 = usage error, or an inconclusive DFS (the state bound was hit, or no
+// schedule completed within the preemption bound). The program shapes are
+// fixed per target name so a printed schedule replays against an
+// identical program (model shapes: model/shapes.hpp).
 #ifndef FFQ_CHECK
 #define FFQ_CHECK 1  // instrument the queue headers in this TU
 #endif
 
+#include <charconv>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -56,12 +59,29 @@ int usage() {
   return 2;
 }
 
+/// The whole of `s` as a decimal number in [0, max]: no sign, no
+/// surrounding junk, no overflow.
+std::optional<std::uint64_t> parse_count(const std::string& s,
+                                         std::uint64_t max) {
+  std::uint64_t v = 0;
+  const char* end = s.data() + s.size();
+  const auto [p, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc{} || p != end || v > max) return std::nullopt;
+  return v;
+}
+
 int report_model(const explore_result& r, const char* what) {
   if (r.ok) {
-    std::printf("check_explore: %s passed (%zu states, %zu terminals%s)\n",
-                what, r.states, r.terminals,
-                r.exhausted ? "" : ", state bound hit");
-    return r.exhausted ? 0 : 2;
+    // A clean run that reached no terminal proves nothing: every schedule
+    // was cut by a bound.
+    const bool conclusive = r.exhausted && r.terminals > 0;
+    const char* note = !r.exhausted ? ", state bound hit"
+                       : conclusive ? ""
+                                    : ", none within the preemption bound";
+    std::printf("check_explore: %s %s (%zu states, %zu terminals%s)\n", what,
+                conclusive ? "passed" : "inconclusive", r.states, r.terminals,
+                note);
+    return conclusive ? 0 : 2;
   }
   std::printf("check_explore: VIOLATION (%s)\n  %s\n  schedule: %s\n", what,
               r.violation.c_str(), format_schedule(r.witness).c_str());
@@ -168,11 +188,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--replay") {
       replay_str = take();
     } else if (arg == "--bound") {
-      bound = std::atoi(take().c_str());
+      const auto v = parse_count(take(), INT_MAX);
+      if (!v) return usage();
+      bound = static_cast<int>(*v);
     } else if (arg == "--fuzz") {
-      fuzz_runs = std::strtoull(take().c_str(), nullptr, 10);
+      const auto v = parse_count(take(), UINT64_MAX);
+      if (!v) return usage();
+      fuzz_runs = *v;
     } else if (arg == "--seed") {
-      seed = std::strtoull(take().c_str(), nullptr, 10);
+      const auto v = parse_count(take(), UINT64_MAX);
+      if (!v) return usage();
+      seed = *v;
     } else {
       return usage();
     }
