@@ -1,16 +1,19 @@
-// drivers.hpp — the three ways a schedule gets chosen.
+// drivers.hpp — the two pick()-style ways a schedule gets chosen.
 //
-// A driver is anything with `int pick(const std::vector<int>& runnable)`:
-// given the runnable task indices (spawn order, never empty), return the
-// one to step next, or -1 to abandon the run. The harness records every
-// pick into a schedule so any run — random or exhaustive — replays.
+// A driver has `int pick(const std::vector<int>& runnable)`: given the
+// runnable task indices (spawn order, never empty), return the one to
+// step next, or -1 to abandon the run; and `std::string error() const`:
+// why it abandoned the run or, once the program finished, why its
+// schedule does not fit the program (empty = nothing wrong).
+// run_schedule (run.hpp) records every pick, so any run replays.
 //
 //  * random_driver   — seeded xoshiro256**; uniform over runnable tasks.
 //    Same seed, same program => same schedule, bit for bit.
-//  * replay_driver   — plays back a recorded schedule; returns -1 when
-//    the schedule is exhausted or names a task that is not runnable
-//    (divergence means the program changed since the schedule was
-//    recorded — the harness reports it rather than exploring silently).
+//  * replay_driver   — plays back a recorded schedule. Every pick must
+//    name a runnable task and the program must finish exactly at the
+//    last pick; a schedule that ends early, a pick naming a finished or
+//    non-existent task, and picks left after completion are each a
+//    replay error — the program differs from the one recorded.
 //
 // The third driver, preemption-bounded exhaustive DFS, lives in
 // explore.hpp: it needs to clone and restore states, which only the
@@ -19,6 +22,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "ffq/check/schedule.hpp"
@@ -31,9 +35,10 @@ class random_driver {
   explicit random_driver(std::uint64_t seed) noexcept : rng_(seed) {}
 
   int pick(const std::vector<int>& runnable) noexcept {
-    if (runnable.empty()) return -1;
     return runnable[rng_.bounded(runnable.size())];
   }
+
+  std::string error() const { return {}; }
 
  private:
   ffq::runtime::xoshiro256ss rng_;
@@ -43,28 +48,33 @@ class replay_driver {
  public:
   explicit replay_driver(schedule s) noexcept : sched_(std::move(s)) {}
 
-  int pick(const std::vector<int>& runnable) noexcept {
-    if (pos_ >= sched_.picks.size()) return -1;  // schedule exhausted
+  int pick(const std::vector<int>& runnable) {
+    if (pos_ == sched_.picks.size()) {
+      error_ = "replay: schedule ended after " + std::to_string(pos_) +
+               " picks, before the program finished";
+      return -1;
+    }
     const int t = sched_.picks[pos_];
     if (std::find(runnable.begin(), runnable.end(), t) == runnable.end()) {
-      diverged_ = true;
+      error_ = "replay: pick " + std::to_string(pos_) + " names task " +
+               std::to_string(t) + ", which is finished or does not exist";
       return -1;
     }
     ++pos_;
     return t;
   }
 
-  /// True if a pick named a task that was no longer runnable — the
-  /// program being replayed differs from the one that was recorded.
-  bool diverged() const noexcept { return diverged_; }
-
-  /// True if every recorded pick was consumed.
-  bool exhausted() const noexcept { return pos_ >= sched_.picks.size(); }
+  std::string error() const {
+    if (!error_.empty() || pos_ == sched_.picks.size()) return error_;
+    return "replay: program finished after " + std::to_string(pos_) +
+           " picks, " + std::to_string(sched_.picks.size() - pos_) +
+           " pick(s) left over";
+  }
 
  private:
   schedule sched_;
   std::size_t pos_ = 0;
-  bool diverged_ = false;
+  std::string error_;
 };
 
 }  // namespace ffq::check

@@ -1,6 +1,7 @@
 // explore.hpp — schedule exploration over the model machines.
 //
-// The model substrate (include/ffq/model) can clone and re-enter states,
+// model_target puts a model world through run.hpp's fuzz and replay. The
+// model substrate (include/ffq/model) can also clone and re-enter states,
 // which unlocks the driver the real-queue harness cannot have: CHESS-style
 // preemption-bounded exhaustive DFS. A schedule's *preemptions* are the
 // context switches taken while the previously-running thread could still
@@ -19,7 +20,7 @@
 //    where it happens, with the DFS path as a replayable witness.
 //  * At terminal states (all threads done) the explorer additionally
 //    requires every value consumed exactly once and consistent gap
-//    accounting.
+//    accounting — the same terminal oracles model_target::finish runs.
 //  * Liveness: after an exhausted search with no safety violation, every
 //    memoized state must reach a terminal state, or a *pruned* state (one
 //    with an edge skipped as over budget, which may finish from there).
@@ -34,10 +35,10 @@
 
 #include <climits>
 #include <cstddef>
-#include <cstdint>
 #include <string>
+#include <vector>
 
-#include "ffq/check/schedule.hpp"
+#include "ffq/check/run.hpp"
 #include "ffq/model/world.hpp"
 
 namespace ffq::check {
@@ -49,17 +50,6 @@ struct dfs_options {
   int preemption_bound = 2;
   /// Bound on memoized states; hitting it reports exhausted = false.
   std::size_t max_states = 4'000'000;
-  /// Require every modelled value consumed exactly once at terminals.
-  bool require_all_consumed = true;
-};
-
-struct explore_result {
-  bool ok = true;
-  std::string violation;   ///< empty when ok
-  schedule witness;        ///< replayable path to the violation (when !ok)
-  std::size_t states = 0;  ///< memoized states visited
-  std::size_t terminals = 0;  ///< distinct terminal states (replay/fuzz: runs)
-  bool exhausted = true;   ///< false if max_states was hit
 };
 
 /// Exhaustive DFS from `initial` under the preemption bound, then the
@@ -67,17 +57,20 @@ struct explore_result {
 explore_result dfs_explore(const ffq::model::world& initial,
                            const dfs_options& opt = {});
 
-/// Step `initial` along `s` exactly, checking monitors on every edge and
-/// the terminal oracles at the end. Picks index world::threads_.
-explore_result replay_model(const ffq::model::world& initial,
-                            const schedule& s,
-                            bool require_all_consumed = true);
+/// The run_schedule target over a copy of a model world: picks index
+/// world::threads_, a monitor firing is a violation on that edge, and
+/// finish() requires every value consumed exactly once and consistent
+/// gap accounting.
+class model_target {
+ public:
+  explicit model_target(const ffq::model::world& initial) : w_(initial) {}
 
-/// `schedules` random runs from `initial`, each under a seed derived from
-/// `seed`; stops at the first failure (witness included).
-explore_result fuzz_model(const ffq::model::world& initial,
-                          std::uint64_t seed, std::uint64_t schedules,
-                          std::uint64_t max_steps = 1'000'000,
-                          bool require_all_consumed = true);
+  std::vector<int> runnable() const;
+  std::string step(int t);
+  std::string finish() const;
+
+ private:
+  ffq::model::world w_;
+};
 
 }  // namespace ffq::check

@@ -1,5 +1,6 @@
-// harness.hpp — run a producer/consumer program over a *real* queue under
-// the cooperative scheduler, then judge the run with the oracles.
+// harness.hpp — program<Queue>: a producer/consumer program over a *real*
+// queue under the cooperative scheduler, as a run_schedule target (run.hpp)
+// whose oracles judge the run.
 //
 // The queue headers must be compiled with FFQ_CHECK=1 in this TU (the
 // `check` preset sets it globally; tests define it before any include) so
@@ -38,17 +39,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <iterator>
 #include <string>
 #include <vector>
 
-#include "ffq/check/drivers.hpp"
 #include "ffq/check/oracles.hpp"
 #include "ffq/check/sched.hpp"
-#include "ffq/check/schedule.hpp"
 #include "ffq/check/yield.hpp"
 #include "ffq/harness/endpoints.hpp"
-#include "ffq/runtime/rng.hpp"
 
 namespace ffq::check {
 
@@ -65,217 +62,157 @@ struct program_config {
   int enqueue_batch = 0;
   /// 0 = scalar try_dequeue; n > 0 = try_dequeue_bulk of up to n.
   int dequeue_batch = 0;
-  /// Abort the run (as a liveness violation) past this many steps.
-  std::uint64_t max_steps = 1'000'000;
   bool check_linearizability = true;
 };
 
-struct run_result {
-  bool ok = true;
-  std::string violation;        // empty when ok
-  schedule sched;               // every pick, replayable via replay_driver
-  std::uint64_t steps = 0;
-  std::vector<long long> enqueued;
-  std::vector<long long> dequeued_sorted;          // ascending
-  std::vector<std::vector<long long>> streams;     // per consumer, in order
-};
+/// One program over a freshly-constructed Queue. Producers are tasks
+/// 0..P-1 and consumers P..P+C-1. Not movable: the tasks point into it.
+template <typename Queue>
+class program {
+ public:
+  explicit program(const program_config& cfg)
+      : cfg_(cfg),
+        q_(harness::make_queue<Queue>(static_cast<std::size_t>(cfg.producers),
+                                      cfg.capacity)),
+        producers_left_(cfg.producers),
+        in_try_(consumers(), 0),
+        polled_idle_empty_(consumers(), 0),
+        idle_steps_(consumers(), 0) {
+    streams.assign(consumers(), {});
+    for (int p = 0; p < cfg.producers; ++p) {
+      sched_.spawn([this, p] { produce(p); });
+    }
+    for (int c = 0; c < cfg.consumers; ++c) {
+      sched_.spawn([this, c] { consume(c); });
+    }
+  }
 
-/// Run one program over a freshly-constructed Queue under `driver`.
-/// Driver is anything with `int pick(const std::vector<int>&)`.
-template <typename Queue, typename Driver>
-run_result run_program(const program_config& cfg, Driver& driver) {
-  run_result res;
-  auto q = harness::make_queue<Queue>(static_cast<std::size_t>(cfg.producers),
-                                      cfg.capacity);
-  coop_sched sched;
+  program(const program&) = delete;
+  program& operator=(const program&) = delete;
 
-  std::uint64_t stamp = 0;  // monotone invocation/response counter
-  std::vector<lin_op> history;
-  res.streams.assign(static_cast<std::size_t>(cfg.consumers), {});
-  int producers_left = cfg.producers;
-  // Idle-producer bookkeeping, per consumer: inside a try_ call, own
-  // steps taken in it while the producers are idle, and whether a call
-  // begun after they went idle came back empty.
-  const auto consumers = static_cast<std::size_t>(cfg.consumers);
-  std::vector<char> in_try(consumers, 0), polled_idle_empty(consumers, 0);
-  std::vector<std::uint64_t> idle_steps(consumers, 0);
+  std::vector<int> runnable() const { return sched_.runnable(); }
 
-  for (int p = 0; p < cfg.producers; ++p) {
-    sched.spawn([&, p] {
-      auto ep = harness::producer_endpoint(q, static_cast<std::size_t>(p));
-      std::vector<long long> batch;
-      auto flush = [&] {
-        if (batch.empty()) return;
-        const std::uint64_t inv = stamp++;
-        ep.enqueue_bulk(batch.begin(), batch.size());
-        const std::uint64_t ret = stamp++;
-        for (long long v : batch) {
-          history.push_back({p, true, v, inv, ret});
-        }
-        batch.clear();
+  /// Step task t, then the idle-producer oracle.
+  std::string step(int t) {
+    sched_.step(t);
+    if (producers_left_ > 0 || t < cfg_.producers) return {};
+    const auto c = static_cast<std::size_t>(t - cfg_.producers);
+    if (!in_try_[c] || ++idle_steps_[c] <= kIdleTryBound) return {};
+    return "idle-producer: consumer " + std::to_string(c) +
+           " is still inside a try_ call after " +
+           std::to_string(kIdleTryBound) +
+           " of its own steps with every producer idle";
+  }
+
+  /// Conservation, per-producer FIFO, then Wing–Gong: cheapest first.
+  std::string finish() const {
+    std::vector<long long> got;
+    for (const auto& s : streams) got.insert(got.end(), s.begin(), s.end());
+    std::string why;
+    const bool ok =
+        check_conservation(enqueued, got, &why) &&
+        check_per_producer_fifo(streams, &why) &&
+        (!cfg_.check_linearizability || check_linearizable(history_, &why));
+    return ok ? std::string() : why;
+  }
+
+  std::vector<long long> enqueued;               ///< in enqueue order
+  std::vector<std::vector<long long>> streams;   ///< per consumer, in order
+
+ private:
+  std::size_t consumers() const {
+    return static_cast<std::size_t>(cfg_.consumers);
+  }
+
+  void produce(int p) {
+    auto ep = harness::producer_endpoint(q_, static_cast<std::size_t>(p));
+    std::vector<long long> batch;
+    auto flush = [&] {
+      if (batch.empty()) return;
+      const std::uint64_t inv = stamp_++;
+      ep.enqueue_bulk(batch.begin(), batch.size());
+      const std::uint64_t ret = stamp_++;
+      for (long long v : batch) history_.push_back({p, true, v, inv, ret});
+      batch.clear();
+    };
+    for (int i = 0; i < cfg_.items_per_producer; ++i) {
+      const long long v = static_cast<long long>(p) * kProducerStride + i;
+      enqueued.push_back(v);
+      if (cfg_.enqueue_batch > 0) {
+        batch.push_back(v);
+        if (static_cast<int>(batch.size()) >= cfg_.enqueue_batch) flush();
+      } else {
+        const std::uint64_t inv = stamp_++;
+        ep.enqueue(v);
+        history_.push_back({p, true, v, inv, stamp_++});
+      }
+    }
+    flush();
+    if (--producers_left_ > 0) return;
+    while (std::find(polled_idle_empty_.begin(), polled_idle_empty_.end(),
+                     0) != polled_idle_empty_.end()) {
+      coop_sched::yield();  // idle and open until every consumer polled
+    }
+    q_.close();
+  }
+
+  void consume(int c) {
+    const auto ci = static_cast<std::size_t>(c);
+    auto& stream = streams[ci];
+    const int tid = cfg_.producers + c;
+    auto ep = harness::consumer_endpoint(q_);
+    using endpoint_t = decltype(ep);
+    std::vector<long long> buf(
+        cfg_.dequeue_batch > 0 ? static_cast<std::size_t>(cfg_.dequeue_batch)
+                               : std::size_t{1});
+    for (;;) {
+      const std::uint64_t inv = stamp_++;
+      const bool idle = producers_left_ == 0;
+      in_try_[ci] = 1;
+      std::size_t n = 0;
+      // Every endpoint with a non-committal bulk claim (SPSC family,
+      // SPMC/MPMC try_dequeue_bulk, the fabric's scheduler) takes the
+      // bulk path; the rest fall back to the scalar try path.
+      constexpr bool kHasTryBulk = requires(endpoint_t& e, long long* it) {
+        e.try_dequeue_bulk(it, std::size_t{1});
       };
-      for (int i = 0; i < cfg.items_per_producer; ++i) {
-        const long long v = static_cast<long long>(p) * kProducerStride + i;
-        res.enqueued.push_back(v);
-        if (cfg.enqueue_batch > 0) {
-          batch.push_back(v);
-          if (static_cast<int>(batch.size()) >= cfg.enqueue_batch) flush();
-        } else {
-          const std::uint64_t inv = stamp++;
-          ep.enqueue(v);
-          history.push_back({p, true, v, inv, stamp++});
+      if constexpr (kHasTryBulk) {
+        if (cfg_.dequeue_batch > 0) {
+          n = ep.try_dequeue_bulk(buf.begin(), buf.size());
         }
       }
-      flush();
-      if (--producers_left > 0) return;
-      while (std::find(polled_idle_empty.begin(), polled_idle_empty.end(),
-                       0) != polled_idle_empty.end()) {
-        coop_sched::yield();  // idle and open until every consumer polled
+      if (n == 0) {
+        long long v = 0;
+        n = ep.try_dequeue(v) ? 1 : 0;
+        buf[0] = v;
       }
-      q.close();
-    });
-  }
-
-  for (int c = 0; c < cfg.consumers; ++c) {
-    sched.spawn([&, c] {
-      const auto ci = static_cast<std::size_t>(c);
-      auto& stream = res.streams[ci];
-      const int tid = cfg.producers + c;
-      auto ep = harness::consumer_endpoint(q);
-      using endpoint_t = decltype(ep);
-      std::vector<long long> buf(
-          cfg.dequeue_batch > 0 ? static_cast<std::size_t>(cfg.dequeue_batch)
-                                : std::size_t{1});
-      for (;;) {
-        const std::uint64_t inv = stamp++;
-        const bool idle = producers_left == 0;
-        in_try[ci] = 1;
-        std::size_t n = 0;
-        // Every endpoint with a non-committal bulk claim (SPSC family,
-        // SPMC/MPMC try_dequeue_bulk, the fabric's scheduler) takes the
-        // bulk path; the rest fall back to the scalar try path.
-        constexpr bool kHasTryBulk = requires(endpoint_t& e, long long* it) {
-          e.try_dequeue_bulk(it, std::size_t{1});
-        };
-        if constexpr (kHasTryBulk) {
-          if (cfg.dequeue_batch > 0) {
-            n = ep.try_dequeue_bulk(buf.begin(), buf.size());
-          }
+      in_try_[ci] = 0;
+      idle_steps_[ci] = 0;
+      if (idle && n == 0) polled_idle_empty_[ci] = 1;
+      if (n > 0) {
+        const std::uint64_t ret = stamp_++;
+        for (std::size_t i = 0; i < n; ++i) {
+          stream.push_back(buf[i]);
+          history_.push_back({tid, false, buf[i], inv, ret});
         }
-        if (n == 0) {
-          long long v = 0;
-          n = ep.try_dequeue(v) ? 1 : 0;
-          buf[0] = v;
-        }
-        in_try[ci] = 0;
-        idle_steps[ci] = 0;
-        if (idle && n == 0) polled_idle_empty[ci] = 1;
-        if (n > 0) {
-          const std::uint64_t ret = stamp++;
-          for (std::size_t i = 0; i < n; ++i) {
-            stream.push_back(buf[i]);
-            history.push_back({tid, false, buf[i], inv, ret});
-          }
-          continue;
-        }
-        if (q.closed()) break;  // closed and this try found nothing: done
-        coop_sched::yield();    // empty but open: let someone else run
+        continue;
       }
-    });
-  }
-
-  while (!sched.all_done()) {
-    const std::vector<int> runnable = sched.runnable();
-    const int pick = driver.pick(runnable);
-    if (pick < 0) {
-      res.ok = false;
-      res.violation = "schedule: driver stopped before the program finished";
-      res.steps = sched.steps();
-      return res;
-    }
-    res.sched.picks.push_back(pick);
-    sched.step(pick);
-    // Consumer tasks are spawned after the producers.
-    const auto c = static_cast<std::size_t>(pick - cfg.producers);
-    if (producers_left == 0 && pick >= cfg.producers && in_try[c] &&
-        ++idle_steps[c] > kIdleTryBound) {
-      res.ok = false;
-      res.violation = "idle-producer: consumer " + std::to_string(c) +
-                      " is still inside a try_ call after " +
-                      std::to_string(kIdleTryBound) +
-                      " of its own steps with every producer idle";
-      res.steps = sched.steps();
-      return res;
-    }
-    if (sched.steps() > cfg.max_steps) {
-      res.ok = false;
-      res.violation = "liveness: step bound " + std::to_string(cfg.max_steps) +
-                      " exceeded (livelock or starvation)";
-      res.steps = sched.steps();
-      return res;
+      if (q_.closed()) break;  // closed and this try found nothing: done
+      coop_sched::yield();     // empty but open: let someone else run
     }
   }
-  res.steps = sched.steps();
 
-  // Oracles, cheapest first.
-  std::vector<long long> got;
-  for (const auto& s : res.streams) got.insert(got.end(), s.begin(), s.end());
-  res.dequeued_sorted = got;
-  std::sort(res.dequeued_sorted.begin(), res.dequeued_sorted.end());
-
-  std::string why;
-  if (!check_conservation(res.enqueued, got, &why) ||
-      !check_per_producer_fifo(res.streams, &why) ||
-      (cfg.check_linearizability && !check_linearizable(history, &why))) {
-    res.ok = false;
-    res.violation = why;
-  }
-  return res;
-}
-
-struct fuzz_result {
-  bool ok = true;
-  std::uint64_t runs = 0;
-  std::uint64_t failing_seed = 0;  // meaningful only when !ok
-  run_result failure;              // first failing run (when !ok)
+  const program_config cfg_;
+  Queue q_;
+  std::uint64_t stamp_ = 0;  ///< monotone invocation/response counter
+  std::vector<lin_op> history_;
+  int producers_left_;
+  // Idle-producer bookkeeping, per consumer: inside a try_ call, whether
+  // a call begun after the producers went idle came back empty, and own
+  // steps taken in the current call while they are idle.
+  std::vector<char> in_try_, polled_idle_empty_;
+  std::vector<std::uint64_t> idle_steps_;
+  coop_sched sched_;  ///< last: its tasks go before what they point into
 };
-
-/// Run `schedules` independent programs over Queue, each under a fresh
-/// random driver with a seed derived from `seed` via splitmix64 — so any
-/// failure is reproducible from (seed, run index) or, better, from the
-/// schedule string inside `failure`.
-template <typename Queue>
-fuzz_result fuzz_queue(const program_config& cfg, std::uint64_t seed,
-                       std::uint64_t schedules) {
-  fuzz_result out;
-  ffq::runtime::splitmix64 seeder(seed);
-  for (std::uint64_t i = 0; i < schedules; ++i) {
-    const std::uint64_t run_seed = seeder.next();
-    random_driver d(run_seed);
-    run_result r = run_program<Queue>(cfg, d);
-    ++out.runs;
-    if (!r.ok) {
-      out.ok = false;
-      out.failing_seed = run_seed;
-      out.failure = std::move(r);
-      return out;
-    }
-  }
-  return out;
-}
-
-/// Replay a recorded schedule against Queue. Divergence (a pick naming a
-/// finished task, or the schedule ending early) is reported as a
-/// violation — the program must match the one that produced the trace.
-template <typename Queue>
-run_result replay_queue(const program_config& cfg, const schedule& s) {
-  replay_driver d(s);
-  run_result r = run_program<Queue>(cfg, d);
-  if (!r.ok && d.diverged()) {
-    r.violation = "replay: schedule diverged from the program (pick named a "
-                  "task that was not runnable)";
-  }
-  return r;
-}
 
 }  // namespace ffq::check

@@ -65,8 +65,10 @@ struct bench_cli {
   double scale = 1.0;        ///< workload scale factor (ops multiplier)
   bool quick = false;        ///< --quick: 3 runs, 1/10 workload
 
-  /// `--help` prints the usage and exits 0; an unknown flag or a flag
-  /// missing its value prints the usage to stderr and exits 2.
+  /// `--help` prints the usage and exits 0; an unknown flag, a flag
+  /// missing its value, a `--runs` that is not a whole number >= 1 or a
+  /// `--scale` that is not a finite number > 0 prints the usage to stderr
+  /// and exits 2.
   static bench_cli parse(int argc, char** argv);
 };
 

@@ -6,8 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "ffq/runtime/rng.hpp"
-
 namespace ffq::check {
 
 namespace {
@@ -15,13 +13,11 @@ namespace {
 using ffq::model::world;
 
 /// Terminal-state oracles: exactly-once delivery + gap accounting.
-std::string terminal_violation(const world& w, bool require_all_consumed) {
-  if (require_all_consumed) {
-    for (std::size_t v = 1; v < w.consumed_count_.size(); ++v) {
-      if (w.consumed_count_[v] != 1) {
-        return "terminal: value " + std::to_string(v) + " consumed " +
-               std::to_string(w.consumed_count_[v]) + " times (expected 1)";
-      }
+std::string terminal_violation(const world& w) {
+  for (std::size_t v = 1; v < w.consumed_count_.size(); ++v) {
+    if (w.consumed_count_[v] != 1) {
+      return "terminal: value " + std::to_string(v) + " consumed " +
+             std::to_string(w.consumed_count_[v]) + " times (expected 1)";
     }
   }
   return w.check_gap_accounting();
@@ -67,7 +63,7 @@ bool dfs(const world& w, int last_tid, int budget, std::size_t from,
   }
   const bool done = w.all_done();
   if (done) {
-    const std::string t = terminal_violation(w, ctx.opt->require_all_consumed);
+    const std::string t = terminal_violation(w);
     if (!t.empty()) return ctx.fail("safety: " + t, ctx.path);
   }
 
@@ -187,86 +183,22 @@ explore_result dfs_explore(const world& initial, const dfs_options& opt) {
   return res;
 }
 
-explore_result replay_model(const world& initial, const schedule& s,
-                            bool require_all_consumed) {
-  explore_result res;
-  res.witness = s;
-  world w(initial);
-  for (std::size_t i = 0; i < s.picks.size(); ++i) {
-    const int tid = s.picks[i];
-    if (tid < 0 || static_cast<std::size_t>(tid) >= w.threads_.size() ||
-        w.threads_[static_cast<std::size_t>(tid)]->done()) {
-      res.ok = false;
-      res.violation = "replay: pick " + std::to_string(i) + " names thread " +
-                      std::to_string(tid) + ", which is invalid or finished";
-      return res;
-    }
-    w.threads_[static_cast<std::size_t>(tid)]->step(w);
-    res.states += 1;
-    if (!w.violation_.empty()) {
-      res.ok = false;
-      res.violation = "safety: " + w.violation_;
-      res.witness.picks.resize(i + 1);
-      return res;
-    }
+std::vector<int> model_target::runnable() const {
+  std::vector<int> out;
+  for (std::size_t i = 0; i < w_.threads_.size(); ++i) {
+    if (!w_.threads_[i]->done()) out.push_back(static_cast<int>(i));
   }
-  if (!w.all_done()) {
-    res.ok = false;
-    res.violation = "replay: schedule ended before all threads finished";
-    return res;
-  }
-  ++res.terminals;
-  const std::string t = terminal_violation(w, require_all_consumed);
-  if (!t.empty()) {
-    res.ok = false;
-    res.violation = "safety: " + t;
-  }
-  return res;
+  return out;
 }
 
-explore_result fuzz_model(const world& initial, std::uint64_t seed,
-                          std::uint64_t schedules, std::uint64_t max_steps,
-                          bool require_all_consumed) {
-  explore_result res;
-  ffq::runtime::splitmix64 seeder(seed);
-  for (std::uint64_t run = 0; run < schedules; ++run) {
-    ffq::runtime::xoshiro256ss rng(seeder.next());
-    world w(initial);
-    schedule sched;
-    std::uint64_t steps = 0;
-    while (!w.all_done()) {
-      if (++steps > max_steps) {
-        res.ok = false;
-        res.violation = "liveness: step bound " + std::to_string(max_steps) +
-                        " exceeded (livelock or starvation)";
-        res.witness = std::move(sched);
-        return res;
-      }
-      std::vector<int> runnable;
-      for (std::size_t i = 0; i < w.threads_.size(); ++i) {
-        if (!w.threads_[i]->done()) runnable.push_back(static_cast<int>(i));
-      }
-      const int tid = runnable[rng.bounded(runnable.size())];
-      sched.picks.push_back(tid);
-      w.threads_[static_cast<std::size_t>(tid)]->step(w);
-      res.states += 1;
-      if (!w.violation_.empty()) {
-        res.ok = false;
-        res.violation = "safety: " + w.violation_;
-        res.witness = std::move(sched);
-        return res;
-      }
-    }
-    ++res.terminals;
-    const std::string t = terminal_violation(w, require_all_consumed);
-    if (!t.empty()) {
-      res.ok = false;
-      res.violation = "safety: " + t;
-      res.witness = std::move(sched);
-      return res;
-    }
-  }
-  return res;
+std::string model_target::step(int t) {
+  w_.threads_[static_cast<std::size_t>(t)]->step(w_);
+  return w_.violation_.empty() ? std::string() : "safety: " + w_.violation_;
+}
+
+std::string model_target::finish() const {
+  const std::string t = terminal_violation(w_);
+  return t.empty() ? t : "safety: " + t;
 }
 
 }  // namespace ffq::check

@@ -1,11 +1,13 @@
 #include "ffq/harness/report.hpp"
 
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
 
+#include "ffq/harness/parse.hpp"
 #include "ffq/harness/run.hpp"
 #include "ffq/runtime/perf_counters.hpp"
 #include "ffq/runtime/timing.hpp"
@@ -168,9 +170,13 @@ bench_cli bench_cli::parse(int argc, char** argv) {
     } else if (is("--trace")) {
       cli.trace_path = value();
     } else if (is("--runs")) {
-      cli.runs = std::atoi(value());
+      const auto runs = parse_count(value(), INT_MAX);
+      if (!runs || *runs < 1) usage_error("invalid value for", flag);
+      cli.runs = static_cast<int>(*runs);
     } else if (is("--scale")) {
-      cli.scale = std::atof(value());
+      const auto scale = parse_positive(value());
+      if (!scale) usage_error("invalid value for", flag);
+      cli.scale = *scale;
     } else {
       usage_error("unknown flag", flag);
     }
@@ -179,7 +185,6 @@ bench_cli bench_cli::parse(int argc, char** argv) {
     cli.runs = std::min(cli.runs, 3);
     cli.scale *= 0.1;
   }
-  if (cli.runs < 1) cli.runs = 1;
   return cli;
 }
 

@@ -2,14 +2,16 @@
 // hooks), the schedule codec, the three oracles (conservation,
 // per-producer FIFO, Wing–Gong linearizability), preemption-bounded DFS
 // over the model machines (clean passes and mutation catches with
-// replayable witnesses), and seeded fuzzing of the real queues under the
-// FFQ_CHECK_YIELD() instrumentation.
+// replayable witnesses), seeded fuzzing of the real queues under the
+// FFQ_CHECK_YIELD() instrumentation, and the one replay rule both
+// substrates share.
 //
 // FFQ_CHECK is defined before any include so the queues in this TU carry
 // live yield points in every preset, not just `check`. The mirror-struct
 // static_asserts below prove the instrumentation is layout-neutral: the
-// instrumented queues still match the member-sequence mirrors that
-// test_trace.cpp pins for the uninstrumented build.
+// instrumented queues still match the member-sequence mirrors
+// (layout_mirrors.hpp) that test_trace.cpp pins for the uninstrumented
+// build.
 #ifndef FFQ_CHECK
 #define FFQ_CHECK 1
 #endif
@@ -29,6 +31,7 @@
 #include "ffq/core/waitable.hpp"
 #include "ffq/model/shapes.hpp"
 #include "ffq/shard/shard.hpp"
+#include "layout_mirrors.hpp"
 
 namespace chk = ffq::check;
 namespace model = ffq::model;
@@ -53,42 +56,10 @@ using q_wait =
 // code, never data.
 // ---------------------------------------------------------------------------
 
-using spmc_cell = ffq::core::detail::spmc_cell<long long, true>;
-using mpmc_cell = ffq::core::detail::mpmc_cell<long long, true>;
-
-struct spsc_mirror {
-  ffq::core::capacity_info cap_;
-  ffq::runtime::aligned_array<spmc_cell> cells_;
-  ffq::runtime::padded<std::atomic<std::int64_t>> tail_;
-  ffq::runtime::padded<std::int64_t> head_;
-  std::atomic<std::int64_t> closed_tail_;
-  std::uint64_t gaps_created_;
-};
-
-struct spmc_mirror {
-  ffq::core::capacity_info cap_;
-  ffq::runtime::aligned_array<spmc_cell> cells_;
-  ffq::runtime::padded<std::atomic<std::int64_t>> tail_;
-  ffq::runtime::padded<std::atomic<std::int64_t>> head_;
-  std::atomic<std::int64_t> closed_tail_;
-  std::uint64_t gaps_created_;
-  std::atomic<std::uint64_t> skips_;
-};
-
-struct mpmc_mirror {
-  ffq::core::capacity_info cap_;
-  ffq::runtime::aligned_array<mpmc_cell> cells_;
-  ffq::runtime::padded<std::atomic<std::int64_t>> tail_;
-  ffq::runtime::padded<std::atomic<std::int64_t>> head_;
-  std::atomic<std::int64_t> closed_tail_;
-  std::atomic<std::uint64_t> gaps_;
-  std::atomic<std::uint64_t> skips_;
-};
-
-struct waitable_mirror {
-  q_spsc q_;
-  ffq::runtime::eventcount ec_;
-};
+using spsc_mirror = ffq_test::spsc_mirror<long long>;
+using spmc_mirror = ffq_test::spmc_mirror<long long>;
+using mpmc_mirror = ffq_test::mpmc_mirror<long long>;
+using waitable_mirror = ffq_test::waitable_mirror<q_spsc>;
 
 static_assert(sizeof(q_spsc) == sizeof(spsc_mirror),
               "FFQ_CHECK yield points must not grow spsc_queue");
@@ -266,6 +237,15 @@ TEST(CheckOracles, LinearizabilityRejectsDequeueBeforeAnyEnqueue) {
 // The model shapes are check_explore's (model/shapes.hpp), kept tiny so
 // DFS bound 2 finishes in milliseconds.
 
+namespace {
+
+chk::explore_result replay_world(const model::world& w,
+                                 const chk::schedule& s) {
+  return chk::replay([&w] { return chk::model_target(w); }, s);
+}
+
+}  // namespace
+
 TEST(CheckExplore, CleanSpscModelPassesExhaustiveBound2) {
   const auto r = chk::dfs_explore(model::make_shape("spsc"), {});
   EXPECT_TRUE(r.ok) << r.violation;
@@ -296,7 +276,7 @@ TEST(CheckExplore, InjectedLine29BugIsCaughtWithReplayableWitness) {
   const auto parsed =
       chk::parse_schedule(chk::format_schedule(r.witness));
   ASSERT_TRUE(parsed.has_value());
-  const auto replay = chk::replay_model(w, *parsed);
+  const auto replay = replay_world(w, *parsed);
   ASSERT_FALSE(replay.ok);
   EXPECT_EQ(replay.violation, r.violation);
 
@@ -304,7 +284,7 @@ TEST(CheckExplore, InjectedLine29BugIsCaughtWithReplayableWitness) {
   // the witness pins the bug, not the schedule shape. (The witness is
   // truncated at the violating edge, so on the clean model the only
   // acceptable complaint is that the schedule ends early.)
-  const auto clean = chk::replay_model(model::make_shape("spmc"), *parsed);
+  const auto clean = replay_world(model::make_shape("spmc"), *parsed);
   EXPECT_EQ(clean.violation.find("safety"), std::string::npos)
       << clean.violation;
 }
@@ -327,7 +307,7 @@ void expect_caught_and_replayed(const model::world& w,
   EXPECT_NE(r.violation.find(expected), std::string::npos) << r.violation;
   const auto parsed = chk::parse_schedule(chk::format_schedule(r.witness));
   ASSERT_TRUE(parsed.has_value());
-  const auto replay = chk::replay_model(w, *parsed);
+  const auto replay = replay_world(w, *parsed);
   ASSERT_FALSE(replay.ok);
   EXPECT_EQ(replay.violation, r.violation);
 }
@@ -410,9 +390,11 @@ TEST(CheckExplore, CleanSmallShapesPassUnboundedLiveness) {
 }
 
 TEST(CheckExplore, ModelFuzzPassesAndIsSeedDeterministic) {
-  const auto a = chk::fuzz_model(model::make_shape("spmc"), 7, 300);
+  const auto w = model::make_shape("spmc");
+  const auto make = [&w] { return chk::model_target(w); };
+  const auto a = chk::fuzz(make, 7, 300);
   EXPECT_TRUE(a.ok) << a.violation;
-  const auto b = chk::fuzz_model(model::make_shape("spmc"), 7, 300);
+  const auto b = chk::fuzz(make, 7, 300);
   EXPECT_EQ(a.states, b.states);
   EXPECT_EQ(a.terminals, b.terminals);
 }
@@ -432,54 +414,63 @@ chk::program_config small_cfg(int producers, int consumers) {
   return cfg;
 }
 
+/// Fuzz `schedules` runs of the program over Queue from `seed`.
+template <typename Queue>
+chk::explore_result fuzz_program(const chk::program_config& cfg,
+                                 std::uint64_t seed,
+                                 std::uint64_t schedules) {
+  return chk::fuzz([&cfg] { return chk::program<Queue>(cfg); }, seed,
+                   schedules);
+}
+
 }  // namespace
 
 TEST(CheckQueues, FuzzSpscPasses) {
-  const auto r = chk::fuzz_queue<q_spsc>(small_cfg(1, 1), 11, 300);
-  EXPECT_TRUE(r.ok) << r.failure.violation
-                    << "\nschedule: " << chk::format_schedule(r.failure.sched);
+  const auto r = fuzz_program<q_spsc>(small_cfg(1, 1), 11, 300);
+  EXPECT_TRUE(r.ok) << r.violation
+                    << "\nschedule: " << chk::format_schedule(r.witness);
 }
 
 TEST(CheckQueues, FuzzSpmcPasses) {
-  const auto r = chk::fuzz_queue<q_spmc>(small_cfg(1, 2), 12, 300);
-  EXPECT_TRUE(r.ok) << r.failure.violation
-                    << "\nschedule: " << chk::format_schedule(r.failure.sched);
+  const auto r = fuzz_program<q_spmc>(small_cfg(1, 2), 12, 300);
+  EXPECT_TRUE(r.ok) << r.violation
+                    << "\nschedule: " << chk::format_schedule(r.witness);
 }
 
 TEST(CheckQueues, FuzzMpmcPasses) {
-  const auto r = chk::fuzz_queue<q_mpmc>(small_cfg(2, 2), 13, 300);
-  EXPECT_TRUE(r.ok) << r.failure.violation
-                    << "\nschedule: " << chk::format_schedule(r.failure.sched);
+  const auto r = fuzz_program<q_mpmc>(small_cfg(2, 2), 13, 300);
+  EXPECT_TRUE(r.ok) << r.violation
+                    << "\nschedule: " << chk::format_schedule(r.witness);
 }
 
 TEST(CheckQueues, FuzzWaitablePasses) {
-  const auto r = chk::fuzz_queue<q_wait>(small_cfg(1, 1), 14, 300);
-  EXPECT_TRUE(r.ok) << r.failure.violation
-                    << "\nschedule: " << chk::format_schedule(r.failure.sched);
+  const auto r = fuzz_program<q_wait>(small_cfg(1, 1), 14, 300);
+  EXPECT_TRUE(r.ok) << r.violation
+                    << "\nschedule: " << chk::format_schedule(r.witness);
 }
 
 TEST(CheckQueues, BulkPathsFuzzCleanToo) {
   auto cfg = small_cfg(1, 1);
   cfg.enqueue_batch = 3;
   cfg.dequeue_batch = 2;
-  const auto r = chk::fuzz_queue<q_spsc>(cfg, 15, 300);
-  EXPECT_TRUE(r.ok) << r.failure.violation;
+  const auto r = fuzz_program<q_spsc>(cfg, 15, 300);
+  EXPECT_TRUE(r.ok) << r.violation;
 }
 
 TEST(CheckQueues, TryBulkClaimsOnMultiConsumerQueuesFuzzClean) {
   auto cfg = small_cfg(1, 2);
   cfg.enqueue_batch = 5;  // one batch wraps the 4-cell ring
   cfg.dequeue_batch = 4;
-  const auto s = chk::fuzz_queue<q_spmc>(cfg, 18, 300);
-  EXPECT_TRUE(s.ok) << s.failure.violation
-                    << "\nschedule: " << chk::format_schedule(s.failure.sched);
+  const auto s = fuzz_program<q_spmc>(cfg, 18, 300);
+  EXPECT_TRUE(s.ok) << s.violation
+                    << "\nschedule: " << chk::format_schedule(s.witness);
   auto two = small_cfg(2, 2);
   two.items_per_producer = 3;  // keeps the Wing-Gong search small
   two.enqueue_batch = 3;
   two.dequeue_batch = 4;
-  const auto m = chk::fuzz_queue<q_mpmc>(two, 19, 300);
-  EXPECT_TRUE(m.ok) << m.failure.violation
-                    << "\nschedule: " << chk::format_schedule(m.failure.sched);
+  const auto m = fuzz_program<q_mpmc>(two, 19, 300);
+  EXPECT_TRUE(m.ok) << m.violation
+                    << "\nschedule: " << chk::format_schedule(m.witness);
 }
 
 namespace {
@@ -496,7 +487,8 @@ struct committing_try_queue : q_spmc {
 
 TEST(CheckQueues, IdleProducerOracleFlagsATryCallThatWaits) {
   chk::random_driver d(20);
-  const auto r = chk::run_program<committing_try_queue>(small_cfg(1, 2), d);
+  chk::program<committing_try_queue> p(small_cfg(1, 2));
+  const auto r = chk::run_schedule(p, d);
   ASSERT_FALSE(r.ok);
   EXPECT_NE(r.violation.find("idle-producer"), std::string::npos)
       << r.violation;
@@ -510,23 +502,93 @@ TEST(CheckQueues, FuzzShardFabricBothModesPass) {
   auto cfg = small_cfg(2, 2);
   cfg.dequeue_batch = 2;  // exercise the scheduler's bulk drain
   cfg.check_linearizability = false;  // sharded: not one FIFO by design
-  const auto r = chk::fuzz_queue<q_shard>(cfg, 16, 300);
-  EXPECT_TRUE(r.ok) << r.failure.violation
-                    << "\nschedule: " << chk::format_schedule(r.failure.sched);
-  const auto o = chk::fuzz_queue<q_shard_ord>(cfg, 17, 300);
-  EXPECT_TRUE(o.ok) << o.failure.violation
-                    << "\nschedule: " << chk::format_schedule(o.failure.sched);
+  const auto r = fuzz_program<q_shard>(cfg, 16, 300);
+  EXPECT_TRUE(r.ok) << r.violation
+                    << "\nschedule: " << chk::format_schedule(r.witness);
+  const auto o = fuzz_program<q_shard_ord>(cfg, 17, 300);
+  EXPECT_TRUE(o.ok) << o.violation
+                    << "\nschedule: " << chk::format_schedule(o.witness);
 }
 
 TEST(CheckQueues, RecordedScheduleReplaysToTheIdenticalRun) {
   const auto cfg = small_cfg(2, 2);
   chk::random_driver d(99);
-  const auto first = chk::run_program<q_mpmc>(cfg, d);
-  ASSERT_TRUE(first.ok) << first.violation;
+  chk::program<q_mpmc> first(cfg);
+  const auto r = chk::run_schedule(first, d);
+  ASSERT_TRUE(r.ok) << r.violation;
 
-  const auto again = chk::replay_queue<q_mpmc>(cfg, first.sched);
-  ASSERT_TRUE(again.ok) << again.violation;
+  chk::replay_driver rd(r.witness);
+  chk::program<q_mpmc> again(cfg);
+  const auto a = chk::run_schedule(again, rd);
+  ASSERT_TRUE(a.ok) << a.violation;
   EXPECT_EQ(again.streams, first.streams);
-  EXPECT_EQ(again.steps, first.steps);
-  EXPECT_EQ(again.sched, first.sched);
+  EXPECT_EQ(a.states, r.states);
+  EXPECT_EQ(a.witness, r.witness);
+}
+
+// ---------------------------------------------------------------------------
+// One replay rule on both substrates, and pinned schedules: the program
+// check_explore runs for `--queue spsc` (1x6 items, 1 consumer, 4 cells)
+// and the model `spsc` shape, each under random_driver(5).
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// The recorded schedule replays; one extra pick, one pick short, and a
+/// pick naming a task that does not exist each fail with the shared
+/// replay wording.
+template <typename MakeTarget>
+void expect_replay_rule(const MakeTarget& make, const chk::schedule& s) {
+  const auto ok = chk::replay(make, s);
+  EXPECT_TRUE(ok.ok) << ok.violation;
+  EXPECT_EQ(ok.witness, s);
+
+  const std::size_t n = s.picks.size();
+  auto longer = s;
+  longer.picks.push_back(0);
+  EXPECT_EQ(chk::replay(make, longer).violation,
+            "replay: program finished after " + std::to_string(n) +
+                " picks, 1 pick(s) left over");
+
+  auto shorter = s;
+  shorter.picks.pop_back();
+  EXPECT_EQ(chk::replay(make, shorter).violation,
+            "replay: schedule ended after " + std::to_string(n - 1) +
+                " picks, before the program finished");
+
+  auto stranger = s;
+  stranger.picks[1] = 7;
+  EXPECT_EQ(chk::replay(make, stranger).violation,
+            "replay: pick 1 names task 7, which is finished or does not "
+            "exist");
+}
+
+}  // namespace
+
+TEST(CheckReplay, RealSpscScheduleIsPinnedAndReplaysExactly) {
+  chk::program_config cfg;
+  cfg.capacity = 4;
+  cfg.producers = 1;
+  cfg.consumers = 1;
+  cfg.items_per_producer = 6;
+  chk::random_driver d(5);
+  chk::program<q_spsc> p(cfg);
+  const auto r = chk::run_schedule(p, d);
+  ASSERT_TRUE(r.ok) << r.violation;
+  EXPECT_EQ(chk::format_schedule(r.witness),
+            "0.1*7.0*2.1.0*2.1*5.0.1.0*3.1*3.0*2.1*3.0.1.0.1*2.0.1.0.1*2");
+  EXPECT_EQ(r.witness.picks.size(), 41u);
+  expect_replay_rule([&cfg] { return chk::program<q_spsc>(cfg); }, r.witness);
+}
+
+TEST(CheckReplay, ModelSpscScheduleIsPinnedAndReplaysExactly) {
+  const auto w = model::make_shape("spsc");
+  chk::random_driver d(5);
+  chk::model_target t(w);
+  const auto r = chk::run_schedule(t, d);
+  ASSERT_TRUE(r.ok) << r.violation;
+  EXPECT_EQ(chk::format_schedule(r.witness),
+            "0.1*7.0*2.1.0*2.1*5.0.1.0*3.1*6");
+  EXPECT_EQ(r.witness.picks.size(), 29u);
+  expect_replay_rule([&w] { return chk::model_target(w); }, r.witness);
 }

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -38,24 +39,35 @@ using q_wait = ffq::core::waitable_spsc_queue<long long>;
 using q_shard = ffq::shard::fabric<long long, false>;
 using q_shard_ord = ffq::shard::fabric<long long, true>;
 
+/// What one run of the fixed program handed out.
+struct run_output {
+  std::vector<long long> dequeued_sorted;       ///< ascending
+  std::vector<std::vector<long long>> streams;  ///< per consumer, in order
+};
+
 /// One run of the fixed program over Queue under the given seed; the run
 /// must already satisfy the oracles on its own (the harness checks them)
 /// — the differential layer then compares runs *across* queues.
 template <typename Queue>
-chk::run_result run_seeded(const chk::program_config& cfg,
-                           std::uint64_t seed) {
+run_output run_seeded(const chk::program_config& cfg, std::uint64_t seed) {
   chk::random_driver d(seed);
-  chk::run_result r = chk::run_program<Queue>(cfg, d);
+  chk::program<Queue> p(cfg);
+  const chk::explore_result r = chk::run_schedule(p, d);
   EXPECT_TRUE(r.ok) << r.violation
-                    << "\nschedule: " << chk::format_schedule(r.sched);
-  return r;
+                    << "\nschedule: " << chk::format_schedule(r.witness);
+  run_output out{{}, p.streams};
+  for (const auto& s : p.streams) {
+    out.dequeued_sorted.insert(out.dequeued_sorted.end(), s.begin(), s.end());
+  }
+  std::sort(out.dequeued_sorted.begin(), out.dequeued_sorted.end());
+  return out;
 }
 
 /// Each producer's items in the order the consumer streams delivered
 /// them, streams taken in consumer order. With one consumer this is the
 /// whole observable per-producer order.
 std::map<long long, std::vector<long long>> per_producer_orders(
-    const chk::run_result& r) {
+    const run_output& r) {
   std::map<long long, std::vector<long long>> out;
   for (const auto& s : r.streams) {
     for (long long v : s) out[v / chk::kProducerStride].push_back(v);

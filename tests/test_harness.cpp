@@ -163,6 +163,20 @@ TEST(Report, CliParsing) {
   const char* missing[] = {"bench", "--json"};
   EXPECT_EXIT(bench_cli::parse(2, const_cast<char**>(missing)),
               testing::ExitedWithCode(2), "missing value for: --json");
+  // --runs is a whole number >= 1 and --scale a finite number > 0:
+  // junk, trailing characters and out-of-range values exit 2.
+  for (const char* runs : {"abc", "5x", "0", "-1", " 5", ""}) {
+    const char* bad[] = {"bench", "--runs", runs};
+    EXPECT_EXIT(bench_cli::parse(3, const_cast<char**>(bad)),
+                testing::ExitedWithCode(2), "invalid value for: --runs")
+        << runs;
+  }
+  for (const char* scale : {"xyz", "0.5x", "0", "-1", "inf", "nan", "1e999"}) {
+    const char* bad[] = {"bench", "--scale", scale};
+    EXPECT_EXIT(bench_cli::parse(3, const_cast<char**>(bad)),
+                testing::ExitedWithCode(2), "invalid value for: --scale")
+        << scale;
+  }
 
   // A failed --csv/--json/--metrics/--trace write makes the bench exit 1.
   table t({"a"});

@@ -20,6 +20,7 @@
 #include "ffq/core/spsc.hpp"
 #include "ffq/core/waitable.hpp"
 #include "ffq/runtime/eventcount.hpp"
+#include "layout_mirrors.hpp"
 
 namespace tel = ffq::telemetry;
 using ffq::core::layout_aligned;
@@ -27,8 +28,8 @@ using ffq::core::layout_aligned;
 // ---------------------------------------------------------------------------
 // Zero-cost OFF: the disabled counter block is empty and [[no_unique_address]]
 // keeps every queue's size and alignment byte-identical to the layouts that
-// shipped before telemetry existed. The mirror structs below replicate those
-// pre-telemetry member sequences verbatim.
+// shipped before telemetry existed. The mirror structs (layout_mirrors.hpp)
+// replicate those pre-telemetry member sequences verbatim.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -50,42 +51,10 @@ using waitable_q =
     ffq::core::waitable_spsc_queue<u64, layout_aligned, Policy,
                                    ffq::trace::disabled>;
 
-using spmc_cell = ffq::core::detail::spmc_cell<u64, true>;
-using mpmc_cell = ffq::core::detail::mpmc_cell<u64, true>;
-
-struct spsc_mirror {
-  ffq::core::capacity_info cap_;
-  ffq::runtime::aligned_array<spmc_cell> cells_;
-  ffq::runtime::padded<std::atomic<std::int64_t>> tail_;
-  ffq::runtime::padded<std::int64_t> head_;
-  std::atomic<std::int64_t> closed_tail_;
-  std::uint64_t gaps_created_;
-};
-
-struct spmc_mirror {
-  ffq::core::capacity_info cap_;
-  ffq::runtime::aligned_array<spmc_cell> cells_;
-  ffq::runtime::padded<std::atomic<std::int64_t>> tail_;
-  ffq::runtime::padded<std::atomic<std::int64_t>> head_;
-  std::atomic<std::int64_t> closed_tail_;
-  std::uint64_t gaps_created_;
-  std::atomic<std::uint64_t> skips_;
-};
-
-struct mpmc_mirror {
-  ffq::core::capacity_info cap_;
-  ffq::runtime::aligned_array<mpmc_cell> cells_;
-  ffq::runtime::padded<std::atomic<std::int64_t>> tail_;
-  ffq::runtime::padded<std::atomic<std::int64_t>> head_;
-  std::atomic<std::int64_t> closed_tail_;
-  std::atomic<std::uint64_t> gaps_;
-  std::atomic<std::uint64_t> skips_;
-};
-
-struct waitable_mirror {
-  spsc_q<tel::disabled> q_;
-  ffq::runtime::eventcount ec_;
-};
+using spsc_mirror = ffq_test::spsc_mirror<u64>;
+using spmc_mirror = ffq_test::spmc_mirror<u64>;
+using mpmc_mirror = ffq_test::mpmc_mirror<u64>;
+using waitable_mirror = ffq_test::waitable_mirror<spsc_q<tel::disabled>>;
 
 static_assert(std::is_empty_v<tel::queue_counters<tel::disabled>>);
 

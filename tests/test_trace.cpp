@@ -27,6 +27,7 @@
 #include "ffq/core/waitable.hpp"
 #include "ffq/runtime/eventcount.hpp"
 #include "ffq/telemetry/telemetry.hpp"
+#include "layout_mirrors.hpp"
 
 namespace trc = ffq::trace;
 namespace tel = ffq::telemetry;
@@ -36,7 +37,7 @@ using ffq::core::layout_aligned;
 // Zero-cost OFF: the disabled tracer is empty and [[no_unique_address]]
 // keeps every queue's size and alignment byte-identical to the untraced
 // layout. The mirrors replicate the pre-trace member sequences verbatim
-// (same structs test_telemetry.cpp pins for the telemetry policy).
+// (layout_mirrors.hpp, the structs test_telemetry.cpp pins too).
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -55,42 +56,10 @@ template <typename Trace>
 using waitable_q =
     ffq::core::waitable_spsc_queue<u64, layout_aligned, tel::disabled, Trace>;
 
-using spmc_cell = ffq::core::detail::spmc_cell<u64, true>;
-using mpmc_cell = ffq::core::detail::mpmc_cell<u64, true>;
-
-struct spsc_mirror {
-  ffq::core::capacity_info cap_;
-  ffq::runtime::aligned_array<spmc_cell> cells_;
-  ffq::runtime::padded<std::atomic<std::int64_t>> tail_;
-  ffq::runtime::padded<std::int64_t> head_;
-  std::atomic<std::int64_t> closed_tail_;
-  std::uint64_t gaps_created_;
-};
-
-struct spmc_mirror {
-  ffq::core::capacity_info cap_;
-  ffq::runtime::aligned_array<spmc_cell> cells_;
-  ffq::runtime::padded<std::atomic<std::int64_t>> tail_;
-  ffq::runtime::padded<std::atomic<std::int64_t>> head_;
-  std::atomic<std::int64_t> closed_tail_;
-  std::uint64_t gaps_created_;
-  std::atomic<std::uint64_t> skips_;
-};
-
-struct mpmc_mirror {
-  ffq::core::capacity_info cap_;
-  ffq::runtime::aligned_array<mpmc_cell> cells_;
-  ffq::runtime::padded<std::atomic<std::int64_t>> tail_;
-  ffq::runtime::padded<std::atomic<std::int64_t>> head_;
-  std::atomic<std::int64_t> closed_tail_;
-  std::atomic<std::uint64_t> gaps_;
-  std::atomic<std::uint64_t> skips_;
-};
-
-struct waitable_mirror {
-  spsc_q<trc::disabled> q_;
-  ffq::runtime::eventcount ec_;
-};
+using spsc_mirror = ffq_test::spsc_mirror<u64>;
+using spmc_mirror = ffq_test::spmc_mirror<u64>;
+using mpmc_mirror = ffq_test::mpmc_mirror<u64>;
+using waitable_mirror = ffq_test::waitable_mirror<spsc_q<trc::disabled>>;
 
 static_assert(std::is_empty_v<trc::queue_tracer<trc::disabled>>,
               "the disabled tracer must be an empty class");

@@ -14,17 +14,21 @@
 //
 // --bound 2147483647 is dfs_options::kUnbounded: every interleaving.
 //
+// Both substrates run through one schedule loop (check/run.hpp): --fuzz
+// and --replay mean the same on each, and a replay must fit the program
+// exactly, or it is a violation.
+//
 // Exit codes: 0 = every explored schedule passed; 1 = an oracle was
-// violated (the offending schedule string is printed for --replay);
-// 2 = usage error, or an inconclusive DFS (the state bound was hit, or no
-// schedule completed within the preemption bound). The program shapes are
-// fixed per target name so a printed schedule replays against an
-// identical program (model shapes: model/shapes.hpp).
+// violated, or a replay did not fit its program (the offending schedule
+// string is printed for --replay); 2 = usage error, or an inconclusive
+// DFS (the state bound was hit, or no schedule completed within the
+// preemption bound). The program shapes are fixed per target name so a
+// printed schedule replays against an identical program (model shapes:
+// model/shapes.hpp, queue shapes: kQueues below).
 #ifndef FFQ_CHECK
 #define FFQ_CHECK 1  // instrument the queue headers in this TU
 #endif
 
-#include <charconv>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
@@ -37,40 +41,75 @@
 #include "ffq/core/spmc.hpp"
 #include "ffq/core/spsc.hpp"
 #include "ffq/core/waitable.hpp"
+#include "ffq/harness/parse.hpp"
 #include "ffq/model/shapes.hpp"
 #include "ffq/shard/shard.hpp"
 
 namespace {
 
 using namespace ffq::check;
+using ffq::harness::parse_count;
 namespace model = ffq::model;
 
+/// A fuzz (no `replay_sched`) or a replay of the program over Queue.
+template <typename Queue>
+explore_result run_queue(const program_config& cfg,
+                         const std::optional<schedule>& replay_sched,
+                         std::uint64_t seed, std::uint64_t runs) {
+  auto make = [&cfg] { return program<Queue>(cfg); };
+  return replay_sched ? replay(make, *replay_sched) : fuzz(make, seed, runs);
+}
+
+/// One program shape per queue name, fixed so schedules replay and small
+/// enough for the Wing–Gong bound.
+program_config shape(int producers, int consumers, int items) {
+  return {.capacity = 4, .producers = producers, .consumers = consumers,
+          .items_per_producer = items};
+}
+
+program_config fabric_shape() {
+  program_config cfg = shape(2, 2, 4);  // one shard per producer
+  cfg.dequeue_batch = 2;  // exercise the scheduler's bulk drain
+  cfg.check_linearizability = false;  // sharded: not one FIFO by design
+  return cfg;
+}
+
+struct queue_target {
+  const char* name;
+  program_config cfg;
+  explore_result (*run)(const program_config&, const std::optional<schedule>&,
+                        std::uint64_t, std::uint64_t);
+};
+
+const queue_target kQueues[] = {
+    // spsc, waitable: single consumer by contract.
+    {"spsc", shape(1, 1, 6), run_queue<ffq::core::spsc_queue<long long>>},
+    {"spmc", shape(1, 2, 6), run_queue<ffq::core::spmc_queue<long long>>},
+    {"mpmc", shape(2, 2, 4), run_queue<ffq::core::mpmc_queue<long long>>},
+    {"waitable", shape(1, 1, 6),
+     run_queue<ffq::core::waitable_spsc_queue<long long>>},
+    {"shard", fabric_shape(), run_queue<ffq::shard::fabric<long long, false>>},
+    {"shard_ordered", fabric_shape(),
+     run_queue<ffq::shard::fabric<long long, true>>},
+};
+
 int usage() {
+  std::string queues;
+  for (const auto& q : kQueues) queues += std::string(q.name) + "|";
   std::fprintf(stderr,
                "usage: check_explore --model "
                "spsc|spmc|spmc_bulk|spmc_try|mpmc|shard [--bound N] "
                "[--fuzz N] [--replay SCHED] [--mutate NAME] [--seed S]\n"
-               "       check_explore --queue "
-               "spsc|spmc|mpmc|waitable|shard|shard_ordered|all "
+               "       check_explore --queue %sall "
                "--fuzz N [--replay SCHED] [--seed S]\n"
                "mutations: publish_before_data skip_line29_recheck "
                "tail_after_batch faa_try_claim claim_publishes_directly "
-               "gap_ignores_rank claim_ignores_gap\n");
+               "gap_ignores_rank claim_ignores_gap\n",
+               queues.c_str());
   return 2;
 }
 
-/// The whole of `s` as a decimal number in [0, max]: no sign, no
-/// surrounding junk, no overflow.
-std::optional<std::uint64_t> parse_count(const std::string& s,
-                                         std::uint64_t max) {
-  std::uint64_t v = 0;
-  const char* end = s.data() + s.size();
-  const auto [p, ec] = std::from_chars(s.data(), end, v);
-  if (ec != std::errc{} || p != end || v > max) return std::nullopt;
-  return v;
-}
-
-int report_model(const explore_result& r, const char* what) {
+int report(const explore_result& r, const std::string& what) {
   if (r.ok) {
     // A clean run that reached no terminal proves nothing: every schedule
     // was cut by a bound.
@@ -78,84 +117,16 @@ int report_model(const explore_result& r, const char* what) {
     const char* note = !r.exhausted ? ", state bound hit"
                        : conclusive ? ""
                                     : ", none within the preemption bound";
-    std::printf("check_explore: %s %s (%zu states, %zu terminals%s)\n", what,
-                conclusive ? "passed" : "inconclusive", r.states, r.terminals,
-                note);
+    std::printf("check_explore: %s %s (%zu states, %zu terminals%s)\n",
+                what.c_str(), conclusive ? "passed" : "inconclusive",
+                r.states, r.terminals, note);
     return conclusive ? 0 : 2;
   }
-  std::printf("check_explore: VIOLATION (%s)\n  %s\n  schedule: %s\n", what,
-              r.violation.c_str(), format_schedule(r.witness).c_str());
+  std::printf("check_explore: VIOLATION (%s)\n  %s\n  schedule: %s\n",
+              what.c_str(), r.violation.c_str(),
+              format_schedule(r.witness).c_str());
   return 1;
 }
-
-// ---- real-queue programs (fixed shapes so schedules replay) --------------
-
-/// One program shape per queue name, small enough for the Wing-Gong
-/// bound: spsc/waitable 1x6 items 1 consumer; spmc 1x6, 2 consumers;
-/// mpmc 2x4, 2 consumers.
-program_config queue_config(const std::string& name) {
-  program_config cfg;
-  cfg.capacity = 4;
-  if (name == "mpmc") {
-    cfg.producers = 2;
-    cfg.items_per_producer = 4;
-    cfg.consumers = 2;
-  } else if (name == "shard" || name == "shard_ordered") {
-    cfg.producers = 2;  // one shard each, cfg.capacity cells per shard
-    cfg.items_per_producer = 4;
-    cfg.consumers = 2;
-    cfg.dequeue_batch = 2;  // exercise the scheduler's bulk drain
-    cfg.check_linearizability = false;  // sharded: not one FIFO by design
-  } else if (name == "spmc") {
-    cfg.producers = 1;
-    cfg.items_per_producer = 6;
-    cfg.consumers = 2;
-  } else {  // spsc, waitable: single consumer by contract
-    cfg.producers = 1;
-    cfg.items_per_producer = 6;
-    cfg.consumers = 1;
-  }
-  return cfg;
-}
-
-template <typename Queue>
-int fuzz_one_queue(const std::string& name, std::uint64_t seed,
-                   std::uint64_t runs) {
-  const program_config cfg = queue_config(name);
-  const fuzz_result r = fuzz_queue<Queue>(cfg, seed, runs);
-  if (r.ok) {
-    std::printf("check_explore: queue %s passed %llu schedules (seed %llu)\n",
-                name.c_str(), static_cast<unsigned long long>(r.runs),
-                static_cast<unsigned long long>(seed));
-    return 0;
-  }
-  std::printf(
-      "check_explore: VIOLATION (queue %s, run %llu)\n  %s\n  schedule: %s\n",
-      name.c_str(), static_cast<unsigned long long>(r.runs - 1),
-      r.failure.violation.c_str(), format_schedule(r.failure.sched).c_str());
-  return 1;
-}
-
-template <typename Queue>
-int replay_one_queue(const std::string& name, const schedule& s) {
-  const run_result r = replay_queue<Queue>(queue_config(name), s);
-  if (r.ok) {
-    std::printf("check_explore: queue %s replay passed (%llu steps)\n",
-                name.c_str(), static_cast<unsigned long long>(r.steps));
-    return 0;
-  }
-  std::printf("check_explore: VIOLATION (queue %s replay)\n  %s\n  schedule: %s\n",
-              name.c_str(), r.violation.c_str(),
-              format_schedule(r.sched).c_str());
-  return 1;
-}
-
-using q_spsc = ffq::core::spsc_queue<long long>;
-using q_spmc = ffq::core::spmc_queue<long long>;
-using q_mpmc = ffq::core::mpmc_queue<long long>;
-using q_wait = ffq::core::waitable_spsc_queue<long long>;
-using q_shard = ffq::shard::fabric<long long, false>;
-using q_shard_ord = ffq::shard::fabric<long long, true>;
 
 }  // namespace
 
@@ -206,16 +177,17 @@ int main(int argc, char** argv) {
 
   if (model_name.empty() == queue_name.empty()) return usage();  // exactly one
 
-  schedule replay_sched;
+  std::optional<schedule> replay_sched;
   if (!replay_str.empty()) {
-    auto parsed = parse_schedule(replay_str);
-    if (!parsed) {
+    replay_sched = parse_schedule(replay_str);
+    if (!replay_sched) {
       std::fprintf(stderr, "check_explore: malformed schedule '%s'\n",
                    replay_str.c_str());
       return 2;
     }
-    replay_sched = std::move(*parsed);
   }
+  const std::string fuzz_what = " fuzz " + std::to_string(fuzz_runs) +
+                                " (seed " + std::to_string(seed) + ")";
 
   if (!model_name.empty()) {
     std::optional<model::world> w;
@@ -225,54 +197,32 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "check_explore: %s\n", e.what());
       return 2;
     }
-    if (!replay_str.empty()) {
-      return report_model(replay_model(*w, replay_sched), "model replay");
-    }
-    int rc = 0;
+    auto make = [&w] { return model_target(*w); };
+    if (replay_sched) return report(replay(make, *replay_sched), "model replay");
+    if (bound < 0 && fuzz_runs == 0) return usage();
     if (bound >= 0) {
       dfs_options opt;
       opt.preemption_bound = bound;
-      const std::string what =
-          "model " + model_name + " DFS bound " + std::to_string(bound);
-      rc = report_model(dfs_explore(*w, opt), what.c_str());
-      if (rc != 0) return rc;
+      const int rc = report(dfs_explore(*w, opt), "model " + model_name +
+                                                      " DFS bound " +
+                                                      std::to_string(bound));
+      if (rc != 0 || fuzz_runs == 0) return rc;
     }
-    if (fuzz_runs > 0) {
-      const std::string what = "model " + model_name + " fuzz " +
-                               std::to_string(fuzz_runs) + " (seed " +
-                               std::to_string(seed) + ")";
-      rc = report_model(fuzz_model(*w, seed, fuzz_runs), what.c_str());
-    }
-    if (bound < 0 && fuzz_runs == 0) return usage();
-    return rc;
+    return report(fuzz(make, seed, fuzz_runs), "model " + model_name + fuzz_what);
   }
 
-  // Real-queue mode.
+  // Real-queue mode: --replay names one queue, --fuzz one or all.
   if (!mutate.empty() || bound >= 0) return usage();  // model-only options
-  if (!replay_str.empty()) {
-    if (queue_name == "spsc") return replay_one_queue<q_spsc>(queue_name, replay_sched);
-    if (queue_name == "spmc") return replay_one_queue<q_spmc>(queue_name, replay_sched);
-    if (queue_name == "mpmc") return replay_one_queue<q_mpmc>(queue_name, replay_sched);
-    if (queue_name == "waitable") return replay_one_queue<q_wait>(queue_name, replay_sched);
-    if (queue_name == "shard") return replay_one_queue<q_shard>(queue_name, replay_sched);
-    if (queue_name == "shard_ordered") return replay_one_queue<q_shard_ord>(queue_name, replay_sched);
-    return usage();
-  }
-  if (fuzz_runs == 0) return usage();
+  if (!replay_sched && fuzz_runs == 0) return usage();
+  const bool all = queue_name == "all" && !replay_sched;
   int rc = 0;
-  const bool all = queue_name == "all";
-  if (all || queue_name == "spsc") rc |= fuzz_one_queue<q_spsc>("spsc", seed, fuzz_runs);
-  if (all || queue_name == "spmc") rc |= fuzz_one_queue<q_spmc>("spmc", seed, fuzz_runs);
-  if (all || queue_name == "mpmc") rc |= fuzz_one_queue<q_mpmc>("mpmc", seed, fuzz_runs);
-  if (all || queue_name == "waitable") rc |= fuzz_one_queue<q_wait>("waitable", seed, fuzz_runs);
-  if (all || queue_name == "shard") rc |= fuzz_one_queue<q_shard>("shard", seed, fuzz_runs);
-  if (all || queue_name == "shard_ordered") {
-    rc |= fuzz_one_queue<q_shard_ord>("shard_ordered", seed, fuzz_runs);
+  bool known = false;
+  for (const auto& q : kQueues) {
+    if (!all && queue_name != q.name) continue;
+    known = true;
+    const std::string what = std::string("queue ") + q.name +
+                             (replay_sched ? " replay" : fuzz_what);
+    rc |= report(q.run(q.cfg, replay_sched, seed, fuzz_runs), what);
   }
-  if (!all && rc == 0 && queue_name != "spsc" && queue_name != "spmc" &&
-      queue_name != "mpmc" && queue_name != "waitable" &&
-      queue_name != "shard" && queue_name != "shard_ordered") {
-    return usage();
-  }
-  return rc;
+  return known ? rc : usage();
 }

@@ -9,14 +9,18 @@
 //
 // Usage: trace_stress [--trace=FILE] [--producers=N] [--consumers=N]
 //                     [--items=N] [--capacity=N]
+// Producers and consumers are 1..64, items at least one per producer,
+// and the capacity a power of two >= 2; anything else exits 2 before a
+// thread starts.
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "ffq/core/mpmc.hpp"
+#include "ffq/harness/parse.hpp"
 #include "ffq/telemetry/snapshot.hpp"
 #include "ffq/trace/trace.hpp"
 
@@ -26,10 +30,24 @@ using queue_type =
     ffq::core::mpmc_queue<std::uint64_t, ffq::core::layout_aligned,
                           ffq::telemetry::enabled, ffq::trace::enabled>;
 
-bool parse_flag(const std::string& arg, const char* name, long& out) {
+int usage() {
+  std::fprintf(stderr,
+               "usage: trace_stress [--trace=FILE] [--producers=1..64] "
+               "[--consumers=1..64] [--items=N>=producers] "
+               "[--capacity=power of two >= 2]\n");
+  return 2;
+}
+
+/// `arg` is `name=<count in [1, max]>`; `out` gets the count, or 0 when
+/// the value is malformed or out of range.
+bool parse_flag(const std::string& arg, const char* name, long max,
+                long& out) {
   const std::string prefix = std::string(name) + "=";
   if (arg.rfind(prefix, 0) != 0) return false;
-  out = std::strtol(arg.c_str() + prefix.size(), nullptr, 10);
+  const auto v = ffq::harness::parse_count(
+      std::string_view(arg).substr(prefix.size()),
+      static_cast<std::uint64_t>(max));
+  out = v ? static_cast<long>(*v) : 0;
   return true;
 }
 
@@ -40,23 +58,18 @@ int main(int argc, char** argv) {
   long producers = 2, consumers = 2, items = 8000, capacity = 256;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    long v = 0;
     if (arg.rfind("--trace=", 0) == 0) {
       trace_path = arg.substr(8);
-    } else if (parse_flag(arg, "--producers", v)) {
-      producers = v;
-    } else if (parse_flag(arg, "--consumers", v)) {
-      consumers = v;
-    } else if (parse_flag(arg, "--items", v)) {
-      items = v;
-    } else if (parse_flag(arg, "--capacity", v)) {
-      capacity = v;
-    } else {
-      std::fprintf(stderr,
-                   "usage: trace_stress [--trace=FILE] [--producers=N] "
-                   "[--consumers=N] [--items=N] [--capacity=N]\n");
-      return 2;
+    } else if (!parse_flag(arg, "--producers", 64, producers) &&
+               !parse_flag(arg, "--consumers", 64, consumers) &&
+               !parse_flag(arg, "--items", LONG_MAX / 4, items) &&
+               !parse_flag(arg, "--capacity", 1L << 30, capacity)) {
+      return usage();
     }
+  }
+  if (producers < 1 || consumers < 1 || items < producers || capacity < 2 ||
+      (capacity & (capacity - 1)) != 0) {
+    return usage();
   }
 
   // Size the rings so the whole run fits with headroom: a dropped record
