@@ -16,8 +16,9 @@
 // MCRingBuffer (control-update batching) and BatchQueue (half-buffer
 // publication) run as single-consumer reference lines.
 //
-// Output: the standard table/CSV plus the JSON report (--json) consumed
-// by BENCH_batch_ops.json, the repo's perf-trajectory baseline.
+// Output: the standard table/CSV plus the JSON report (--json).
+// BENCH_batch_ops.json is one such report, kept as a historical record
+// from another machine; nothing compares against it.
 #include <cstdio>
 #include <string>
 #include <vector>

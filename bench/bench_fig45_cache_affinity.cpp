@@ -13,6 +13,7 @@
 //    always available, reproduces the shapes (hit ratios rise with queue
 //    size until a level spills, then fall; same-core placements share
 //    L1/L2, cross-core only L3).
+#include <algorithm>
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -47,8 +48,8 @@ int run(const bench_cli& cli) {
   // --- simulated counters (Figs. 4 panel c + all of Fig. 5) ------------
   table sim({"policy", "entries", "L1-hit", "L2-hit", "L3-hit", "L3-miss",
              "mem-MB", "IPC-proxy", "cyc/pair"});
-  const std::uint64_t items =
-      static_cast<std::uint64_t>(400000 * (cli.quick ? 0.25 : 1.0));
+  const std::uint64_t items = std::max<std::uint64_t>(
+      10000, static_cast<std::uint64_t>(400000 * cli.scale));
   for (const auto& p : kPolicies) {
     for (unsigned lg = 8; lg <= 20; lg += 2) {
       cachesim::queue_trace_config cfg;

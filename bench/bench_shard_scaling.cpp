@@ -15,8 +15,9 @@
 // is a thin wrapper over one FFQ^s, so it bounds the scheduler's
 // overhead; the ordered line prices the epoch stamp + k-way merge.
 //
-// Output: standard table/CSV plus the JSON report (--json) committed as
-// BENCH_shard_scaling.json, the repo's perf-trajectory baseline.
+// Output: standard table/CSV plus the JSON report (--json).
+// BENCH_shard_scaling.json is one such report, kept as a historical
+// record from another machine; nothing compares against it.
 #include <algorithm>
 #include <cstdio>
 #include <string>

@@ -1,5 +1,5 @@
-// bench_telemetry_overhead — proves the telemetry policy's cost model
-// (ISSUE 2 / DESIGN.md §8):
+// bench_telemetry_overhead — measures the telemetry policy's cost model
+// (DESIGN.md §8):
 //
 //   * OFF is free by construction: `queue_counters<disabled>` is an
 //     empty class held through [[no_unique_address]] with no-op inline
@@ -7,10 +7,15 @@
 //     pre-telemetry layout (static_asserts in tests/test_telemetry.cpp)
 //     and its hot path compiles to the same code. The disabled rows
 //     below ARE the baseline.
-//   * ON must stay under 5% on the pairwise workload: every counter
+//   * ON has a budget of 5% on the pairwise workload: every counter
 //     lives on a miss/contention path (gap, skip, retry, stall), never
 //     on the uncontended enqueue/dequeue fast path, and bumps are
 //     relaxed fetch-adds on queue-local lines.
+//
+// The budget verdict is printed, not turned into the exit code: a
+// timing ratio on a shared machine measures the machine as much as the
+// change. Like every bench, the exit code is 1 only when a run delivers
+// wrong items or a report cannot be written.
 //
 // Both policies are instantiated in this one binary — the comparison
 // needs no rebuild and is independent of the FFQ_TELEMETRY build mode.
@@ -115,9 +120,9 @@ int run(const bench_cli& cli) {
                fixed(r.on_ns_med, 2),
                fixed(r.on_ns_min, 2) + "-" + fixed(r.on_ns_max, 2),
                fixed(r.overhead_pct, 2), r.within_noise() ? "yes" : "no"});
-    // The budget gate: the median overhead must stay under 5%, or the
-    // difference must be within the disabled policy's own run-to-run
-    // spread (a noisy box can push any point estimate past a few %).
+    // The budget: the median overhead stays under 5%, or the difference
+    // is within the disabled policy's own run-to-run spread (a noisy box
+    // can push any point estimate past a few %).
     if (r.overhead_pct >= 5.0 && !r.within_noise()) {
       all_within_budget = false;
     }
@@ -125,12 +130,11 @@ int run(const bench_cli& cli) {
   // The enabled-policy runs fed the registry through the pairwise
   // harness; the report embeds the snapshot, demonstrating the
   // full pipeline.
-  const int rc = finish_report(
+  return finish_report(
       cli, t, "telemetry_overhead",
       std::string("\nbudget: enabled-policy median overhead must stay "
                   "< 5% (or within the disabled policy's spread) -> ") +
           (all_within_budget ? "PASS" : "FAIL") + "\n");
-  return rc != 0 ? rc : all_within_budget ? 0 : 1;
 }
 
 }  // namespace

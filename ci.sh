@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
 # ci.sh — the checks a PR must pass, as seven independently runnable legs.
 #
-#  tier1     full RelWithDebInfo build + the whole ctest suite
-#            (FFQ_TELEMETRY=OFF, the default — the zero-cost
-#            configuration), then the bench smoke-regression gate:
-#            bench_batch_ops and bench_telemetry_overhead run in --quick
-#            mode and tools/bench_gate.py fails the leg when the median
-#            row ratio against the committed BENCH_*.json baselines
-#            drops more than 25% (tolerance rationale in bench_gate.py);
+#  tier1     the tier-1 verify: full RelWithDebInfo build + the whole
+#            ctest suite (FFQ_TELEMETRY=OFF, the default — the zero-cost
+#            configuration). ctest runs every bench at a hundredth of its
+#            workload, so each run's conservation check is exercised; no
+#            leg gates timing (performance is judged by ffqbench/run.py
+#            over parent/change pairs, against BENCHMARK.json's bounds);
 #  telemetry the same build + full suite with FFQ_TELEMETRY=ON, so both
 #            sides of the compile-time policy stay green;
 #  trace     full build + suite with FFQ_TRACE=ON (and telemetry ON, so
@@ -77,7 +76,8 @@ while [[ $# -gt 0 ]]; do
     --fresh) FRESH=1; shift ;;
     --jobs) JOBS="$2"; shift 2 ;;
     --jobs=*) JOBS="${1#--jobs=}"; shift ;;
-    -h|--help) sed -n '2,54p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
+    # --help prints the leading comment block, up to the first code line.
+    -h|--help) sed -n '2,${/^#/!q;s/^# \{0,1\}//;p}' "$0"; exit 0 ;;
     [0-9]*) JOBS="$1"; shift ;;  # legacy: ./ci.sh 8
     *) echo "ci.sh: unknown argument '$1' (see --help)" >&2; exit 2 ;;
   esac
@@ -126,17 +126,6 @@ leg_tier1() {
     FFQ_SANITIZE_THREAD=OFF FFQ_SANITIZE_ADDRESS=OFF
   cmake --build build -j "$JOBS"
   ctest --test-dir build --output-on-failure -j "$JOBS"
-  echo "--- bench smoke gate: quick runs vs committed BENCH_*.json ---"
-  ./build/bench/bench_batch_ops --quick \
-    --json build/bench_batch_ops.quick.json
-  python3 tools/bench_gate.py --baseline BENCH_batch_ops.json \
-    --current build/bench_batch_ops.quick.json \
-    --key queue,batch,consumers --metric items_per_sec --direction higher
-  ./build/bench/bench_telemetry_overhead --quick \
-    --json build/bench_telemetry_overhead.quick.json
-  python3 tools/bench_gate.py --baseline BENCH_telemetry_overhead.json \
-    --current build/bench_telemetry_overhead.quick.json \
-    --key queue --metric "enabled ns/op" --direction lower
 }
 
 leg_telemetry() {

@@ -5,6 +5,9 @@
 //
 //   build/examples/green_syscalls [fibers] [calls_per_fiber]
 //
+// Fibers are 1..256 and calls 1..2^56; anything else is a usage error
+// (exit 2).
+//
 // The demo runs the same total work twice:
 //   (a) one fiber (sequential: each call waits out its full latency);
 //   (b) m fibers (overlapped: up to m calls outstanding in the
@@ -12,13 +15,14 @@
 //       population).
 // With a simulated 20 us syscall, (b) finishes close to m× faster even
 // though both use a single application OS thread.
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "ffq/core/ffq.hpp"
+#include "ffq/harness/parse.hpp"
 #include "ffq/runtime/fiber.hpp"
 #include "ffq/runtime/timing.hpp"
 
@@ -72,8 +76,17 @@ double run_service(int fibers, std::uint64_t calls_per_fiber,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int fibers = argc > 1 ? std::atoi(argv[1]) : 8;
-  const std::uint64_t calls = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 2000;
+  // At most 2^64 / 256 calls per fiber, so the total fits in 64 bits.
+  const auto fiber_arg = ffq::harness::parse_arg(argc, argv, 1, 8, 1, 256);
+  const auto call_arg =
+      ffq::harness::parse_arg(argc, argv, 2, 2000, 1, UINT64_MAX / 256);
+  if (argc > 3 || !fiber_arg || !call_arg) {
+    std::fprintf(stderr, "usage: green_syscalls [fibers 1..256] "
+                         "[calls_per_fiber 1..2^56]\n");
+    return 2;
+  }
+  const int fibers = static_cast<int>(*fiber_arg);
+  const std::uint64_t calls = *call_arg;
   constexpr double kSyscallNs = 20000.0;  // 20 us simulated syscall
 
   const std::uint64_t total = static_cast<std::uint64_t>(fibers) * calls;

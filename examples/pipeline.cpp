@@ -3,6 +3,8 @@
 //
 //   build/examples/pipeline [items]
 //
+// items >= 1; anything else is a usage error (exit 2).
+//
 // A 3-stage text-processing pipeline:
 //   stage 1 (generate)  -> produces pseudo-random "records"
 //   stage 2 (transform) -> checksums and filters them
@@ -10,11 +12,12 @@
 //
 // Each stage pair is connected by one spsc_queue; close() propagates
 // end-of-stream down the pipeline.
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <thread>
 
 #include "ffq/core/ffq.hpp"
+#include "ffq/harness/parse.hpp"
 #include "ffq/runtime/rng.hpp"
 #include "ffq/runtime/timing.hpp"
 
@@ -40,8 +43,13 @@ constexpr std::uint64_t fold(std::uint64_t x) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t items = argc > 1 ? std::strtoull(argv[1], nullptr, 10)
-                                       : 1'000'000;
+  const auto item_arg =
+      ffq::harness::parse_arg(argc, argv, 1, 1'000'000, 1, UINT64_MAX);
+  if (argc > 2 || !item_arg) {
+    std::fprintf(stderr, "usage: pipeline [items >= 1]\n");
+    return 2;
+  }
+  const std::uint64_t items = *item_arg;
 
   ffq::core::spsc_queue<record> stage12(1 << 12);
   ffq::core::spsc_queue<digest> stage23(1 << 12);

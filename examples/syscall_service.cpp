@@ -4,6 +4,9 @@
 //
 //   build/examples/syscall_service [app_threads] [os_threads] [calls]
 //
+// Thread counts are 1..64 and calls 1..2^58; anything else is a usage
+// error (exit 2).
+//
 // Architecture (one group per app thread):
 //
 //   [app thread]  --request-->  SPMC submission queue  --> [executor]
@@ -12,19 +15,30 @@
 //
 // The demo runs the same workload through all four service variants and
 // prints the comparison the paper's Fig. 7 makes.
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 
+#include "ffq/harness/parse.hpp"
 #include "ffq/runtime/timing.hpp"
 #include "ffq/sgxsim/syscall_service.hpp"
 
 using namespace ffq::sgxsim;
 
 int main(int argc, char** argv) {
+  using ffq::harness::parse_arg;
+  const auto apps = parse_arg(argc, argv, 1, 2, 1, 64);
+  const auto oss = parse_arg(argc, argv, 2, 2, 1, 64);
+  // At most 2^64 / 64 calls per thread, so the total fits in 64 bits.
+  const auto calls = parse_arg(argc, argv, 3, 20000, 1, UINT64_MAX / 64);
+  if (argc > 4 || !apps || !oss || !calls) {
+    std::fprintf(stderr, "usage: syscall_service [app_threads 1..64] "
+                         "[os_threads 1..64] [calls 1..2^58]\n");
+    return 2;
+  }
   service_config cfg;
-  cfg.app_threads = argc > 1 ? std::atoi(argv[1]) : 2;
-  cfg.os_threads = argc > 2 ? std::atoi(argv[2]) : 2;
-  cfg.calls_per_thread = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 20000;
+  cfg.app_threads = static_cast<int>(*apps);
+  cfg.os_threads = static_cast<int>(*oss);
+  cfg.calls_per_thread = *calls;
 
   std::printf("async syscall service: %d app thread(s), %d executor(s), "
               "%llu calls each\n\n",

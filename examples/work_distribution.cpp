@@ -5,6 +5,9 @@
 //
 //   build/examples/work_distribution [workers] [tasks]
 //
+// Workers are 1..64 and tasks >= 1; anything else is a usage error
+// (exit 2). With no worker the producer would wait on a full ring.
+//
 // The producer publishes tasks whose cost varies by three orders of
 // magnitude. With a FIFO handoff queue, a slow task would head-of-line
 // block a naive design; with FFQ, the producer skips the cell a slow
@@ -12,12 +15,13 @@
 // streaming. The demo prints the per-worker task counts and the gap/skip
 // statistics that show the mechanism firing.
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
 #include "ffq/core/ffq.hpp"
+#include "ffq/harness/parse.hpp"
 #include "ffq/runtime/rng.hpp"
 #include "ffq/runtime/timing.hpp"
 
@@ -31,9 +35,16 @@ struct task {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int workers = argc > 1 ? std::atoi(argv[1]) : 4;
-  const std::uint64_t tasks = argc > 2 ? std::strtoull(argv[2], nullptr, 10)
-                                       : 50000;
+  const auto worker_arg = ffq::harness::parse_arg(argc, argv, 1, 4, 1, 64);
+  const auto task_arg =
+      ffq::harness::parse_arg(argc, argv, 2, 50000, 1, UINT64_MAX);
+  if (argc > 3 || !worker_arg || !task_arg) {
+    std::fprintf(stderr,
+                 "usage: work_distribution [workers 1..64] [tasks >= 1]\n");
+    return 2;
+  }
+  const int workers = static_cast<int>(*worker_arg);
+  const std::uint64_t tasks = *task_arg;
 
   // Small ring on purpose: with long-running tasks in flight the
   // producer regularly wraps onto busy cells and exercises the gap

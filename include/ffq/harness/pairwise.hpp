@@ -8,7 +8,9 @@
 // cache line is held by one thread for a long time."
 //
 // Throughput is reported in operations/s (one op = one enqueue or one
-// dequeue, i.e. 2 × pairs / elapsed), matching [21]'s metric.
+// dequeue, i.e. 2 × pairs / elapsed), matching [21]'s metric. The
+// threads enqueue the values 1..pairs between them, and every run
+// checks that the dequeues returned each exactly once (run_failure).
 #pragma once
 
 #include <cstdint>
@@ -54,7 +56,8 @@ struct pairwise_config {
   std::uint64_t seed = 0x5eed;
 };
 
-/// One measured run. Returns operations per second.
+/// One measured run. Returns operations per second; throws run_failure
+/// when the dequeued values are not the enqueued ones.
 template <typename Adapter>
 double run_pairwise_once(const pairwise_config& cfg) {
   using queue_t = typename Adapter::queue_type;
@@ -67,6 +70,7 @@ double run_pairwise_once(const pairwise_config& cfg) {
   const std::uint64_t think_span = cfg.think_max_ns >= cfg.think_min_ns
                                        ? cfg.think_max_ns - cfg.think_min_ns + 1
                                        : 1;
+  detail::delivery delivered;
 
   const double secs = run_workers(
       static_cast<std::size_t>(cfg.threads),
@@ -84,17 +88,21 @@ double run_pairwise_once(const pairwise_config& cfg) {
           ffq::runtime::spin_ns_tsc(ffq::runtime::rdtsc() +
                                     static_cast<std::uint64_t>(ns * ghz));
         };
+        const std::uint64_t first = t * pairs_per_thread + 1;
+        std::uint64_t out = 0, sum = 0;
         clock.start();
-        std::uint64_t out;
         for (std::uint64_t i = 0; i < pairs_per_thread; ++i) {
-          Adapter::enqueue(*q, ctx, (std::uint64_t{t} << 40) | (i + 1));
+          Adapter::enqueue(*q, ctx, first + i);
           think();
           Adapter::dequeue(*q, ctx, out);
+          sum += out;
           think();
         }
         clock.stop();
+        delivered.add(pairs_per_thread, sum);
       });
   detail::export_queue_telemetry(*q);  // queue dies with this scope
+  delivered.check(pairs_per_thread * static_cast<std::uint64_t>(cfg.threads));
 
   const double ops = 2.0 * static_cast<double>(pairs_per_thread) *
                      static_cast<double>(cfg.threads);

@@ -3,7 +3,8 @@
 // A flag value is accepted only when the whole string is the number: no
 // surrounding junk, no overflow, nothing out of range. The bench CLIs,
 // check_explore and trace_stress share it, so `--runs abc` is a usage
-// error, not a silent zero.
+// error, not a silent zero. The examples read their positional
+// arguments through parse_arg.
 #pragma once
 
 #include <charconv>
@@ -32,6 +33,19 @@ inline std::optional<double> parse_positive(std::string_view s) {
   if (ec != std::errc{} || p != end || !std::isfinite(v) || !(v > 0)) {
     return std::nullopt;
   }
+  return v;
+}
+
+/// A program's optional positional argument `argv[i]` as a count in
+/// [lo, hi]: `fallback` when the argument is absent, nullopt when it is
+/// present but not such a count.
+inline std::optional<std::uint64_t> parse_arg(int argc, char** argv, int i,
+                                              std::uint64_t fallback,
+                                              std::uint64_t lo,
+                                              std::uint64_t hi) {
+  if (i >= argc) return fallback;
+  const auto v = parse_count(argv[i], hi);
+  if (!v || *v < lo) return std::nullopt;
   return v;
 }
 

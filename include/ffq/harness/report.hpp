@@ -63,7 +63,6 @@ struct bench_cli {
   std::string trace_path;    ///< empty = no "ffq.trace.v1" export
   int runs = 10;             ///< repetitions per configuration
   double scale = 1.0;        ///< workload scale factor (ops multiplier)
-  bool quick = false;        ///< --quick: 3 runs, 1/10 workload
 
   /// `--help` prints the usage and exits 0; an unknown flag, a flag
   /// missing its value, a `--runs` that is not a whole number >= 1 or a

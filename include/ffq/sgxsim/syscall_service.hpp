@@ -84,7 +84,11 @@ struct service_result {
 };
 
 /// Run one benchmark of the configured variant. Blocking; spawns
-/// app_threads (+ os_threads for the queue variants).
+/// app_threads (+ os_threads for the queue variants). Throws
+/// std::invalid_argument, before any thread starts, when app_threads
+/// < 1, calls_per_thread == 0 or queue_capacity is not a power of two
+/// >= 2. Too few os_threads are clamped up: sgx_ffq runs at least one
+/// executor per app thread, sgx_mpmc at least one.
 service_result run_syscall_service(const service_config& cfg);
 
 }  // namespace ffq::sgxsim

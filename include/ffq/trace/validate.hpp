@@ -93,10 +93,15 @@ inline validation_report validate_trace(const std::vector<trace_op>& ops,
     // > 1), not an interior one — count it, or a long run would pass as
     // "0 dropped" and the fabrication/loss checks below would fire on
     // records whose counterparts were simply overwritten. After the
-    // sort a regression can only be a duplicate.
+    // sort a regression can only be a duplicate. Seq 0 is never written:
+    // it is an error, and counts no drops (seq - 1 would wrap to 2^64-1
+    // and mute the fabrication and loss checks).
+    if (op.seq == 0) {
+      fail("thread " + std::to_string(op.tid) + ": seq 0 (seqs are 1-based)");
+    }
     auto [it, fresh] = last_seq.try_emplace(op.tid, op.seq);
     if (fresh) {
-      rep.dropped += op.seq - 1;
+      if (op.seq > 0) rep.dropped += op.seq - 1;
     } else {
       if (op.seq <= it->second) {
         fail("thread " + std::to_string(op.tid) + ": duplicate seq " +

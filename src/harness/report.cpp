@@ -138,7 +138,7 @@ namespace {
 
 constexpr const char* kUsage =
     "flags: --csv <path>  --json <path>  --metrics <path>  --trace <path>  "
-    "--runs <n>  --scale <f>  --quick  --help\n";
+    "--runs <n>  --scale <f>  --help\n";
 
 [[noreturn]] void usage_error(const char* what, const char* flag) {
   std::fprintf(stderr, "%s: %s\n%s", what, flag, kUsage);
@@ -159,8 +159,6 @@ bench_cli bench_cli::parse(int argc, char** argv) {
     if (is("--help")) {
       std::printf("%s", kUsage);
       std::exit(0);
-    } else if (is("--quick")) {
-      cli.quick = true;
     } else if (is("--csv")) {
       cli.csv_path = value();
     } else if (is("--json")) {
@@ -180,10 +178,6 @@ bench_cli bench_cli::parse(int argc, char** argv) {
     } else {
       usage_error("unknown flag", flag);
     }
-  }
-  if (cli.quick) {
-    cli.runs = std::min(cli.runs, 3);
-    cli.scale *= 0.1;
   }
   return cli;
 }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -372,6 +373,18 @@ service_result run_sgx_mpmc(const service_config& cfg) {
 }  // namespace
 
 service_result run_syscall_service(const service_config& cfg) {
+  if (cfg.app_threads < 1) {
+    throw std::invalid_argument("syscall service: app_threads must be >= 1");
+  }
+  if (cfg.calls_per_thread == 0) {
+    throw std::invalid_argument(
+        "syscall service: calls_per_thread must be >= 1");
+  }
+  const std::size_t cap = cfg.queue_capacity;
+  if (cap < 2 || (cap & (cap - 1)) != 0) {
+    throw std::invalid_argument(
+        "syscall service: queue_capacity must be a power of two >= 2");
+  }
   service_result res{};
   switch (cfg.variant) {
     case service_variant::native:

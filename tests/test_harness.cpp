@@ -147,11 +147,6 @@ TEST(Report, CliParsing) {
   EXPECT_EQ(cli.metrics_path, "/tmp/m.json");
   EXPECT_EQ(cli.runs, 5);
   EXPECT_DOUBLE_EQ(cli.scale, 0.5);
-  const char* argv2[] = {"bench", "--quick"};
-  auto quick = bench_cli::parse(2, const_cast<char**>(argv2));
-  EXPECT_LE(quick.runs, 3);
-  EXPECT_LT(quick.scale, 1.0);
-
   // --help exits 0; an unknown flag or a missing value exits 2.
   testing::GTEST_FLAG(death_test_style) = "threadsafe";
   const char* help[] = {"bench", "--help"};
@@ -160,6 +155,10 @@ TEST(Report, CliParsing) {
   const char* unknown[] = {"bench", "--runs", "2", "--bogus"};
   EXPECT_EXIT(bench_cli::parse(4, const_cast<char**>(unknown)),
               testing::ExitedWithCode(2), "unknown flag: --bogus");
+  // There is no quick mode: --runs and --scale size every run.
+  const char* quick[] = {"bench", "--quick"};
+  EXPECT_EXIT(bench_cli::parse(2, const_cast<char**>(quick)),
+              testing::ExitedWithCode(2), "unknown flag: --quick");
   const char* missing[] = {"bench", "--json"};
   EXPECT_EXIT(bench_cli::parse(2, const_cast<char**>(missing)),
               testing::ExitedWithCode(2), "missing value for: --json");
@@ -238,6 +237,23 @@ TEST(Pairwise, LcrqTwoThreads) { smoke_pairwise<lcrq_adapter>(2); }
 TEST(Pairwise, WfQueueTwoThreads) { smoke_pairwise<wf_adapter>(2); }
 TEST(Pairwise, VyukovTwoThreads) { smoke_pairwise<vyukov_adapter>(2); }
 TEST(Pairwise, HtmTwoThreads) { smoke_pairwise<htm_adapter>(2); }
+
+// Every run checks what the dequeues returned: one wrong value fails it.
+struct off_by_one_adapter : ffq_spsc {
+  static bool dequeue(queue_type& q, context& c, std::uint64_t& out) {
+    const bool ok = ffq_spsc::dequeue(q, c, out);
+    ++out;
+    return ok;
+  }
+};
+
+TEST(Pairwise, WrongItemIsARunFailure) {
+  pairwise_config cfg;
+  cfg.total_pairs = 1000;
+  cfg.think_min_ns = 0;
+  cfg.params.capacity = 1 << 10;
+  EXPECT_THROW(run_pairwise_once<off_by_one_adapter>(cfg), run_failure);
+}
 
 TEST(Pairwise, WithThinkTimeStillTerminates) {
   pairwise_config cfg;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <stdexcept>
 #include <thread>
 
 #include "ffq/runtime/timing.hpp"
@@ -106,6 +107,21 @@ TEST(SyscallService, FfqVariantClampsMissingExecutors) {
   // must clamp up rather than deadlock.
   const auto r = run_syscall_service(small_cfg(service_variant::sgx_ffq, 3, 1));
   EXPECT_EQ(r.total_calls, 3000u);
+}
+
+// A bad size is rejected before any thread starts. Unchecked, zero app
+// threads divide by zero in the FFQ variant (SIGFPE) and zero calls
+// average 0/0 into NaN latencies.
+TEST(SyscallService, RejectsBadSizesBeforeStartingThreads) {
+  auto cfg = small_cfg(service_variant::sgx_ffq);
+  cfg.app_threads = 0;
+  EXPECT_THROW(run_syscall_service(cfg), std::invalid_argument);
+  cfg = small_cfg(service_variant::sgx_ffq);
+  cfg.calls_per_thread = 0;
+  EXPECT_THROW(run_syscall_service(cfg), std::invalid_argument);
+  cfg = small_cfg(service_variant::sgx_ffq);
+  cfg.queue_capacity = 100;
+  EXPECT_THROW(run_syscall_service(cfg), std::invalid_argument);
 }
 
 TEST(SyscallService, MpmcVariantCompletesAllCalls) {

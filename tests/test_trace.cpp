@@ -424,6 +424,22 @@ TEST(TraceValidate, DuplicateSeqIsAnError) {
   EXPECT_NE(rep.errors[0].find("duplicate seq"), std::string::npos);
 }
 
+// Seqs are 1-based. A seq-0 record (a writer bug, or a hand-made file)
+// must be reported, and must not count 2^64-1 drops, which would mute
+// the fabrication and loss checks below it.
+TEST(TraceValidate, SeqZeroIsAnErrorAndCountsNoDrops) {
+  const std::vector<trc::trace_op> ops = {
+      op(0, 1, "enqueue", "q#0", 0),  // never consumed
+      op(1, 0, "dequeue", "q#0", 7),  // never published
+  };
+  const auto rep = trc::validate_trace(ops, /*expect_drained=*/true);
+  EXPECT_EQ(rep.dropped, 0u);
+  ASSERT_EQ(rep.errors.size(), 3u);
+  EXPECT_NE(rep.errors[0].find("seq 0"), std::string::npos);
+  EXPECT_NE(rep.errors[1].find("never published"), std::string::npos);
+  EXPECT_NE(rep.errors[2].find("never consumed"), std::string::npos);
+}
+
 // Program order is seq order, not timeline order: an instant emitted
 // mid-operation carries a later tsc than the operation's start-stamped
 // record, so a tsc-sorted merge can interleave them — that must not read

@@ -9,11 +9,17 @@
 //   * no rank lost (only asserted for drained traces with no ring drops),
 //   * per-thread seq continuity (gaps = records lost to ring overwrite).
 //
+// A queue event whose tid, args.seq or args.rank is missing or is not an
+// integer (tid and seq also >= 0) is malformed: it is reported and the
+// file fails, since a defaulted field would be replayed as a real one.
+//
 // Usage: trace_check [--expect-drained] FILE
 // Exit status: 0 = valid, 1 = violations found, 2 = unreadable/usage.
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,6 +32,18 @@ namespace {
 int usage() {
   std::fprintf(stderr, "usage: trace_check [--expect-drained] FILE\n");
   return 2;
+}
+
+/// `v` as an integer in [lo, hi], or nullopt when it is missing, is not
+/// an integer literal or is out of range. The reader holds numbers as
+/// doubles, so no bound exceeds 2^53, where every integer is exact.
+std::optional<std::int64_t> integer(const ffq::trace::json::value& v,
+                                    double lo, double hi) {
+  if (!v.is_number() || !v.int_exact() || v.as_double() < lo ||
+      v.as_double() > hi) {
+    return std::nullopt;
+  }
+  return v.as_int();
 }
 
 }  // namespace
@@ -78,16 +96,29 @@ int main(int argc, char** argv) {
   // Cross-thread file order is irrelevant: the validator replays each
   // thread in seq (program) order, since start-timestamped duration
   // records interleave with mid-operation instants in the tsc merge.
+  constexpr double kExact = 9007199254740992.0;  // 2^53
   std::vector<ffq::trace::trace_op> ops;
   ops.reserve(events.as_array().size());
-  for (const auto& e : events.as_array()) {
+  for (std::size_t i = 0; i < events.as_array().size(); ++i) {
+    const auto& e = events.as_array()[i];
     if (e["cat"].as_string() != "queue") continue;  // metadata, counters
+    const auto tid = integer(e["tid"], 0, UINT32_MAX);
+    const auto seq = integer(e["args"]["seq"], 0, kExact);
+    const auto rank = integer(e["args"]["rank"], -kExact, kExact);
+    if (!tid || !seq || !rank) {
+      std::fprintf(stderr,
+                   "trace_check: %s: malformed queue event %zu (\"%s\"): "
+                   "tid and args.seq must be integers >= 0, args.rank an "
+                   "integer\n",
+                   path.c_str(), i, e["name"].as_string().c_str());
+      return 1;
+    }
     ffq::trace::trace_op op;
-    op.tid = static_cast<std::uint32_t>(e["tid"].as_int());
-    op.seq = static_cast<std::uint64_t>(e["args"]["seq"].as_int());
+    op.tid = static_cast<std::uint32_t>(*tid);
+    op.seq = static_cast<std::uint64_t>(*seq);
     op.type = e["name"].as_string();
     op.queue = e["args"]["queue"].as_string();
-    op.rank = e["args"]["rank"].as_int();
+    op.rank = *rank;
     ops.push_back(std::move(op));
   }
 
