@@ -94,6 +94,10 @@ int main(int argc, char** argv) {
   std::printf("total work: %llu syscalls of ~20 us each, one app OS thread\n\n",
               static_cast<unsigned long long>(total));
 
+  // Calibrate the TSC (about 10 ms, once per process) before timing: its
+  // first call is the executor's spin_ns, inside run (a)'s stopwatch.
+  rt::tsc_ghz();
+
   const double seq = run_service(1, total, kSyscallNs);
   std::printf("1 fiber  (sequential): %.3f s  (%.0f calls/s)\n", seq,
               static_cast<double>(total) / seq);

@@ -56,6 +56,14 @@ struct cell_probe {
 inline constexpr std::int64_t kCellFree = -1;      ///< no item, claimable
 inline constexpr std::int64_t kCellReserved = -2;  ///< FFQ^m producer mid-write
 
+/// How many cells ahead of the one it resolves a run claim (k > 1) keeps
+/// write-intent prefetches in flight (DESIGN.md §5.8). Swept on ffqbench
+/// fanin_bulk (64-item claims, 4 vCPUs; EXPERIMENTS.md): distances 4 to
+/// 32 and the whole run up front all read 170–182M items/s, within one
+/// run-to-run spread of each other, against 150M without a prefetch; a
+/// read-intent prefetch at distance 8 read 151M.
+inline constexpr std::int64_t kClaimPrefetchDistance = 8;
+
 /// Cell of the single-producer variants. 24 bytes for 8-byte payloads in
 /// the compact layout, one full line when cache-aligned — matching the
 /// sizes reported in §V-B.
@@ -301,10 +309,12 @@ class mc_ring : public ring<T, Fields, Layout, std::atomic<std::int64_t>,
   /// Dequeue one item (any number of consumer threads). Blocks (spinning
   /// with back-off) while the queue is empty; returns false only after
   /// close() once this consumer's rank is past the final tail.
-  bool dequeue(T& out) noexcept { return claim<false>(&out, 1) == 1; }
+  bool dequeue(T& out) noexcept { return claim<false, false>(&out, 1) == 1; }
 
   /// Non-blocking dequeue: false when nothing published is claimable.
-  bool try_dequeue(T& out) noexcept { return claim<true>(&out, 1) == 1; }
+  bool try_dequeue(T& out) noexcept {
+    return claim<true, false>(&out, 1) == 1;
+  }
 
   /// Non-blocking bulk dequeue: up to `max_n` items, 0 immediately when
   /// nothing is published. The claim never passes the observed tail, so
@@ -333,7 +343,7 @@ class mc_ring : public ring<T, Fields, Layout, std::atomic<std::int64_t>,
   template <bool Try, typename OutIt>
   std::size_t bulk(OutIt out, std::size_t max_n) noexcept {
     if (max_n == 0) return 0;
-    const std::size_t n = claim<Try>(out, max_n);
+    const std::size_t n = claim<Try, true>(out, max_n);
     if (n > 0) this->tel_.on_bulk(n);
     return n;
   }
@@ -342,8 +352,10 @@ class mc_ring : public ring<T, Fields, Layout, std::atomic<std::int64_t>,
   /// ranks and resolves each against its cell, writing taken items to
   /// `out`. Try claims return 0 when nothing is published and are
   /// CAS-bounded by the observed tail; blocking claims fetch-and-add and
-  /// return 0 only once closed and drained.
-  template <bool Try, typename OutIt>
+  /// return 0 only once closed and drained. `Bulk` marks the entry points
+  /// that may claim a run (k > 1): only they carry the run's prefetches,
+  /// so the scalar instantiations compile exactly as without them.
+  template <bool Try, bool Bulk, typename OutIt>
   std::size_t claim(OutIt out, std::size_t max_n) noexcept {
     for (;;) {
       FFQ_CHECK_YIELD();  // scheduling point: before the claim
@@ -377,8 +389,24 @@ class mc_ring : public ring<T, Fields, Layout, std::atomic<std::int64_t>,
         }
         if (k > 1) this->tel_.on_rank_block_faa();
       }
+      // A run's cells are read for their rank and then written with -1:
+      // fetch each line once, already exclusive, a fixed distance ahead
+      // of the cell being resolved. Scalar claims (k = 1) skip it.
+      if constexpr (Bulk) {
+        if (k > 1) {
+          for (std::int64_t i = 0; i < std::min(k, kClaimPrefetchDistance);
+               ++i) {
+            prefetch_cell(first + i);
+          }
+        }
+      }
       std::size_t taken = 0;
       for (std::int64_t rank = first; rank < first + k; ++rank) {
+        if constexpr (Bulk) {
+          if (rank + kClaimPrefetchDistance < first + k) {
+            prefetch_cell(rank + kClaimPrefetchDistance);
+          }
+        }
         switch (resolve_rank(rank, [&](T&& v) {
           *out = std::move(v);
           ++out;
@@ -396,6 +424,11 @@ class mc_ring : public ring<T, Fields, Layout, std::atomic<std::int64_t>,
       // Whole run was gaps: claim again (the paper's skip-and-redraw,
       // amortized; a try_ claim re-checks availability first).
     }
+  }
+
+  void prefetch_cell(std::int64_t rank) const noexcept {
+    ffq::runtime::prefetch_for_write(
+        &this->cells_[this->cap_.template slot<Layout>(rank)]);
   }
 
   /// Resolve one claimed rank against its cell (Algorithm 1's dequeue

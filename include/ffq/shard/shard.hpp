@@ -58,6 +58,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -148,11 +149,23 @@ class fabric {
       Ordered ? "ffq-shard-ordered" : "ffq-shard";
 
   /// `producers` shards of `shard_capacity` cells each (power of two;
-  /// same flow-control assumption per shard as spmc_queue).
+  /// same flow-control assumption per shard as spmc_queue). Throws
+  /// std::invalid_argument, before any shard is allocated, when
+  /// producers < 1, shard_capacity is not a power of two >= 2 or
+  /// opts.drain_quota is 0 (every visit would then take nothing).
   fabric(std::size_t producers, std::size_t shard_capacity,
          options opts = {})
       : shard_capacity_(shard_capacity), opts_(opts) {
-    assert(producers >= 1 && "a fabric needs at least one producer shard");
+    if (producers < 1) {
+      throw std::invalid_argument("shard fabric: producers must be >= 1");
+    }
+    if (!ffq::core::capacity_info::valid(shard_capacity)) {
+      throw std::invalid_argument(
+          "shard fabric: shard_capacity must be a power of two >= 2");
+    }
+    if (opts.drain_quota == 0) {
+      throw std::invalid_argument("shard fabric: drain_quota must be >= 1");
+    }
     shards_.reserve(producers);
     for (std::size_t p = 0; p < producers; ++p) {
       shards_.push_back(std::make_unique<shard_type>(shard_capacity));
@@ -237,7 +250,9 @@ class fabric {
       }
     }
 
-    /// Non-blocking bulk dequeue of up to min(max_n, drain_quota) items.
+    /// Non-blocking bulk dequeue. Unordered: up to min(max_n, drain_quota)
+    /// items from one shard visit. Ordered: up to max_n items, one merge
+    /// step each (drain_quota does not apply).
     template <typename OutIt>
     std::size_t try_dequeue_bulk(OutIt out, std::size_t max_n) noexcept {
       if (max_n == 0) return 0;

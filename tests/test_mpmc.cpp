@@ -12,6 +12,8 @@
 #include <tuple>
 #include <vector>
 
+#include "sweep_drain.hpp"
+
 using ffq::core::mpmc_queue;
 
 TEST(MpmcQueue, SingleThreadFifo) {
@@ -84,6 +86,8 @@ TEST(MpmcQueue, DestructorReleasesUnconsumedItems) {
 //    in that producer's enqueue order... NOTE: with multiple consumers
 //    this only holds per consumer; the check below tracks, per consumer,
 //    the last sequence number seen from each producer.
+// Half of the consumers claim runs (sweep_drain.hpp), so every layout sees
+// bulk claims.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -109,11 +113,10 @@ void run_mpmc(std::size_t capacity, int producers, int consumers,
 
   std::vector<std::thread> cs;
   for (int c = 0; c < consumers; ++c) {
-    cs.emplace_back([&] {
+    cs.emplace_back([&, c] {
       std::vector<std::int64_t> last_seq(producers, -1);
-      std::uint64_t out;
       std::uint64_t count = 0;
-      while (q.dequeue(out)) {
+      ffq_test::sweep_drain(q, c, [&](std::uint64_t out) {
         const auto p = tag_producer(out);
         const auto s = tag_seq(out);
         if (static_cast<std::int64_t>(s) <= last_seq[p]) order_ok.store(false);
@@ -123,7 +126,7 @@ void run_mpmc(std::size_t capacity, int producers, int consumers,
           order_ok.store(false);  // duplicate delivery
         }
         ++count;
-      }
+      });
       total_count.fetch_add(count);
     });
   }

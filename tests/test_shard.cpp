@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -142,6 +143,19 @@ TEST(ShardFabric, ShapeAndLifecycle) {
   EXPECT_TRUE(fab.placement().empty());  // default policy: none
   fab.close();
   EXPECT_TRUE(fab.closed());
+}
+
+// Sizes that would divide by zero in the consumer cursor, trip only the
+// ring's assert, or make every visit take nothing are refused up front.
+TEST(ShardFabric, ConstructorRejectsBadSizes) {
+  EXPECT_THROW(fab_plain(0, 64), std::invalid_argument);
+  EXPECT_THROW(fab_plain(2, 48), std::invalid_argument);
+  EXPECT_THROW(fab_plain(2, 1), std::invalid_argument);
+  sh::options no_quota;
+  no_quota.drain_quota = 0;
+  EXPECT_THROW(fab_plain(2, 64, no_quota), std::invalid_argument);
+  EXPECT_THROW(fab_plain_ord(0, 64), std::invalid_argument);
+  EXPECT_NO_THROW(fab_plain(1, 2));
 }
 
 TEST(ShardFabric, UnorderedConservationAndPerProducerFifo) {

@@ -13,6 +13,8 @@
 #include <tuple>
 #include <vector>
 
+#include "sweep_drain.hpp"
+
 using ffq::core::layout_aligned;
 using ffq::core::spmc_queue;
 
@@ -157,7 +159,8 @@ TEST(SpmcQueue, DeterministicGapCreationAndSkip) {
 // ---------------------------------------------------------------------------
 // Property sweep: 1 producer × C consumers, exactly-once + conservation +
 // per-consumer monotone sequence (rank order implies each consumer sees
-// strictly increasing payloads from the single producer).
+// strictly increasing payloads from the single producer). Half of the
+// consumers claim runs (sweep_drain.hpp), so every layout sees bulk claims.
 // ---------------------------------------------------------------------------
 
 template <typename Layout>
@@ -169,18 +172,17 @@ void run_spmc_fanout(std::size_t capacity, int consumers, std::uint64_t items) {
 
   std::vector<std::thread> cs;
   for (int c = 0; c < consumers; ++c) {
-    cs.emplace_back([&] {
-      std::uint64_t out;
+    cs.emplace_back([&, c] {
       std::uint64_t prev = 0;
       bool first = true;
       std::uint64_t count = 0, sum = 0;
-      while (q.dequeue(out)) {
+      ffq_test::sweep_drain(q, c, [&](std::uint64_t out) {
         if (!first && out <= prev) order_ok.store(false);
         prev = out;
         first = false;
         ++count;
         sum += out;
-      }
+      });
       total_count.fetch_add(count);
       total_sum.fetch_add(sum);
     });

@@ -67,6 +67,16 @@ program_config shape(int producers, int consumers, int items) {
           .items_per_producer = items};
 }
 
+/// A multi-consumer shape whose consumers claim runs of up to 2
+/// (try_dequeue_bulk): at capacity 4 the runs cross the wrap and hold gap
+/// ranks. Each item of a run is one dequeue in the history, stamped with
+/// the call's interval, so the linearizability check stays on.
+program_config bulk_shape(int producers, int consumers, int items) {
+  program_config cfg = shape(producers, consumers, items);
+  cfg.dequeue_batch = 2;
+  return cfg;
+}
+
 program_config fabric_shape() {
   program_config cfg = shape(2, 2, 4);  // one shard per producer
   cfg.dequeue_batch = 2;  // exercise the scheduler's bulk drain
@@ -86,6 +96,10 @@ const queue_target kQueues[] = {
     {"spsc", shape(1, 1, 6), run_queue<ffq::core::spsc_queue<long long>>},
     {"spmc", shape(1, 2, 6), run_queue<ffq::core::spmc_queue<long long>>},
     {"mpmc", shape(2, 2, 4), run_queue<ffq::core::mpmc_queue<long long>>},
+    {"spmc_bulk", bulk_shape(1, 2, 6),
+     run_queue<ffq::core::spmc_queue<long long>>},
+    {"mpmc_bulk", bulk_shape(2, 2, 4),
+     run_queue<ffq::core::mpmc_queue<long long>>},
     {"waitable", shape(1, 1, 6),
      run_queue<ffq::core::waitable_spsc_queue<long long>>},
     {"shard", fabric_shape(), run_queue<ffq::shard::fabric<long long, false>>},
