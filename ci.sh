@@ -31,12 +31,13 @@
 #            bound is inconclusive and fails the leg), plus a seeded
 #            MPMC model fuzz, a seeded schedule fuzz of every real queue
 #            (both fabric modes included via --queue all), and a
-#            mutation-catch gate: five injected bugs (the line-29 re-check
-#            dropped, the tail stored only after a batch that waits on a
-#            full ring, the FAA try_ claim, and Algorithm 2's claim that
-#            publishes without the -2 reservation or ignores the gap) must
-#            each be caught with a schedule string that replays to the
-#            same violation;
+#            mutation-catch gate: seven injected bugs (the line-29
+#            re-check dropped, the tail stored only after a batch that
+#            waits on a full ring, the FAA try_ claim, a tail snapshot
+#            stored one rank ahead, "empty" decided on a stale snapshot,
+#            and Algorithm 2's claim that publishes without the -2
+#            reservation or ignores the gap) must each be caught with a
+#            schedule string that replays to the same violation;
 #  ffqbench  the gating benchmark end to end: its fault-injection
 #            --selftest, then each of the four workloads for a short
 #            seeded run (--seed 1 --seconds 2 --trace 0). Every run checks
@@ -197,6 +198,8 @@ leg_check() {
   catch_mutation spmc skip_line29_recheck
   catch_mutation spmc_bulk tail_after_batch
   catch_mutation spmc_try faa_try_claim
+  catch_mutation spmc_try snapshot_ahead
+  catch_mutation spmc_try stale_empty
   catch_mutation mpmc claim_publishes_directly
   catch_mutation mpmc claim_ignores_gap
 }

@@ -21,10 +21,16 @@
 //    cell that holds an item of its own batch. Otherwise try_ consumers
 //    see an empty ring that never drains, and the producer waits forever;
 //  * bounded try_ claims — try_dequeue / try_dequeue_bulk claim a run by
-//    CAS of `head` from the observed h to h + k with k ≤ t − h, so a try_
-//    claim never passes the tail it observed and never waits on a rank an
-//    idle producer will not write. Blocking claims keep the bare
-//    fetch-and-add: they are allowed to wait.
+//    CAS of `head` from the observed h to h + k with k ≤ t − h, where t is
+//    a tail the producer has published, so a try_ claim never passes the
+//    published tail and never waits on a rank an idle producer will not
+//    write. Blocking claims keep the bare fetch-and-add: they are allowed
+//    to wait.
+//
+// Run and try_ claims read t from `tail_seen`, a snapshot of the tail on
+// the consumers' own head line, and load the producer's `tail` only when
+// the snapshot does not cover a full run — so the producer's tail line
+// stays in its cache (MCRingBuffer's cached control variables).
 #pragma once
 
 #include <algorithm>
@@ -111,10 +117,20 @@ using spmc_cell = cell<spmc_cell_fields, T, CacheAligned>;
 template <typename T, bool CacheAligned>
 using mpmc_cell = cell<mpmc_cell_fields, T, CacheAligned>;
 
+/// The consumers' line of a multi-consumer ring: the ticket `head` they
+/// all claim from — this object itself, so it reads as a bare atomic —
+/// and `tail_seen`, a tail value some consumer loaded and shared. The
+/// snapshot is only ever a tail the producer has published, never ahead
+/// of it, so every rank below it is decided (DESIGN.md §5.8).
+struct consumer_line : std::atomic<std::int64_t> {
+  using std::atomic<std::int64_t>::atomic;
+  std::atomic<std::int64_t> tail_seen{0};
+};
+
 /// The members every FFQ ring holds — in the order the layout mirrors in
 /// the tests pin — and everything that does not depend on how many
-/// producers or consumers share it. `Head` is std::atomic<std::int64_t>
-/// for multi-consumer rings and a plain consumer-private std::int64_t
+/// producers or consumers share it. `Head` is the consumer_line of
+/// multi-consumer rings and a plain consumer-private std::int64_t
 /// for the SPSC ring.
 template <typename T, template <typename> class Fields, typename Layout,
           typename Head, typename Telemetry, typename Trace>
@@ -286,7 +302,7 @@ class ring {
   // In the single-producer rings tail is logically producer-private; it
   // is atomic because try_ consumers, close() and probes read it.
   ffq::runtime::padded<std::atomic<std::int64_t>> tail_{0};
-  ffq::runtime::padded<Head> head_{0};
+  ffq::runtime::padded<Head> head_{0};  // tail_seen sits in its padding
   std::atomic<std::int64_t> closed_tail_{-1};
   // Empty under the disabled policies, so sizeof matches the
   // uninstrumented layout (mirror static_asserts in tests/test_telemetry,
@@ -300,10 +316,9 @@ class ring {
 /// ticket `head` (FFQ^s, FFQ^m): the consumer half of Algorithm 1.
 template <typename T, template <typename> class Fields, typename Layout,
           typename Telemetry, typename Trace>
-class mc_ring : public ring<T, Fields, Layout, std::atomic<std::int64_t>,
-                            Telemetry, Trace> {
-  using base =
-      ring<T, Fields, Layout, std::atomic<std::int64_t>, Telemetry, Trace>;
+class mc_ring
+    : public ring<T, Fields, Layout, consumer_line, Telemetry, Trace> {
+  using base = ring<T, Fields, Layout, consumer_line, Telemetry, Trace>;
 
  public:
   /// Dequeue one item (any number of consumer threads). Blocks (spinning
@@ -317,7 +332,7 @@ class mc_ring : public ring<T, Fields, Layout, std::atomic<std::int64_t>,
   }
 
   /// Non-blocking bulk dequeue: up to `max_n` items, 0 immediately when
-  /// nothing is published. The claim never passes the observed tail, so
+  /// nothing is published. The claim never passes the published tail, so
   /// the call never waits on the producer for an empty ring (FFQ^m can
   /// still wait briefly on a producer's in-flight -2 reservation).
   template <typename OutIt>
@@ -343,6 +358,9 @@ class mc_ring : public ring<T, Fields, Layout, std::atomic<std::int64_t>,
   template <bool Try, typename OutIt>
   std::size_t bulk(OutIt out, std::size_t max_n) noexcept {
     if (max_n == 0) return 0;
+    // A count past INT64_MAX (SIZE_MAX: "take everything") would turn
+    // negative in the claim's signed rank arithmetic.
+    max_n = std::min<std::size_t>(max_n, INT64_MAX);
     const std::size_t n = claim<Try, true>(out, max_n);
     if (n > 0) this->tel_.on_bulk(n);
     return n;
@@ -351,7 +369,7 @@ class mc_ring : public ring<T, Fields, Layout, std::atomic<std::int64_t>,
   /// The one multi-consumer claim loop. Claims a run of up to `max_n`
   /// ranks and resolves each against its cell, writing taken items to
   /// `out`. Try claims return 0 when nothing is published and are
-  /// CAS-bounded by the observed tail; blocking claims fetch-and-add and
+  /// CAS-bounded by a published tail; blocking claims fetch-and-add and
   /// return 0 only once closed and drained. `Bulk` marks the entry points
   /// that may claim a run (k > 1): only they carry the run's prefetches,
   /// so the scalar instantiations compile exactly as without them.
@@ -366,19 +384,41 @@ class mc_ring : public ring<T, Fields, Layout, std::atomic<std::int64_t>,
         // no index loads.
         first = this->head_->fetch_add(1, std::memory_order_relaxed);
       } else {
-        const std::int64_t t = this->tail_->load(std::memory_order_acquire);
-        std::int64_t h = this->head_->load(std::memory_order_relaxed);
+        std::int64_t h;
+        std::int64_t t;
+        if constexpr (Try || Bulk) {
+          h = this->head_->load(std::memory_order_relaxed);
+          t = this->head_->tail_seen.load(std::memory_order_acquire);
+          if (t - h < static_cast<std::int64_t>(max_n)) {
+            // The snapshot does not cover a full run, or shows nothing
+            // published: load the producer's tail and share what it says.
+            // So k is what a fresh tail allows, and "empty" (t <= h) is
+            // always decided on a fresh tail.
+            const std::int64_t seen = t;
+            t = this->tail_->load(std::memory_order_acquire);
+            FFQ_CHECK_YIELD();  // window: a racing refresh may store first
+            if (t != seen) {
+              this->head_->tail_seen.store(t, std::memory_order_release);
+            }
+          }
+        } else {
+          // Unreached: dequeue() claims its one rank above. The blocking
+          // scalar instantiation keeps plain loads here rather than the
+          // snapshot, so its object code does not change with it.
+          t = this->tail_->load(std::memory_order_acquire);
+          h = this->head_->load(std::memory_order_relaxed);
+        }
         if (Try && t <= h) return 0;  // nothing published: claim no rank
-        // Every rank below t is decided (item or gap), so a run bounded
-        // by t never waits on an empty ring. A blocking claim on an
-        // empty ring takes one rank and waits on it.
+        // Every rank below a published tail is decided (item or gap), so
+        // a run bounded by t never waits on an empty ring. A blocking
+        // claim on an empty ring takes one rank and waits on it.
         k = std::max<std::int64_t>(
             1, std::min<std::int64_t>(static_cast<std::int64_t>(max_n), t - h));
         FFQ_CHECK_YIELD();  // window: a racing consumer may move head here
         if constexpr (Try) {
           // CAS, not FAA: a racing claim makes this one fail and re-read
-          // the tail, instead of landing past it on ranks an idle
-          // producer never writes.
+          // the indices, instead of landing past the tail on ranks an
+          // idle producer never writes.
           if (!this->head_->compare_exchange_strong(
                   h, h + k, std::memory_order_relaxed)) {
             continue;

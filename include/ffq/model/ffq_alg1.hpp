@@ -8,8 +8,9 @@
 // Like core/ring.hpp, the model writes the cell protocol once per side:
 // `cell_writer` holds the producer's per-cell steps and `rank_resolver`
 // the consumer's resolution of a claimed run, with the per-producer FIFO
-// monitor. Each machine adds only what differs: which tail its cell steps
-// advance, and how it claims ranks.
+// monitor; `claim_indices` holds the index loads that open every run and
+// try_ claim. Each machine adds only what differs: which tail its cell
+// steps advance, and how it claims ranks.
 //
 // Mutations (each reverts a detail the paper argues is necessary; tests
 // prove the checker flags the resulting bug):
@@ -28,6 +29,12 @@
 //     with a fetch-and-add sized from a stale head instead of a CAS, so a
 //     racing claim pushes it past the tail, onto ranks an idle producer
 //     never writes (world::record_try_wait).
+//   * consumer_mutation::snapshot_ahead — a refresh of the tail snapshot
+//     stores tail + 1, a rank the producer has not published; a later
+//     claim sized by the snapshot waits on it (world::record_try_wait).
+//   * consumer_mutation::stale_empty — "nothing published" is decided on
+//     the snapshot without loading the tail, so a try_ consumer reports
+//     an empty ring while items wait below the tail; they stay unconsumed.
 #pragma once
 
 #include <algorithm>
@@ -39,7 +46,13 @@
 namespace ffq::model {
 
 enum class producer_mutation { none, publish_before_data, tail_after_batch };
-enum class consumer_mutation { none, skip_line29_recheck, faa_try_claim };
+enum class consumer_mutation {
+  none,
+  skip_line29_recheck,
+  faa_try_claim,
+  snapshot_ahead,
+  stale_empty
+};
 
 /// Algorithm 1's per-cell enqueue steps, written once for both producer
 /// machines: load the rank at the tail; on a free cell store the data,
@@ -211,6 +224,72 @@ class rank_resolver {
   std::vector<int> last_from_;  ///< last value taken per producer
 };
 
+/// The index loads that open every run and try_ claim, written once for
+/// every claiming machine with the shipped loop's access sequence
+/// (core/ring.hpp's claim): load head, load the shard's tail snapshot
+/// and — only when the snapshot does not cover a run of `want` ranks
+/// (tail_seen − h < want, which includes "nothing published") — load the
+/// tail and store it into the snapshot if it differs. One shared access
+/// per step; step() returns ready on the last one, with h() and t() the
+/// pair the machine's claim RMW is sized by.
+class claim_indices {
+ public:
+  enum class result { working, ready };
+
+  /// True before the head load: no access of this claim made yet.
+  bool starting() const { return pc_ == pc::load_head; }
+  int h() const { return h_; }
+  int t() const { return t_; }
+
+  result step(world& w, int shard, int want, consumer_mutation mut) {
+    const auto s = static_cast<std::size_t>(shard);
+    switch (pc_) {
+      case pc::load_head:
+        h_ = w.heads_[s];  // one load
+        pc_ = pc::load_snapshot;
+        return result::working;
+      case pc::load_snapshot:
+        t_ = w.tail_seen_[s];  // one load (acquire)
+        seen_ = t_;
+        // MUTATION stale_empty: an empty-looking snapshot is believed.
+        if (t_ - h_ >= want ||
+            (mut == consumer_mutation::stale_empty && t_ <= h_)) {
+          break;
+        }
+        pc_ = pc::load_tail;
+        return result::working;
+      case pc::load_tail:
+        t_ = w.tails_[s];  // one load (acquire)
+        if (t_ == seen_) break;
+        pc_ = pc::store_snapshot;
+        return result::working;
+      case pc::store_snapshot:
+        // One store (release). MUTATION snapshot_ahead: one rank past the
+        // tail the refresh loaded.
+        w.tail_seen_[s] =
+            mut == consumer_mutation::snapshot_ahead ? t_ + 1 : t_;
+        break;
+    }
+    pc_ = pc::load_head;
+    return result::ready;
+  }
+
+  void encode(std::vector<int>& out) const {
+    out.push_back(static_cast<int>(pc_));
+    out.push_back(h_);
+    out.push_back(t_);
+    out.push_back(seen_);
+  }
+
+ private:
+  enum class pc { load_head, load_snapshot, load_tail, store_snapshot };
+
+  pc pc_ = pc::load_head;
+  int h_ = 0;
+  int t_ = 0;
+  int seen_ = 0;  ///< the snapshot this claim loaded
+};
+
 /// Single producer of Algorithm 1 driving `shard` (0 for a plain ring):
 /// enqueues values first..first+count-1, one enqueue call per item. Its
 /// cell steps advance the world's shard tail directly: consumers of the
@@ -368,7 +447,7 @@ class alg1_consumer : public thread_m {
 
 /// Consumer issuing dequeue_bulk(batch) with a fixed total quota. The
 /// claim is modelled with the implementation's exact access sequence —
-/// tail load, head load, then the head fetch-and-add — so the checker
+/// the claim_indices steps, then the head fetch-and-add — so the checker
 /// explores the stale-head race where another consumer advances the head
 /// between the load and the RMW. Ranks of the run that turn out to be
 /// gaps are dropped in place (no fresh fetch-and-add), which is the
@@ -387,33 +466,23 @@ class alg1_bulk_consumer : public thread_m {
       if (run_.step(w, mut_) == rank_resolver::result::taken) ++taken_;
       return;
     }
-    switch (pc_) {
-      case pc::load_tail:
-        t_ = w.tails_[0];  // one load (acquire in the implementation)
-        pc_ = pc::load_head;
-        break;
-      case pc::load_head:
-        h0_ = w.heads_[0];  // one load; may be stale by claim time
-        pc_ = pc::claim;
-        break;
-      case pc::claim: {
-        const int avail = t_ - h0_;
-        const int k = avail > 1
-                          ? std::min({batch_, avail, quota_ - taken_})
-                          : 1;  // empty/near-empty: claim one and park
-        run_.begin(w.heads_[0], k);  // fetch-and-add: one RMW
-        w.heads_[0] += k;
-        pc_ = pc::load_tail;
-        break;
-      }
+    const int want = std::min(batch_, quota_ - taken_);
+    if (!observed_) {
+      observed_ = idx_.step(w, 0, want, mut_) == claim_indices::result::ready;
+      return;
     }
+    const int avail = idx_.t() - idx_.h();
+    const int k = avail > 1 ? std::min(want, avail)
+                            : 1;  // empty/near-empty: claim one and park
+    run_.begin(w.heads_[0], k);  // fetch-and-add: one RMW
+    w.heads_[0] += k;
+    observed_ = false;
   }
 
   void encode(std::vector<int>& out) const override {
-    out.push_back(static_cast<int>(pc_));
-    out.push_back(t_);
-    out.push_back(h0_);
+    out.push_back(observed_ ? 1 : 0);
     out.push_back(taken_);
+    idx_.encode(out);
     run_.encode(out);
   }
 
@@ -424,27 +493,24 @@ class alg1_bulk_consumer : public thread_m {
   int taken() const { return taken_; }
 
  private:
-  enum class pc { load_tail, load_head, claim };
-
-  pc pc_ = pc::load_tail;
-  int t_ = 0;
-  int h0_ = 0;
+  bool observed_ = false;  ///< indices observed: the RMW is next
   int taken_ = 0;
   int quota_;
   int batch_;
   consumer_mutation mut_;
+  claim_indices idx_;
   rank_resolver run_;
 };
 
 /// Consumer polling try_dequeue_bulk(batch) until the producers are idle
 /// and the ring is empty. Same access sequence as the implementation's
-/// claim loop (core/ring.hpp): tail load, head load, then a CAS of head
-/// from the observed h to h + k with k = min(batch, t - h) — a failed CAS
-/// re-reads both. Nothing published (t <= h) claims no rank. A wait on an
-/// undecided rank of the run feeds the idle-producer oracle
-/// (world::record_try_wait). consumer_mutation::faa_try_claim replaces
-/// the CAS with the old fetch-and-add of k, which a racing claim can push
-/// past the tail.
+/// claim loop (core/ring.hpp): the claim_indices steps, then a CAS of
+/// head from the observed h to h + k with k = min(batch, t - h) — a
+/// failed CAS re-reads the indices. Nothing published (t <= h) claims no
+/// rank. A wait on an undecided rank of the run feeds the idle-producer
+/// oracle (world::record_try_wait). consumer_mutation::faa_try_claim
+/// replaces the CAS with the old fetch-and-add of k, which a racing claim
+/// can push past the tail.
 class alg1_try_consumer : public thread_m {
  public:
   explicit alg1_try_consumer(int batch,
@@ -461,30 +527,29 @@ class alg1_try_consumer : public thread_m {
       return;
     }
     switch (pc_) {
-      case pc::load_tail:
-        // The harness's close: producers idle before this tail load means
-        // t_ is the final tail. (A monitor read, not a memory access.)
-        idle_ = w.producers_idle();
-        t_ = w.tails_[0];  // one load
-        pc_ = pc::load_head;
-        break;
-      case pc::load_head:
-        h0_ = w.heads_[0];  // one load
-        if (t_ > h0_) {
+      case pc::indices:
+        // The harness's close: producers idle before the head load means
+        // any tail this claim loads is the final tail. (A monitor read,
+        // not a memory access.)
+        if (idx_.starting()) idle_ = w.producers_idle();
+        if (idx_.step(w, 0, batch_, mut_) != claim_indices::result::ready) {
+          break;
+        }
+        if (idx_.t() > idx_.h()) {
           pc_ = pc::claim;
-        } else {
-          pc_ = idle_ ? pc::finished : pc::load_tail;  // try_ returned 0
+        } else if (idle_) {
+          pc_ = pc::finished;  // try_ returned 0 on a finished producer
         }
         break;
       case pc::claim: {
         int& head = w.heads_[0];
-        pc_ = pc::load_tail;
-        if (mut_ != consumer_mutation::faa_try_claim && head != h0_) {
-          break;  // CAS failed: re-read tail and head
+        pc_ = pc::indices;
+        if (mut_ != consumer_mutation::faa_try_claim && head != idx_.h()) {
+          break;  // CAS failed: re-read the indices
         }
-        // CAS h0 -> h0 + k succeeded (MUTATION: fetch-and-add from a
-        // stale size): one RMW.
-        const int k = std::min(batch_, t_ - h0_);
+        // CAS h -> h + k succeeded (MUTATION: fetch-and-add from a stale
+        // size): one RMW.
+        const int k = std::min(batch_, idx_.t() - idx_.h());
         run_.begin(head, k);
         head += k;
         break;
@@ -497,8 +562,7 @@ class alg1_try_consumer : public thread_m {
   void encode(std::vector<int>& out) const override {
     out.push_back(static_cast<int>(pc_));
     out.push_back(idle_ ? 1 : 0);
-    out.push_back(t_);
-    out.push_back(h0_);
+    idx_.encode(out);
     run_.encode(out);
   }
 
@@ -507,14 +571,13 @@ class alg1_try_consumer : public thread_m {
   }
 
  private:
-  enum class pc { load_tail, load_head, claim, finished };
+  enum class pc { indices, claim, finished };
 
-  pc pc_ = pc::load_tail;
+  pc pc_ = pc::indices;
   bool idle_ = false;
-  int t_ = 0;
-  int h0_ = 0;
   int batch_;
   consumer_mutation mut_;
+  claim_indices idx_;
   rank_resolver run_;
 };
 

@@ -17,13 +17,17 @@
 //     is coarsened to a single step per probed shard — the probe is
 //     read-only and its only role is steering, so splitting it doubles
 //     scan states without exposing new protocol behaviour;
-//   * the claim is one RMW bounded by the head it observes
-//     (k = min(batch, tail_seen - head_now)) — one of the outcomes of the
-//     implementation's CAS loop (core/ring.hpp), which re-reads the
-//     indices after a lost race; either way a claim never passes a tail
-//     it observed. The stale-head pre-check race (another consumer
-//     draining the shard between the emptiness check and the claim) is
-//     still fully explored.
+//   * each visit and steal opens with the claim_indices steps of the
+//     shard's try_dequeue_bulk (head load, tail snapshot load, and the
+//     tail load and snapshot store when a refresh is due), each its own
+//     step;
+//   * the claim is one RMW bounded by the head it finds
+//     (k = min(batch, t - head_now) for the observed tail t) — one of the
+//     outcomes of the implementation's CAS loop (core/ring.hpp), which
+//     re-reads the indices after a lost race; either way a claim never
+//     passes a published tail. The stale-head pre-check race (another
+//     consumer draining the shard between the emptiness check and the
+//     claim) is still fully explored.
 //
 // Mutations: the machines accept the alg1 mutations
 // (producer_mutation::publish_before_data,
@@ -74,15 +78,11 @@ class shard_consumer : public thread_m {
       return;
     }
     switch (pc_) {
-      case pc::visit_load_tail:
-        active_ = cursor_;
-        t_ = w.tails_[static_cast<std::size_t>(active_)];  // one load
-        pc_ = pc::visit_load_head;
-        break;
-      case pc::visit_load_head:
-        h0_ = w.heads_[static_cast<std::size_t>(active_)];  // one load
+      case pc::visit:
+        if (idx_.starting()) active_ = cursor_;
+        if (!observe(w)) break;
         // Non-committal: nothing published at probe time claims no rank.
-        pc_ = t_ - h0_ <= 0 ? pc::scan_begin : pc::claim;
+        pc_ = idx_.t() - idx_.h() <= 0 ? pc::scan_begin : pc::claim;
         break;
       case pc::claim:
         // A racing consumer may have drained the shard after our
@@ -95,7 +95,7 @@ class shard_consumer : public thread_m {
         scan_i_ = 1;
         best_ = -1;
         best_sz_ = 0;
-        pc_ = nshards > 1 ? pc::scan_probe : pc::visit_load_tail;
+        pc_ = nshards > 1 ? pc::scan_probe : pc::visit;
         if (nshards <= 1) cursor_ = 0;
         break;
       case pc::scan_probe: {
@@ -110,17 +110,16 @@ class shard_consumer : public thread_m {
         ++scan_i_;
         if (scan_i_ < nshards) break;
         if (best_sz_ > 0) {
-          pc_ = pc::steal_load_tail;
+          pc_ = pc::steal;
         } else {
           cursor_ = (cursor_ + 1) % nshards;  // empty sweep: move on
-          pc_ = pc::visit_load_tail;
+          pc_ = pc::visit;
         }
         break;
       }
-      case pc::steal_load_tail:
-        active_ = best_;
-        t_ = w.tails_[static_cast<std::size_t>(active_)];  // one load
-        pc_ = pc::steal_claim;
+      case pc::steal:
+        if (idx_.starting()) active_ = best_;
+        if (observe(w)) pc_ = pc::steal_claim;
         break;
       case pc::steal_claim:
         // The target may have drained since the size probe (stale-steal
@@ -129,7 +128,7 @@ class shard_consumer : public thread_m {
           cursor_ = active_;  // keep draining the stolen shard next visit
         } else {
           cursor_ = (cursor_ + 1) % nshards;
-          pc_ = pc::visit_load_tail;
+          pc_ = pc::visit;
         }
         break;
     }
@@ -139,13 +138,12 @@ class shard_consumer : public thread_m {
     out.push_back(static_cast<int>(pc_));
     out.push_back(cursor_);
     out.push_back(active_);
-    out.push_back(t_);
-    out.push_back(h0_);
     out.push_back(taken_);
     out.push_back(claimed_);
     out.push_back(scan_i_);
     out.push_back(best_);
     out.push_back(best_sz_);
+    idx_.encode(out);
     run_.encode(out);
   }
 
@@ -156,34 +154,32 @@ class shard_consumer : public thread_m {
   int taken() const { return taken_; }
 
  private:
-  enum class pc {
-    visit_load_tail,
-    visit_load_head,
-    claim,
-    scan_begin,
-    scan_probe,
-    steal_load_tail,
-    steal_claim
-  };
+  enum class pc { visit, claim, scan_begin, scan_probe, steal, steal_claim };
+
+  /// One claim_indices step on the active shard; true once the indices
+  /// are observed.
+  bool observe(world& w) {
+    return idx_.step(w, active_, std::min(batch_, quota_ - taken_), mut_) ==
+           claim_indices::result::ready;
+  }
 
   /// Tail-bounded claim on the active shard's head: one RMW (see header).
-  /// False, claiming nothing, when the shard holds no rank below t_.
+  /// False, claiming nothing, when the shard holds no rank below the
+  /// observed tail.
   bool claim_run(world& w) {
     int& head = w.heads_[static_cast<std::size_t>(active_)];
-    const int avail = t_ - head;
+    const int avail = idx_.t() - head;
     if (avail <= 0) return false;
     claimed_ = std::min({batch_, avail, quota_ - taken_});
     run_.begin(world::rank_of(active_, head), claimed_);
     head += claimed_;
-    pc_ = pc::visit_load_tail;
+    pc_ = pc::visit;
     return true;
   }
 
-  pc pc_ = pc::visit_load_tail;
+  pc pc_ = pc::visit;
   int cursor_;
   int active_ = 0;
-  int t_ = 0;
-  int h0_ = 0;
   int taken_ = 0;
   int claimed_ = 0;
   int scan_i_ = 0;
@@ -192,6 +188,7 @@ class shard_consumer : public thread_m {
   int quota_;
   int batch_;
   consumer_mutation mut_;
+  claim_indices idx_;
   rank_resolver run_;
 };
 

@@ -69,6 +69,7 @@ class world {
         shard_cells_(shard_cells),
         heads_(shards, 0),
         tails_(shards, 0),
+        tail_seen_(shards, 0),
         consumed_count_(static_cast<std::size_t>(num_values) + 1, 0) {}
 
   world(const world& o)
@@ -76,6 +77,7 @@ class world {
         shard_cells_(o.shard_cells_),
         heads_(o.heads_),
         tails_(o.tails_),
+        tail_seen_(o.tail_seen_),
         producer_ranges_(o.producer_ranges_),
         consumed_count_(o.consumed_count_),
         violation_(o.violation_),
@@ -102,6 +104,9 @@ class world {
   std::size_t shard_cells_;
   std::vector<int> heads_;  ///< local (un-namespaced) per-shard heads
   std::vector<int> tails_;  ///< local per-shard tails; shared in the MPMC model
+  /// Per-shard copy of a tail some consumer loaded: the snapshot that run
+  /// and try_ claims read on the consumers' head line (core/ring.hpp).
+  std::vector<int> tail_seen_;
 
   static int rank_of(int shard, int local) {
     return shard * kShardRankStride + local;
@@ -289,6 +294,7 @@ class world {
     }
     v.insert(v.end(), heads_.begin(), heads_.end());
     v.insert(v.end(), tails_.begin(), tails_.end());
+    v.insert(v.end(), tail_seen_.begin(), tail_seen_.end());
     for (const auto& t : threads_) t->encode(v);
     return std::string(reinterpret_cast<const char*>(v.data()),
                        v.size() * sizeof(int));

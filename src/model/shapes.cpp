@@ -24,6 +24,8 @@ const std::pair<const char*, mutations> kMutations[] = {
     {"tail_after_batch", {.p = producer_mutation::tail_after_batch}},
     {"skip_line29_recheck", {.c = consumer_mutation::skip_line29_recheck}},
     {"faa_try_claim", {.c = consumer_mutation::faa_try_claim}},
+    {"snapshot_ahead", {.c = consumer_mutation::snapshot_ahead}},
+    {"stale_empty", {.c = consumer_mutation::stale_empty}},
     {"claim_publishes_directly", {.m = alg2_mutation::claim_publishes_directly}},
     {"gap_ignores_rank", {.m = alg2_mutation::gap_ignores_rank}},
     {"claim_ignores_gap", {.m = alg2_mutation::claim_ignores_gap}},

@@ -327,6 +327,22 @@ TEST(CheckExplore, FaaTryClaimIsCaught) {
                              "idle-producer");
 }
 
+// Defect: a refresh of the shared tail snapshot stores one rank past the
+// tail it loaded, so a later claim sized by the snapshot waits on a rank
+// the idle producer never writes.
+TEST(CheckExplore, SnapshotAheadOfTheTailIsCaught) {
+  expect_caught_and_replayed(model::make_shape("spmc_try", "snapshot_ahead"),
+                             "idle-producer");
+}
+
+// Defect: "nothing published" is decided on the snapshot without loading
+// the tail, so try_ consumers report an empty ring for good and the
+// items stay unconsumed.
+TEST(CheckExplore, EmptyDecidedOnAStaleSnapshotIsCaught) {
+  expect_caught_and_replayed(model::make_shape("spmc_try", "stale_empty"),
+                             "consumed 0 times");
+}
+
 TEST(CheckExplore, CleanMpmcModelPassesExhaustiveBound2) {
   const auto r = chk::dfs_explore(model::make_shape("mpmc"), {});
   EXPECT_TRUE(r.ok) << r.violation;

@@ -166,8 +166,8 @@ TEST(ModelAlg1Bulk, BulkProducerWithBulkConsumerVerifies) {
   const auto r =
       explore_all(make_alg1_bulk(2, 3, /*pbatch=*/2, /*cbatch=*/2, {3}));
   EXPECT_TRUE(r.ok) << r.violation;
-  EXPECT_EQ(r.states, 937u);
-  EXPECT_EQ(r.terminals, 9u);
+  EXPECT_EQ(r.states, 1168u);
+  EXPECT_EQ(r.terminals, 15u);
   EXPECT_TRUE(r.exhausted);
 }
 
@@ -178,8 +178,8 @@ TEST(ModelAlg1Bulk, TwoBulkConsumersVerify) {
   const auto r =
       explore_all(make_alg1_bulk(2, 3, /*pbatch=*/2, /*cbatch=*/2, {2, 1}));
   EXPECT_TRUE(r.ok) << r.violation;
-  EXPECT_EQ(r.states, 30924u);
-  EXPECT_EQ(r.terminals, 117u);
+  EXPECT_EQ(r.states, 54761u);
+  EXPECT_EQ(r.terminals, 248u);
   EXPECT_TRUE(r.exhausted);
 }
 

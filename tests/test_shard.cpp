@@ -21,6 +21,7 @@
 
 #include "ffq/telemetry/counters.hpp"
 #include "ffq/trace/policy.hpp"
+#include "tail_snapshot.hpp"
 
 namespace sh = ffq::shard;
 namespace rt = ffq::runtime;
@@ -238,6 +239,18 @@ TEST(ShardFabric, BulkEnqueueAndBulkDequeueAgree) {
   ct.join();
   expect_conservation(streams, kProducers, kItems);
   expect_per_producer_fifo(streams[0]);
+}
+
+// The scheduler's quota-capped visit is the shard's try_dequeue_bulk, so
+// the tail snapshot's refresh rules hold through a consumer handle.
+TEST(ShardFabric, TailSnapshotRefreshRulesThroughTheScheduler) {
+  fab_plain fab(1, 256);
+  auto p = fab.producer(0);
+  auto c = fab.consumer();
+  ffq_test::expect_tail_snapshot_rules<long long>(
+      [&](long long v) { p.enqueue(v); },
+      [&](long long* out, std::size_t n) { return c.try_dequeue_bulk(out, n); },
+      [&](long long& v) { return c.try_dequeue(v); });
 }
 
 // The scheduler's telemetry: draining through the cursor counts drains

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "sweep_drain.hpp"
+#include "tail_snapshot.hpp"
 
 using ffq::core::layout_aligned;
 using ffq::core::spmc_queue;
@@ -288,6 +290,27 @@ TEST(SpmcQueueBulk, TryDequeueBulkIsNonCommittal) {
   EXPECT_EQ(out[0], 6u);
   q.close();
   EXPECT_EQ(q.try_dequeue_bulk(out, 8), 0u);
+}
+
+// SIZE_MAX means "take everything": the count must not turn negative in
+// the claim's signed arithmetic (it used to claim a single rank).
+TEST(SpmcQueueBulk, SizeMaxDrainsEverythingInOneCall) {
+  spmc_queue<int> q(128);  // room for all 80, so a short drain fails, not stalls
+  for (int i = 0; i < 40; ++i) q.enqueue(i);
+  std::vector<int> got;
+  EXPECT_EQ(q.try_dequeue_bulk(std::back_inserter(got), SIZE_MAX), 40u);
+  for (int i = 40; i < 80; ++i) q.enqueue(i);
+  EXPECT_EQ(q.dequeue_bulk(std::back_inserter(got), SIZE_MAX), 40u);
+  ASSERT_EQ(got.size(), 80u);
+  for (int i = 0; i < 80; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)], i);
+}
+
+TEST(SpmcQueueBulk, TailSnapshotRefreshRules) {
+  spmc_queue<int> q(256);
+  ffq_test::expect_tail_snapshot_rules<int>(
+      [&](int v) { q.enqueue(v); },
+      [&](int* out, std::size_t n) { return q.try_dequeue_bulk(out, n); },
+      [&](int& v) { return q.try_dequeue(v); });
 }
 
 TEST(SpmcQueueBulk, BulkRoundTripKeepsFifo) {
