@@ -15,6 +15,10 @@
 // is a thin wrapper over one FFQ^s, so it bounds the scheduler's
 // overhead; the ordered line prices the epoch stamp + k-way merge.
 //
+// Producers enqueue one item at a time, so every unordered cell carries
+// a run of one. The ffq-shard-bulk16 rows feed the same fabric with
+// enqueue_bulk bursts of 16, which pack into full runs (DESIGN.md §11).
+//
 // Output: standard table/CSV plus the JSON report (--json).
 // BENCH_shard_scaling.json is one such report, kept as a historical
 // record from another machine; nothing compares against it.
@@ -36,19 +40,23 @@ namespace {
 
 constexpr std::size_t kConsumers = 2;
 constexpr std::size_t kBatch = 64;
+constexpr std::size_t kBulkEnqueue = 16;
 constexpr std::size_t kCapacity = 1 << 16;
 
-/// Producers enqueue one item at a time, consumers drain through
-/// dequeue_bulk. ffq-mpmc shares one ring (and its DWCAS tail); the
-/// fabric gives each producer a shard of capacity / producers cells, and
-/// each producer flow-controls against its own shard.
+/// Producers enqueue `enqueue_batch` items per call (1: scalar enqueue),
+/// consumers drain through dequeue_bulk. ffq-mpmc shares one ring (and
+/// its DWCAS tail); the fabric gives each producer a shard of capacity /
+/// producers cells, and each producer flow-controls against its own
+/// shard.
 template <typename Queue>
-run_stats measure(int runs, std::size_t producers, std::uint64_t items) {
+run_stats measure(int runs, std::size_t producers, std::uint64_t items,
+                  std::size_t enqueue_batch = 1) {
   const std::size_t capacity =
       has_endpoints<Queue> ? std::max<std::size_t>(kCapacity / producers, 1024)
                            : kCapacity;
   return sample(runs, [&] {
-    return run_stream<Queue>(producers, kConsumers, 1, kBatch, items, capacity);
+    return run_stream<Queue>(producers, kConsumers, enqueue_batch, kBatch,
+                             items, capacity);
   });
 }
 
@@ -78,6 +86,9 @@ int run(const bench_cli& cli) {
         measure<shard::fabric<std::uint64_t, false>>(cli.runs, producers,
                                                     items);
     add_row(t, "ffq-shard", producers, fabric);
+    add_row(t, "ffq-shard-bulk16", producers,
+            measure<shard::fabric<std::uint64_t, false>>(
+                cli.runs, producers, items, kBulkEnqueue));
     add_row(t, "ffq-shard-ordered", producers,
             measure<shard::fabric<std::uint64_t, true>>(
                 cli.runs, producers, items));
@@ -90,9 +101,10 @@ int run(const bench_cli& cli) {
       ratios +
           "\nexpectation: ffq-shard >= ffq-mpmc at 4+ producers (each "
           "enqueue is the wait-free Algorithm-1 path on a private ring "
-          "instead of a contended DWCAS); ffq-shard-ordered trails "
-          "unordered by the epoch fetch-add plus the k-way merge's "
-          "per-item shard probe.\n");
+          "instead of a contended DWCAS); ffq-shard-bulk16 beats "
+          "ffq-shard (bursts of 16 pack into runs of five items per "
+          "cell); ffq-shard-ordered trails unordered by the epoch "
+          "fetch-add plus the k-way merge's per-item shard probe.\n");
 }
 
 }  // namespace

@@ -12,21 +12,32 @@
 //   * producer p owns shard p, a plain FFQ^s (spmc_queue): enqueue is the
 //     paper's wait-free Algorithm 1 path — no DWCAS, no producer-producer
 //     cache-line contention, no -2 reservation a consumer can park behind;
+//   * unordered mode packs items into *runs*: one cell carries a count and
+//     up to kRunWidth items of one producer (five 8-byte items, so an
+//     aligned cell is still one 64-byte line). A bulk enqueue of n items
+//     publishes ceil(n / kRunWidth) cells, a scalar enqueue a run of one;
 //   * consumers run a shard scheduler: round-robin over shards with a
 //     per-visit drain quota, draining through the bulk dequeue path (one
-//     head fetch-and-add claims a whole run), plus a steal pass — when
+//     head CAS claims a whole run of cells), plus a steal pass — when
 //     the cursor's shard runs dry the consumer jumps to the busiest shard
-//     (by approx_size) instead of blindly walking the ring;
+//     (by approx_size) instead of blindly walking the ring. Items of the
+//     claimed cells that do not fit the caller's buffer stay in the
+//     handle's *hold*, and its next call returns them;
 //   * Ordered mode stamps every item with an epoch drawn from a shared
 //     relaxed counter (one fetch_add per enqueue — still far cheaper than
 //     FFQ^m's DWCAS claim protocol, and uncontended in the common case
 //     because it is the *only* shared producer-side line) and consumers
-//     merge shard streams by epoch through per-shard holding slots.
+//     merge shard streams by epoch through per-shard holding slots. It
+//     keeps one item per cell.
 //
 // Ordering contract:
 //   * per-producer FIFO holds in both modes for every consumer stream —
-//     each shard is FIFO per producer and the scheduler never reorders
-//     within a shard;
+//     each shard is FIFO per producer, the scheduler never reorders
+//     within a shard, and a handle's hold is served before it claims
+//     again. One exception: items a destroyed handle still held are
+//     handed back to the fabric and delivered by any handle's next call,
+//     so a handed-back item may follow a later item of the same producer
+//     in the stream that receives it;
 //   * unordered mode makes no cross-producer promise (like FFQ^m under
 //     concurrent producers, where arrival order is whatever the tail FAA
 //     says);
@@ -55,8 +66,11 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <iterator>
+#include <list>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <type_traits>
@@ -107,13 +121,181 @@ struct epoch_clock {
 
 struct no_epoch {};
 
+/// Bytes a run may take: with a cell's rank and gap words, one 64-byte
+/// line.
+inline constexpr std::size_t kRunBytes = 48;
+
+/// A run's storage: a count, then room for K items.
+template <typename T, std::size_t K>
+struct run_slots {
+  std::uint32_t count;
+  alignas(T) unsigned char items[K * sizeof(T)];
+};
+
+/// The largest K >= 1 whose run_slots fit kRunBytes.
+template <typename T, std::size_t... K>
+constexpr std::size_t widest_run(std::index_sequence<K...>) {
+  std::size_t width = 1;
+  ((width = sizeof(run_slots<T, K + 1>) <= kRunBytes ? K + 1 : width), ...);
+  return width;
+}
+
+template <typename T>
+inline constexpr std::size_t run_width =
+    widest_run<T>(std::make_index_sequence<kRunBytes>{});
+
+/// The `n` items a run is built from: the next `n` of the iterator at
+/// `it`, which the run's constructor advances past them.
+template <typename It>
+struct run_source {
+  It* it;
+  std::uint32_t n;
+};
+
+/// Unordered mode's cell payload: a count and up to kWidth items of one
+/// producer, in raw storage (T needs no default constructor). Built in
+/// its cell straight from the producer's items, so a run of one costs one
+/// item move; its destructor destroys its `count` items.
+template <typename T>
+class run : run_slots<T, run_width<T>> {
+ public:
+  static constexpr std::size_t kWidth = run_width<T>;
+
+  /// A run of one: what a scalar enqueue builds in its cell.
+  explicit run(T&& item) noexcept {
+    this->count = 1;
+    std::construct_at(data(), std::move(item));
+  }
+  template <typename It>
+  explicit run(run_source<It> src) noexcept {
+    this->count = src.n;
+    for (std::uint32_t i = 0; i < src.n; ++i, ++*src.it) {
+      std::construct_at(data() + i, std::move(**src.it));
+    }
+  }
+  run(run&& other) noexcept {
+    this->count = other.count;
+    for (std::uint32_t i = 0; i < this->count; ++i) {
+      std::construct_at(data() + i, std::move(other.data()[i]));
+    }
+  }
+  ~run() { std::destroy_n(data(), this->count); }
+
+  std::size_t size() const noexcept { return this->count; }
+  T* data() noexcept {
+    return std::launder(reinterpret_cast<T*>(this->items));
+  }
+};
+
+static_assert(run_width<std::uint64_t> == 5);
+static_assert(sizeof(ffq::core::detail::spmc_cell<run<std::uint64_t>, true>) ==
+                  ffq::runtime::kCacheLineSize,
+              "a run of five 8-byte items fills one aligned cell's line");
+
+/// Input iterator over a burst of `left` items from `it`, one run of up
+/// to Width items per step: what enqueue_bulk hands the shard, so each
+/// run is built in place in its cell. Dereference once per step (the
+/// shard's publish loop does): the run it builds advances `it`.
+template <typename It, std::size_t Width>
+struct packing_iterator {
+  It it;
+  std::size_t left;
+
+  run_source<It> operator*() noexcept {
+    return {&it, static_cast<std::uint32_t>(std::min(left, Width))};
+  }
+  packing_iterator& operator++() noexcept {
+    left -= std::min(left, Width);
+    return *this;
+  }
+};
+
+/// The unpacking state a claim shares with its caller, in the caller's
+/// frame. While `room` reads kAllSingles every claimed run held one item
+/// and went to the caller; the first longer run sets it to the room left
+/// in the caller's buffer, and `spill` is the hold's next free slot.
+template <typename OutIt, typename T>
+struct unpack_state {
+  static constexpr std::size_t kAllSingles =
+      std::numeric_limits<std::size_t>::max();
+  OutIt first;        ///< where the caller's iterator started
+  std::size_t max_n;  ///< the caller's buffer size
+  std::size_t room = kAllSingles;
+  T* spill;
+  /// Leading runs of one, counted only for iterators that cannot subtract.
+  std::size_t singles = 0;
+};
+
+/// Output iterator the shard's claim loop writes runs to: it unpacks each
+/// run into the caller's iterator while there is room and into the hold
+/// after that. A claim takes at most max_n cells, so while every run is a
+/// run of one (every run a scalar producer makes) the items fit without
+/// counting, and each is one move; only the caller's iterator lives in the
+/// claim loop's frame. Longer runs update the shared state.
+template <typename OutIt, typename T>
+struct unpacker {
+  using state = unpack_state<OutIt, T>;
+  static constexpr bool kCountSingles = !std::random_access_iterator<OutIt>;
+
+  OutIt out;
+  state* st;
+
+  unpacker& operator*() noexcept { return *this; }
+  unpacker& operator++() noexcept { return *this; }
+  unpacker& operator=(run<T>&& r) noexcept {
+    if (r.size() != 1 || st->room != state::kAllSingles) [[unlikely]] {
+      unpack(r);
+      return *this;
+    }
+    *out = std::move(*r.data());
+    ++out;
+    if constexpr (kCountSingles) ++st->singles;
+    return *this;
+  }
+
+ private:
+  void unpack(run<T>& r) noexcept {
+    if (st->room == state::kAllSingles) {
+      if constexpr (kCountSingles) {
+        st->room = st->max_n - st->singles;
+      } else {
+        st->room = st->max_n - static_cast<std::size_t>(out - st->first);
+      }
+    }
+    T* item = r.data();
+    std::size_t n = r.size();
+    std::size_t room = st->room;
+    for (; n != 0 && room != 0; --n, --room) {
+      *out = std::move(*item++);
+      ++out;
+    }
+    T* spill = st->spill;
+    for (; n != 0; --n) std::construct_at(spill++, std::move(*item++));
+    st->room = room;
+    st->spill = spill;
+  }
+};
+
+/// An unordered shard: an FFQ^s ring of runs.
+template <typename T, typename Layout, typename Telemetry, typename Trace>
+class run_shard
+    : public ffq::core::spmc_queue<run<T>, Layout, Telemetry, Trace> {
+ public:
+  using ffq::core::spmc_queue<run<T>, Layout, Telemetry, Trace>::spmc_queue;
+
+  /// Publish a run of one built in its cell from `item` (producer thread
+  /// only): the scalar enqueue, counted as one, not as a bulk call.
+  void enqueue_one(T& item) noexcept { this->publish(&item, 1); }
+};
+
 }  // namespace detail
 
 /// Scheduler knobs + advisory placement.
 struct options {
-  /// Max items a consumer takes from one shard per visit before the
+  /// Max cells a consumer claims from one shard per visit before the
   /// cursor is eligible to move (the scheduler's fairness/locality
-  /// trade-off; also the cap on a steal's bite).
+  /// trade-off; also the cap on a steal's bite). An unordered cell holds
+  /// a run of up to kRunWidth items; an ordered cell holds one item.
   std::size_t drain_quota = 64;
   /// Shard → CPU strategy, computed via runtime::plan_placement. `none`
   /// (default) skips topology discovery entirely.
@@ -142,16 +324,22 @@ class fabric {
   using layout_type = Layout;
   using telemetry_policy = Telemetry;
   using trace_policy = Trace;
-  using item_type = std::conditional_t<Ordered, detail::stamped<T>, T>;
-  using shard_type = ffq::core::spmc_queue<item_type, Layout, Telemetry, Trace>;
+  using item_type =
+      std::conditional_t<Ordered, detail::stamped<T>, detail::run<T>>;
+  using shard_type = std::conditional_t<
+      Ordered, ffq::core::spmc_queue<item_type, Layout, Telemetry, Trace>,
+      detail::run_shard<T, Layout, Telemetry, Trace>>;
   static constexpr bool kOrdered = Ordered;
+  /// Items one cell carries: K for an unordered run, 1 when ordered.
+  static constexpr std::size_t kRunWidth =
+      Ordered ? 1 : detail::run<T>::kWidth;
   static constexpr const char* kName =
       Ordered ? "ffq-shard-ordered" : "ffq-shard";
 
   /// `producers` shards of `shard_capacity` cells each (power of two;
-  /// same flow-control assumption per shard as spmc_queue). Throws
-  /// std::invalid_argument, before any shard is allocated, when
-  /// producers < 1, shard_capacity is not a power of two >= 2 or
+  /// same flow-control assumption per shard as spmc_queue, counted in
+  /// cells). Throws std::invalid_argument, before any shard is allocated,
+  /// when producers < 1, shard_capacity is not a power of two >= 2 or
   /// opts.drain_quota is 0 (every visit would then take nothing).
   fabric(std::size_t producers, std::size_t shard_capacity,
          options opts = {})
@@ -193,10 +381,12 @@ class fabric {
             fab_->epoch_.next->fetch_add(1, std::memory_order_relaxed);
         shard_->enqueue(detail::stamped<T>{e, std::move(value)});
       } else {
-        shard_->enqueue(std::move(value));
+        shard_->enqueue_one(value);
       }
     }
 
+    /// Enqueue `n` items from `first`. Unordered: packed into
+    /// ceil(n / kRunWidth) runs, published with one shard enqueue_bulk.
     template <typename It>
     void enqueue_bulk(It first, std::size_t n) noexcept {
       if constexpr (Ordered) {
@@ -206,7 +396,8 @@ class fabric {
         detail::stamping_iterator<It, T> it{first, e0};
         shard_->enqueue_bulk(it, n);
       } else {
-        shard_->enqueue_bulk(first, n);
+        shard_->enqueue_bulk(detail::packing_iterator<It, kRunWidth>{first, n},
+                             (n + kRunWidth - 1) / kRunWidth);
       }
     }
 
@@ -235,27 +426,53 @@ class fabric {
 
   // --- consumer side ------------------------------------------------------
 
-  /// A consumer's scheduler state: the round-robin cursor (unordered) or
-  /// the per-shard holding slots (ordered). One handle per consumer
-  /// thread; handles are independent and any number may run concurrently.
+  /// A consumer's scheduler state: the round-robin cursor and the hold
+  /// (unordered), or the per-shard holding slots (ordered). One handle
+  /// per consumer thread; handles are independent and any number may run
+  /// concurrently. Move-constructible only: a copy would deliver the
+  /// items a handle holds twice. A handle must not outlive its fabric;
+  /// when it is destroyed, the items it still holds are handed back to
+  /// the fabric, and any handle's next call delivers them.
   class consumer_handle {
    public:
-    /// Non-blocking single dequeue. Unordered: quota-1 drain through the
-    /// scheduler. Ordered: refill holding slots, emit the minimum epoch.
-    bool try_dequeue(T& out) noexcept {
-      if constexpr (Ordered) {
-        return try_dequeue_ordered(out);
-      } else {
-        return try_dequeue_bulk(&out, 1) == 1;
-      }
+    consumer_handle(const consumer_handle&) = delete;
+    consumer_handle& operator=(const consumer_handle&) = delete;
+
+    /// A moved-from handle holds nothing; only destroy it.
+    consumer_handle(consumer_handle&& other) noexcept
+        : fab_(other.fab_),
+          cursor_(other.cursor_),
+          held_(std::exchange(other.held_, {})),
+          hold_(std::exchange(other.hold_, nullptr)),
+          hold_cap_(std::exchange(other.hold_cap_, 0)),
+          hold_pos_(std::exchange(other.hold_pos_, 0)),
+          hold_end_(std::exchange(other.hold_end_, 0)) {}
+
+    ~consumer_handle() {
+      hand_back();
+      if (hold_ != nullptr) std::allocator<T>{}.deallocate(hold_, hold_cap_);
     }
 
-    /// Non-blocking bulk dequeue. Unordered: up to min(max_n, drain_quota)
-    /// items from one shard visit. Ordered: up to max_n items, one merge
-    /// step each (drain_quota does not apply).
+    /// Non-blocking single dequeue. Unordered: a one-item drain through
+    /// the scheduler. Ordered: refill holding slots, emit the minimum
+    /// epoch.
+    bool try_dequeue(T& out) noexcept { return try_dequeue_bulk(&out, 1) == 1; }
+
+    /// Non-blocking bulk dequeue. Items handed back by destroyed handles
+    /// come first. Unordered: the hold's items, if it has any (no claim);
+    /// otherwise one shard visit claims up to min(max_n, drain_quota)
+    /// cells, returns up to max_n of their items and holds the rest.
+    /// Ordered: up to max_n items, one merge step each (drain_quota does
+    /// not apply).
     template <typename OutIt>
     std::size_t try_dequeue_bulk(OutIt out, std::size_t max_n) noexcept {
       if (max_n == 0) return 0;
+      if (fab_->handed_back_.load(std::memory_order_relaxed) != 0)
+          [[unlikely]] {
+        if (const std::size_t n = fab_->take_handed_back(out, max_n)) {
+          return n;
+        }
+      }
       if constexpr (Ordered) {
         std::size_t n = 0;
         T v{};
@@ -266,6 +483,7 @@ class fabric {
         }
         return n;
       } else {
+        if (hold_pos_ != hold_end_) return serve_hold(out, max_n);
         return drain_unordered(out, max_n);
       }
     }
@@ -284,11 +502,22 @@ class fabric {
 
    private:
     friend class fabric;
-    explicit consumer_handle(fabric* fab) noexcept
+    explicit consumer_handle(fabric* fab)
         : fab_(fab),
           cursor_(fab->next_consumer_.fetch_add(1, std::memory_order_relaxed) %
                   fab->shards_.size()) {
-      if constexpr (Ordered) held_.resize(fab->shards_.size());
+      if constexpr (Ordered) {
+        held_.resize(fab->shards_.size());
+      } else if (kRunWidth > 1) {
+        // A claim of k cells returns at least k items, so at most
+        // drain_quota * (K - 1) stay behind (saturated: an absurd quota
+        // makes allocate() throw instead of wrapping).
+        const std::size_t q = fab->opts_.drain_quota;
+        hold_cap_ = q > std::numeric_limits<std::size_t>::max() / kRunWidth
+                        ? std::numeric_limits<std::size_t>::max()
+                        : q * (kRunWidth - 1);
+        hold_ = std::allocator<T>{}.allocate(hold_cap_);
+      }
     }
 
     /// The one blocking loop: poll until ≥ 1 item; once the fabric is
@@ -312,9 +541,10 @@ class fabric {
       const std::size_t want = std::min(max_n, fab_->opts_.drain_quota);
       const std::size_t nshards = fab_->shards_.size();
       FFQ_CHECK_YIELD();  // scheduling point: the cursor visit
-      std::size_t n = fab_->shard(cursor_).try_dequeue_bulk(out, want);
+      std::size_t cells = 0;
+      std::size_t n = visit(cursor_, out, max_n, want, cells);
       if (n > 0) {
-        if (n < want) advance();  // shard (nearly) dry: move on next visit
+        if (cells < want) advance();  // shard (nearly) dry: move on next visit
         fab_->tel_.on_drain(n);
         return n;
       }
@@ -334,7 +564,7 @@ class fabric {
       }
       if (best_size > 0) {
         FFQ_CHECK_YIELD();  // window: the target may drain before we claim
-        n = fab_->shard(best).try_dequeue_bulk(out, want);
+        n = visit(best, out, max_n, want, cells);
         if (n > 0) {
           cursor_ = best;  // keep draining the stolen shard next visit
           fab_->tel_.on_steal();
@@ -348,6 +578,42 @@ class fabric {
       fab_->tel_.on_empty_sweep();
       fab_->trc_.on_empty_sweep();
       return 0;
+    }
+
+    /// Claim up to `want` cells of shard `s` (the hold is empty): up to
+    /// max_n of their items go to `out`, the rest to the hold. Returns the
+    /// items written to `out` and sets `cells` to the cells claimed. Kept
+    /// out of line so the shard's claim loop is inlined here, with the
+    /// caller's iterator in a register, rather than twice into the
+    /// caller's wait loop (scalar-fed bench_shard_scaling rows,
+    /// EXPERIMENTS.md).
+    template <typename OutIt>
+    [[gnu::noinline]] std::size_t visit(std::size_t s, OutIt out,
+                                        std::size_t max_n, std::size_t want,
+                                        std::size_t& cells) noexcept {
+      detail::unpack_state<OutIt, T> st{.first = out, .max_n = max_n,
+                                        .spill = hold_};
+      cells = fab_->shard(s).try_dequeue_bulk(
+          detail::unpacker<OutIt, T>{out, &st}, want);
+      if (st.room == st.kAllSingles) return cells;
+      hold_end_ = static_cast<std::size_t>(st.spill - hold_);
+      return max_n - st.room;
+    }
+
+    /// Return up to max_n held items, oldest first; no shard is claimed.
+    template <typename OutIt>
+    std::size_t serve_hold(OutIt out, std::size_t max_n) noexcept {
+      const std::size_t n = std::min(max_n, hold_end_ - hold_pos_);
+      T* item = hold_ + hold_pos_;
+      for (T* const end = item + n; item != end; ++item) {
+        *out = std::move(*item);
+        ++out;
+        std::destroy_at(item);
+      }
+      hold_pos_ += n;
+      if (hold_pos_ == hold_end_) hold_pos_ = hold_end_ = 0;
+      fab_->tel_.on_drain(n);
+      return n;
     }
 
     /// Ordered fan-in: keep one pending item per shard, emit the minimum
@@ -384,6 +650,33 @@ class fabric {
       return true;
     }
 
+    /// Give every item this handle holds to the fabric (cold path: the
+    /// handle is being destroyed).
+    void hand_back() noexcept {
+      if constexpr (Ordered) {
+        // At most one item per shard, so per-producer order is kept.
+        if (std::none_of(held_.begin(), held_.end(),
+                         [](const auto& slot) { return slot.has_value(); })) {
+          return;
+        }
+        std::lock_guard<std::mutex> lock(fab_->handed_back_mu_);
+        for (auto& slot : held_) {
+          if (slot) fab_->handed_back_items_.push_back(std::move(slot->value));
+        }
+        fab_->handed_back_.store(fab_->handed_back_items_.size(),
+                                 std::memory_order_relaxed);
+      } else {
+        if (hold_pos_ == hold_end_) return;
+        std::lock_guard<std::mutex> lock(fab_->handed_back_mu_);
+        for (std::size_t i = hold_pos_; i < hold_end_; ++i) {
+          fab_->handed_back_items_.push_back(std::move(hold_[i]));
+          std::destroy_at(hold_ + i);
+        }
+        fab_->handed_back_.store(fab_->handed_back_items_.size(),
+                                 std::memory_order_relaxed);
+      }
+    }
+
     void advance() noexcept {
       cursor_ = step_from(cursor_, 1, fab_->shards_.size());
     }
@@ -396,11 +689,18 @@ class fabric {
     std::size_t cursor_;
     /// Ordered mode only: the merge's per-shard pending item.
     std::vector<std::optional<detail::stamped<T>>> held_;
+    /// Unordered mode only: the hold, raw storage for hold_cap_ items of
+    /// which [hold_pos_, hold_end_) are constructed; null when K = 1.
+    T* hold_ = nullptr;
+    std::size_t hold_cap_ = 0;
+    std::size_t hold_pos_ = 0;
+    std::size_t hold_end_ = 0;
   };
 
   /// New consumer endpoint; start cursors rotate so concurrent consumers
-  /// spread over shards instead of convoying on shard 0.
-  consumer_handle consumer() noexcept { return consumer_handle(this); }
+  /// spread over shards instead of convoying on shard 0. Allocates the
+  /// handle's hold (unordered) or holding slots (ordered).
+  consumer_handle consumer() { return consumer_handle(this); }
 
   // --- lifecycle / introspection ------------------------------------------
 
@@ -416,12 +716,15 @@ class fabric {
   }
 
   std::size_t shards() const noexcept { return shards_.size(); }
+  /// Cells per shard.
   std::size_t shard_capacity() const noexcept { return shard_capacity_; }
 
   shard_type& shard(std::size_t s) noexcept { return *shards_[s]; }
   const shard_type& shard(std::size_t s) const noexcept { return *shards_[s]; }
 
-  /// Racy size estimate across all shards (monitoring only).
+  /// Racy size estimate across all shards, in cells (monitoring only):
+  /// an unordered cell holds up to kRunWidth items. Items in consumer
+  /// holds or handed back are not counted.
   std::int64_t approx_size() const noexcept {
     std::int64_t total = 0;
     for (const auto& s : shards_) total += s->approx_size();
@@ -450,12 +753,35 @@ class fabric {
   using epoch_type =
       std::conditional_t<Ordered, detail::epoch_clock, detail::no_epoch>;
 
+  /// Move up to max_n handed-back items to `out`, oldest first (cold
+  /// path: a handle was destroyed while it held items).
+  template <typename OutIt>
+  std::size_t take_handed_back(OutIt out, std::size_t max_n) noexcept {
+    std::lock_guard<std::mutex> lock(handed_back_mu_);
+    const std::size_t n = std::min(max_n, handed_back_items_.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      *out = std::move(handed_back_items_.front());
+      ++out;
+      handed_back_items_.pop_front();
+    }
+    handed_back_.store(handed_back_items_.size(), std::memory_order_relaxed);
+    if (n > 0) tel_.on_drain(n);
+    return n;
+  }
+
   std::size_t shard_capacity_;
   options opts_;
   std::vector<std::unique_ptr<shard_type>> shards_;
   placement_plan plan_;
   std::atomic<std::uint64_t> next_consumer_{0};
   std::atomic<bool> closed_{false};
+  // Items destroyed handles held. Only hand_back and take_handed_back
+  // touch the list, under the mutex; every drain reads the count with
+  // one relaxed load. A list, not a deque: an empty list allocates
+  // nothing, so an unused hand-back costs no heap.
+  std::atomic<std::size_t> handed_back_{0};
+  std::mutex handed_back_mu_;
+  std::list<T> handed_back_items_;
   // Ordered mode's shared epoch clock; empty (and address-free) when
   // unordered, so the two modes otherwise share one layout.
   [[no_unique_address]] epoch_type epoch_;

@@ -526,6 +526,21 @@ TEST(CheckQueues, FuzzShardFabricBothModesPass) {
                     << "\nschedule: " << chk::format_schedule(o.witness);
 }
 
+// Bulk producers pack runs of 3 and one-item drains split them: the rest
+// of each run waits in the consumer's hold, which must be served before
+// the consumer claims a newer cell (per-producer FIFO).
+TEST(CheckQueues, FuzzShardFabricRunsSplitAcrossCallsPass) {
+  using q_shard = ffq::shard::fabric<long long, false, layout_aligned,
+                                     tel_off, trc_off>;
+  auto cfg = small_cfg(2, 2);
+  cfg.enqueue_batch = 3;
+  cfg.dequeue_batch = 1;
+  cfg.check_linearizability = false;  // sharded: not one FIFO by design
+  const auto r = fuzz_program<q_shard>(cfg, 18, 300);
+  EXPECT_TRUE(r.ok) << r.violation
+                    << "\nschedule: " << chk::format_schedule(r.witness);
+}
+
 TEST(CheckQueues, RecordedScheduleReplaysToTheIdenticalRun) {
   const auto cfg = small_cfg(2, 2);
   chk::random_driver d(99);

@@ -3,8 +3,10 @@
 // byte-identical, asserted against mirror structs), conservation and
 // per-producer FIFO under real threads in both modes, the ordered mode's
 // closed-drain total order, the scheduler's telemetry counters (steals,
-// drains, empty polls/sweeps), and placement-plan reuse of the runtime
-// topology layer.
+// drains, empty polls/sweeps), placement-plan reuse of the runtime
+// topology layer, the unordered fabric's packed runs and consumer holds
+// (cell counts, order, item lifetimes), and move-only handles that hand
+// held items back when destroyed.
 #include "ffq/shard/shard.hpp"
 
 #include <gtest/gtest.h>
@@ -12,8 +14,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <iterator>
+#include <list>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -48,6 +54,9 @@ struct fabric_mirror {
   sh::placement_plan plan;
   std::atomic<std::uint64_t> next_consumer;
   std::atomic<bool> closed;
+  std::atomic<std::size_t> handed_back;
+  std::mutex handed_back_mu;
+  std::list<long long> handed_back_items;
 };
 
 struct fabric_ordered_mirror {
@@ -57,6 +66,9 @@ struct fabric_ordered_mirror {
   sh::placement_plan plan;
   std::atomic<std::uint64_t> next_consumer;
   std::atomic<bool> closed;
+  std::atomic<std::size_t> handed_back;
+  std::mutex handed_back_mu;
+  std::list<long long> handed_back_items;
   rt::padded<std::atomic<std::uint64_t>> epoch;
 };
 
@@ -343,4 +355,301 @@ TEST(ShardFabric, BlockingDequeueReturnsFalseOnlyWhenClosedAndDrained) {
   EXPECT_EQ(v, 7);
   EXPECT_FALSE(c.dequeue(v));
   EXPECT_FALSE(c.try_dequeue(v));
+}
+
+// --- packed runs, the hold and the hand-back --------------------------------
+
+static_assert(!std::is_copy_constructible_v<fab_plain::consumer_handle>);
+static_assert(!std::is_copy_assignable_v<fab_plain::consumer_handle>);
+static_assert(!std::is_move_assignable_v<fab_plain::consumer_handle>);
+static_assert(!std::is_copy_constructible_v<fab_plain_ord::consumer_handle>);
+static_assert(!std::is_copy_assignable_v<fab_plain_ord::consumer_handle>);
+static_assert(std::is_nothrow_move_constructible_v<fab_plain::consumer_handle>);
+static_assert(fab_plain::kRunWidth == 5, "five 8-byte items per run");
+static_assert(fab_plain_ord::kRunWidth == 1, "ordered cells hold one item");
+
+namespace {
+
+constexpr std::size_t kK = fab_plain::kRunWidth;
+
+/// Enqueue items first, first + 1, ... first + n - 1 of producer p with
+/// one enqueue_bulk call.
+template <typename Fabric>
+void enqueue_burst(Fabric& fab, std::size_t p, long long first,
+                   std::size_t n) {
+  std::vector<long long> items(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    items[i] = first + static_cast<long long>(i);
+  }
+  fab.producer(p).enqueue_bulk(items.begin(), n);
+}
+
+/// Drain with try_dequeue_bulk(max_n) until a call returns 0.
+template <typename Handle>
+std::vector<long long> drain_all(Handle& c, std::size_t max_n) {
+  std::vector<long long> got, buf(max_n);
+  while (const std::size_t n = c.try_dequeue_bulk(buf.begin(), max_n)) {
+    EXPECT_LE(n, max_n);
+    got.insert(got.end(), buf.begin(),
+               buf.begin() + static_cast<std::ptrdiff_t>(n));
+  }
+  return got;
+}
+
+std::vector<long long> iota_items(long long first, std::size_t n) {
+  std::vector<long long> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = first + static_cast<long long>(i);
+  return v;
+}
+
+}  // namespace
+
+// A burst of n items takes ceil(n / K) cells, and every drain size returns
+// each item exactly once, in order.
+TEST(ShardRuns, BurstTakesCeilNOverKCellsAndDrainsInOrder) {
+  for (const std::size_t n : {std::size_t{1}, kK - 1, kK, kK + 1, 3 * kK + 2}) {
+    for (const std::size_t max_n : {std::size_t{1}, std::size_t{2}, kK,
+                                    std::size_t{64}}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " max_n=" + std::to_string(max_n));
+      fab_plain fab(1, 64);
+      enqueue_burst(fab, 0, 100, n);
+      EXPECT_EQ(fab.approx_size(),
+                static_cast<std::int64_t>((n + kK - 1) / kK));
+      auto c = fab.consumer();
+      EXPECT_EQ(drain_all(c, max_n), iota_items(100, n));
+      EXPECT_EQ(fab.approx_size(), 0);
+    }
+  }
+}
+
+// A call whose buffer is smaller than the run returns max_n items and
+// holds the rest; the next call returns the held items before any newer
+// one, and claims nothing while it does.
+TEST(ShardRuns, HeldItemsComeBeforeNewerItems) {
+  fab_plain fab(1, 64);
+  enqueue_burst(fab, 0, 0, kK);
+  auto c = fab.consumer();
+  std::vector<long long> buf(64);
+  ASSERT_EQ(c.try_dequeue_bulk(buf.begin(), 2), 2u);
+  EXPECT_EQ(buf[0], 0);
+  EXPECT_EQ(buf[1], 1);
+  EXPECT_EQ(fab.approx_size(), 0);  // the whole run was claimed
+  enqueue_burst(fab, 0, 100, 3);
+  ASSERT_EQ(c.try_dequeue_bulk(buf.begin(), 64), kK - 2);
+  for (std::size_t i = 0; i < kK - 2; ++i) {
+    EXPECT_EQ(buf[i], static_cast<long long>(i + 2));
+  }
+  EXPECT_EQ(fab.approx_size(), 1);  // the hold call claimed nothing
+  ASSERT_EQ(c.try_dequeue_bulk(buf.begin(), 64), 3u);
+  EXPECT_EQ(buf[0], 100);
+  long long v = 0;
+  EXPECT_FALSE(c.try_dequeue(v));
+}
+
+// drain_quota counts cells: a visit claims up to that many runs.
+TEST(ShardRuns, DrainQuotaCountsCells) {
+  sh::options opts;
+  opts.drain_quota = 2;
+  fab_plain fab(1, 64, opts);
+  enqueue_burst(fab, 0, 0, 3 * kK);
+  auto c = fab.consumer();
+  std::vector<long long> buf(64);
+  EXPECT_EQ(c.try_dequeue_bulk(buf.begin(), 64), 2 * kK);
+  EXPECT_EQ(fab.approx_size(), 1);
+  EXPECT_EQ(c.try_dequeue_bulk(buf.begin(), 64), kK);
+  EXPECT_EQ(buf[kK - 1], static_cast<long long>(3 * kK - 1));
+}
+
+// On a closed fabric a handle returns what it holds, then 0.
+TEST(ShardRuns, ClosedFabricReturnsTheHoldThenZero) {
+  fab_plain fab(2, 64);
+  enqueue_burst(fab, 0, 0, kK);
+  fab.close();
+  auto c = fab.consumer();
+  long long v = -1;
+  ASSERT_TRUE(c.dequeue(v));
+  EXPECT_EQ(v, 0);
+  std::vector<long long> buf(64);
+  ASSERT_EQ(c.dequeue_bulk(buf.begin(), buf.size()), kK - 1);
+  EXPECT_EQ(buf[kK - 2], static_cast<long long>(kK - 1));
+  EXPECT_EQ(c.dequeue_bulk(buf.begin(), buf.size()), 0u);
+  EXPECT_FALSE(c.try_dequeue(v));
+}
+
+// Bulk producers under real threads: runs split across calls of every
+// size, and every consumer stream stays per-producer FIFO.
+TEST(ShardRuns, BulkProducersConserveAndKeepPerProducerFifo) {
+  const int kProducers = 3, kItems = 6000, kConsumers = 2;
+  fab_plain fab(kProducers, 256);
+  std::vector<std::thread> pts;
+  std::atomic<int> left{kProducers};
+  for (int p = 0; p < kProducers; ++p) {
+    pts.emplace_back([&, p] {
+      auto ep = fab.producer(static_cast<std::size_t>(p));
+      std::vector<long long> batch;
+      for (int i = 0; i < kItems;) {
+        const int n = std::min(1 + (i / 7) % 13, kItems - i);
+        batch.clear();
+        for (int b = 0; b < n; ++b) {
+          batch.push_back(static_cast<long long>(p) * kStride + i + b);
+        }
+        // Keep the shard below its capacity (counted in cells).
+        while (fab.shard(static_cast<std::size_t>(p)).approx_size() > 128) {
+          std::this_thread::yield();
+        }
+        ep.enqueue_bulk(batch.begin(), batch.size());
+        i += n;
+      }
+      if (left.fetch_sub(1) == 1) fab.close();
+    });
+  }
+  std::vector<std::vector<long long>> streams(kConsumers);
+  std::vector<std::thread> cts;
+  for (int c = 0; c < kConsumers; ++c) {
+    cts.emplace_back([&, c] {
+      auto ep = fab.consumer();
+      std::vector<long long> buf(16);
+      const std::size_t sizes[] = {1, 3, 16};
+      for (std::size_t call = 0;; ++call) {
+        const std::size_t n = ep.dequeue_bulk(buf.begin(), sizes[call % 3]);
+        if (n == 0) break;
+        auto& s = streams[static_cast<std::size_t>(c)];
+        s.insert(s.end(), buf.begin(),
+                 buf.begin() + static_cast<std::ptrdiff_t>(n));
+      }
+    });
+  }
+  for (auto& t : pts) t.join();
+  for (auto& t : cts) t.join();
+  expect_conservation(streams, kProducers, kItems);
+  for (const auto& s : streams) expect_per_producer_fifo(s);
+}
+
+// A moved-from handle holds nothing: moving the handle moves its items,
+// so destroying the moved-from handle hands nothing back and each item is
+// delivered once.
+TEST(ShardHandles, MovedFromHandleHoldsNothing) {
+  {
+    fab_plain_ord fab(2, 64);
+    fab.producer(0).enqueue(1);
+    fab.producer(1).enqueue(2);
+    std::optional<fab_plain_ord::consumer_handle> a(fab.consumer());
+    long long v = 0;
+    ASSERT_TRUE(a->try_dequeue(v));  // the merge holds the other item
+    EXPECT_EQ(v, 1);
+    auto b = std::move(*a);
+    a.reset();
+    fab.close();
+    auto c = fab.consumer();
+    EXPECT_FALSE(c.dequeue(v));
+    ASSERT_TRUE(b.dequeue(v));
+    EXPECT_EQ(v, 2);
+    EXPECT_FALSE(b.dequeue(v));
+  }
+  {
+    fab_plain fab(1, 64);
+    enqueue_burst(fab, 0, 0, kK);
+    std::optional<fab_plain::consumer_handle> a(fab.consumer());
+    long long v = -1;
+    ASSERT_TRUE(a->try_dequeue(v));
+    auto b = std::move(*a);
+    a.reset();
+    fab.close();
+    auto c = fab.consumer();
+    EXPECT_FALSE(c.dequeue(v));
+    EXPECT_EQ(drain_all(b, 64), iota_items(1, kK - 1));
+  }
+}
+
+// A destroyed handle hands its held items back to the fabric; the next
+// call of any handle returns them.
+TEST(ShardHandles, OrderedDestroyedHandleHandsItsItemsBack) {
+  fab_plain_ord fab(2, 64);
+  fab.producer(0).enqueue(1);
+  fab.producer(1).enqueue(2);
+  long long v = 0;
+  {
+    auto a = fab.consumer();
+    ASSERT_TRUE(a.try_dequeue(v));
+    EXPECT_EQ(v, 1);
+  }  // a holds item 2 in its merge slot
+  fab.close();
+  auto b = fab.consumer();
+  ASSERT_TRUE(b.dequeue(v));
+  EXPECT_EQ(v, 2);
+  EXPECT_FALSE(b.dequeue(v));
+}
+
+TEST(ShardHandles, UnorderedDestroyedHandleHandsItsItemsBack) {
+  fab_plain fab(2, 64);
+  enqueue_burst(fab, 0, 0, kK);
+  enqueue_burst(fab, 1, kStride, 1);
+  auto b = fab.consumer();  // starts on shard 0
+  {
+    auto a = fab.consumer();  // starts on shard 1, then steals shard 0
+    long long v = -1;
+    ASSERT_TRUE(a.try_dequeue(v));
+    EXPECT_EQ(v, kStride);
+    ASSERT_TRUE(a.try_dequeue(v));
+    EXPECT_EQ(v, 0);
+  }  // a holds items 1..K-1 of shard 0's run
+  fab.close();
+  // Handed-back items come first, oldest first, then b's own drain.
+  EXPECT_EQ(drain_all(b, 2), iota_items(1, kK - 1));
+}
+
+// Lifetime: items left in cells, in a hold, or handed back are destroyed
+// exactly once, and T needs no default constructor. Each item owns heap
+// memory, so a leak or a double destroy also shows under ASan.
+namespace {
+
+struct counted {
+  static inline int live = 0;
+  std::unique_ptr<int> value;
+
+  explicit counted(int v) : value(std::make_unique<int>(v)) { ++live; }
+  counted(counted&& other) noexcept : value(std::move(other.value)) { ++live; }
+  counted& operator=(counted&&) noexcept = default;
+  ~counted() { --live; }
+};
+
+using fab_counted = sh::fabric<counted, false, ffq::core::layout_aligned,
+                               tel::disabled, trc::disabled>;
+static_assert(!std::is_default_constructible_v<counted>);
+
+void enqueue_counted(fab_counted& fab, int first, int n) {
+  std::vector<counted> items;
+  for (int i = 0; i < n; ++i) items.emplace_back(first + i);
+  fab.producer(0).enqueue_bulk(std::make_move_iterator(items.begin()),
+                               items.size());
+}
+
+}  // namespace
+
+TEST(ShardRuns, ItemsAreDestroyedExactlyOnce) {
+  counted::live = 0;
+  {
+    fab_counted fab(1, 64);
+    enqueue_counted(fab, 0, static_cast<int>(3 * kK + 2));
+    fab.producer(0).enqueue(counted(99));
+    EXPECT_EQ(counted::live, static_cast<int>(3 * kK + 3));
+    std::vector<counted> got;
+    {
+      auto c = fab.consumer();
+      ASSERT_EQ(c.try_dequeue_bulk(std::back_inserter(got), 1), 1u);
+      EXPECT_EQ(*got[0].value, 0);
+    }  // the handle's hold (K - 1 items) is handed back
+    {
+      auto c = fab.consumer();
+      ASSERT_EQ(c.try_dequeue_bulk(std::back_inserter(got), 2), 2u);
+      EXPECT_EQ(*got[1].value, 1);  // handed-back items come first
+      EXPECT_EQ(*got[2].value, 2);
+    }
+    // Left: K - 3 handed back, 2K + 2 in three cells, the run of one.
+    EXPECT_EQ(counted::live, static_cast<int>(3 * kK + 3));
+    got.clear();
+    EXPECT_EQ(counted::live, static_cast<int>(3 * kK));
+  }
+  EXPECT_EQ(counted::live, 0);
 }

@@ -84,6 +84,16 @@ program_config fabric_shape() {
   return cfg;
 }
 
+/// The fabric fed by bulk producers (bursts of 3, so runs of 3 and 1)
+/// and drained one item per call: each run of 3 is split across calls,
+/// and the rest waits in the consumer's hold.
+program_config fabric_runs_shape() {
+  program_config cfg = fabric_shape();
+  cfg.enqueue_batch = 3;
+  cfg.dequeue_batch = 1;
+  return cfg;
+}
+
 struct queue_target {
   const char* name;
   program_config cfg;
@@ -103,6 +113,8 @@ const queue_target kQueues[] = {
     {"waitable", shape(1, 1, 6),
      run_queue<ffq::core::waitable_spsc_queue<long long>>},
     {"shard", fabric_shape(), run_queue<ffq::shard::fabric<long long, false>>},
+    {"shard_runs", fabric_runs_shape(),
+     run_queue<ffq::shard::fabric<long long, false>>},
     {"shard_ordered", fabric_shape(),
      run_queue<ffq::shard::fabric<long long, true>>},
 };
