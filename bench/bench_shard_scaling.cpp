@@ -19,46 +19,26 @@
 // a run of one. The ffq-shard-bulk16 rows feed the same fabric with
 // enqueue_bulk bursts of 16, which pack into full runs (DESIGN.md §11).
 //
+// The ffq-mpmc control row is compiled in its own translation unit
+// (bench_shard_scaling_mpmc.cpp), so fabric code added here cannot change
+// how the compiler inlines the FFQ^m stream worker.
+//
 // Output: standard table/CSV plus the JSON report (--json).
 // BENCH_shard_scaling.json is one such report, kept as a historical
 // record from another machine; nothing compares against it.
-#include <algorithm>
 #include <cstdio>
 #include <string>
 
-#include "ffq/core/ffq.hpp"
 #include "ffq/harness/driver.hpp"
 #include "ffq/harness/report.hpp"
-#include "ffq/harness/run.hpp"
-#include "ffq/harness/stats.hpp"
 #include "ffq/shard/shard.hpp"
+#include "shard_scaling.hpp"
 
 using namespace ffq;
 using namespace ffq::harness;
+using namespace shard_scaling;
 
 namespace {
-
-constexpr std::size_t kConsumers = 2;
-constexpr std::size_t kBatch = 64;
-constexpr std::size_t kBulkEnqueue = 16;
-constexpr std::size_t kCapacity = 1 << 16;
-
-/// Producers enqueue `enqueue_batch` items per call (1: scalar enqueue),
-/// consumers drain through dequeue_bulk. ffq-mpmc shares one ring (and
-/// its DWCAS tail); the fabric gives each producer a shard of capacity /
-/// producers cells, and each producer flow-controls against its own
-/// shard.
-template <typename Queue>
-run_stats measure(int runs, std::size_t producers, std::uint64_t items,
-                  std::size_t enqueue_batch = 1) {
-  const std::size_t capacity =
-      has_endpoints<Queue> ? std::max<std::size_t>(kCapacity / producers, 1024)
-                           : kCapacity;
-  return sample(runs, [&] {
-    return run_stream<Queue>(producers, kConsumers, enqueue_batch, kBatch,
-                             items, capacity);
-  });
-}
 
 void add_row(table& t, const char* queue, std::size_t producers,
              const run_stats& s) {
@@ -78,9 +58,7 @@ int run(const bench_cli& cli) {
            "oversubscribed"});
   std::string ratios = "\nfabric / ffq-mpmc throughput ratio:\n";
   for (std::size_t producers : {1, 2, 4, 8}) {
-    const auto mpmc =
-        measure<core::mpmc_queue<std::uint64_t, core::layout_aligned>>(
-            cli.runs, producers, items);
+    const auto mpmc = measure_mpmc(cli.runs, producers, items);
     add_row(t, "ffq-mpmc", producers, mpmc);
     const auto fabric =
         measure<shard::fabric<std::uint64_t, false>>(cli.runs, producers,

@@ -12,7 +12,10 @@
 //    and the one single-producer publish loop (spsc_queue, spmc_queue);
 //  * `mc_ring`: the one multi-consumer claim loop with its resolve_rank,
 //    and the four consumer entry points over it (spmc_queue,
-//    mpmc_queue). Scalar calls are the bulk-of-one case.
+//    mpmc_queue). Scalar calls are the bulk-of-one case. Its try path is
+//    two parts a derived queue may also use apart: try_claim_run claims a
+//    run of ranks without reading it, and take_rank resolves one of them,
+//    at any later time (the shard fabric's consumers, DESIGN.md §11).
 //
 // Two rules keep the bulk paths live under try_ consumers, which claim
 // only ranks below the tail they observe:
@@ -349,12 +352,42 @@ class mc_ring
     return bulk<false>(out, max_n);
   }
 
+  /// The claimed run of ranks [first, first + size): the consumer that
+  /// claimed it owns every rank in it and may resolve them at any later
+  /// time. A producer that wraps onto a cell still holding one of their
+  /// items meanwhile treats it as any occupied cell: it announces a gap
+  /// over it (DESIGN.md §5.8).
+  struct rank_run {
+    std::int64_t first = 0;
+    std::int64_t size = 0;
+  };
+
+  enum class rank_state { taken, skipped, drained };
+
  protected:
   using base::base;
 
- private:
-  enum class rank_state { taken, skipped, drained };
+  /// The try claim on its own: claim up to `max_n` ranks (max_n >= 1)
+  /// exactly as try_dequeue_bulk does, and start the run's write-intent
+  /// prefetches, but read no cell. Size 0: nothing was published.
+  rank_run try_claim_run(std::size_t max_n) noexcept {
+    rank_run run;
+    claim<true, true>(claim_only{&run}, max_n);
+    return run;
+  }
 
+  /// Take one rank of a claimed run that ends at `end`: keep the run's
+  /// prefetches kClaimPrefetchDistance cells ahead, as the claim loop
+  /// does, then resolve the rank. `sink` receives the item by rvalue on
+  /// `taken`.
+  template <typename Sink>
+  rank_state take_rank(std::int64_t rank, std::int64_t end,
+                       Sink&& sink) noexcept {
+    prefetch_ahead(rank, end);
+    return resolve_rank(rank, sink);
+  }
+
+ private:
   template <bool Try, typename OutIt>
   std::size_t bulk(OutIt out, std::size_t max_n) noexcept {
     if (max_n == 0) return 0;
@@ -366,13 +399,20 @@ class mc_ring
     return n;
   }
 
+  /// The output of a claim that reads no cell (try_claim_run's): the
+  /// claimed run is stored here and the claim returns.
+  struct claim_only {
+    rank_run* run;
+  };
+
   /// The one multi-consumer claim loop. Claims a run of up to `max_n`
   /// ranks and resolves each against its cell, writing taken items to
   /// `out`. Try claims return 0 when nothing is published and are
   /// CAS-bounded by a published tail; blocking claims fetch-and-add and
   /// return 0 only once closed and drained. `Bulk` marks the entry points
   /// that may claim a run (k > 1): only they carry the run's prefetches,
-  /// so the scalar instantiations compile exactly as without them.
+  /// so the scalar instantiations compile exactly as without them. A
+  /// claim_only output ends the call after the claim and its prefetches.
   template <bool Try, bool Bulk, typename OutIt>
   std::size_t claim(OutIt out, std::size_t max_n) noexcept {
     for (;;) {
@@ -408,7 +448,11 @@ class mc_ring
           t = this->tail_->load(std::memory_order_acquire);
           h = this->head_->load(std::memory_order_relaxed);
         }
-        if (Try && t <= h) return 0;  // nothing published: claim no rank
+        if (Try && t <= h) {
+          // Nothing published: claim no rank.
+          if constexpr (std::is_same_v<OutIt, claim_only>) *out.run = {h, 0};
+          return 0;
+        }
         // Every rank below a published tail is decided (item or gap), so
         // a run bounded by t never waits on an empty ring. A blocking
         // claim on an empty ring takes one rank and waits on it.
@@ -440,35 +484,44 @@ class mc_ring
           }
         }
       }
-      std::size_t taken = 0;
-      for (std::int64_t rank = first; rank < first + k; ++rank) {
-        if constexpr (Bulk) {
-          if (rank + kClaimPrefetchDistance < first + k) {
-            prefetch_cell(rank + kClaimPrefetchDistance);
+      if constexpr (std::is_same_v<OutIt, claim_only>) {
+        *out.run = {first, k};
+        return static_cast<std::size_t>(k);
+      } else {
+        std::size_t taken = 0;
+        for (std::int64_t rank = first; rank < first + k; ++rank) {
+          if constexpr (Bulk) prefetch_ahead(rank, first + k);
+          switch (resolve_rank(rank, [&](T&& v) {
+            *out = std::move(v);
+            ++out;
+          })) {
+            case rank_state::taken:
+              ++taken;
+              break;
+            case rank_state::skipped:
+              break;  // dropped in place: no fresh claim
+            case rank_state::drained:
+              return taken;  // later ranks are past the final tail too
           }
         }
-        switch (resolve_rank(rank, [&](T&& v) {
-          *out = std::move(v);
-          ++out;
-        })) {
-          case rank_state::taken:
-            ++taken;
-            break;
-          case rank_state::skipped:
-            break;  // dropped in place: no fresh claim
-          case rank_state::drained:
-            return taken;  // later ranks are past the final tail too
-        }
+        if (taken > 0) return taken;
+        // Whole run was gaps: claim again (the paper's skip-and-redraw,
+        // amortized; a try_ claim re-checks availability first).
       }
-      if (taken > 0) return taken;
-      // Whole run was gaps: claim again (the paper's skip-and-redraw,
-      // amortized; a try_ claim re-checks availability first).
     }
   }
 
   void prefetch_cell(std::int64_t rank) const noexcept {
     ffq::runtime::prefetch_for_write(
         &this->cells_[this->cap_.template slot<Layout>(rank)]);
+  }
+
+  /// While resolving `rank` of a run that ends at `end`, prefetch the
+  /// cell kClaimPrefetchDistance ranks ahead.
+  void prefetch_ahead(std::int64_t rank, std::int64_t end) const noexcept {
+    if (rank + kClaimPrefetchDistance < end) {
+      prefetch_cell(rank + kClaimPrefetchDistance);
+    }
   }
 
   /// Resolve one claimed rank against its cell (Algorithm 1's dequeue

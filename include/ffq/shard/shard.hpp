@@ -17,12 +17,15 @@
 //     aligned cell is still one 64-byte line). A bulk enqueue of n items
 //     publishes ceil(n / kRunWidth) cells, a scalar enqueue a run of one;
 //   * consumers run a shard scheduler: round-robin over shards with a
-//     per-visit drain quota, draining through the bulk dequeue path (one
+//     per-visit drain quota, claiming through the ring's try claim (one
 //     head CAS claims a whole run of cells), plus a steal pass — when
 //     the cursor's shard runs dry the consumer jumps to the busiest shard
-//     (by approx_size) instead of blindly walking the ring. Items of the
-//     claimed cells that do not fit the caller's buffer stay in the
-//     handle's *hold*, and its next call returns them;
+//     (by approx_size) instead of blindly walking the ring. A claim only
+//     takes ranks; the handle reads its claimed cells on demand, straight
+//     into the caller's buffer, across as many calls as the buffers need
+//     (Algorithm 1 allows any delay between a claim and its read). When a
+//     buffer ends inside a run, the rest of that run (at most K - 1 items)
+//     waits in the handle's inline *leftover*;
 //   * Ordered mode stamps every item with an epoch drawn from a shared
 //     relaxed counter (one fetch_add per enqueue — still far cheaper than
 //     FFQ^m's DWCAS claim protocol, and uncontended in the common case
@@ -33,8 +36,9 @@
 // Ordering contract:
 //   * per-producer FIFO holds in both modes for every consumer stream —
 //     each shard is FIFO per producer, the scheduler never reorders
-//     within a shard, and a handle's hold is served before it claims
-//     again. One exception: items a destroyed handle still held are
+//     within a shard, and a handle returns its leftover, then its claimed
+//     cells in rank order, before it claims again. One exception: items a
+//     destroyed handle still held (leftover, claimed cells, merge slots) are
 //     handed back to the fabric and delivered by any handle's next call,
 //     so a handed-back item may follow a later item of the same producer
 //     in the stream that receives it;
@@ -210,69 +214,59 @@ struct packing_iterator {
   }
 };
 
-/// The unpacking state a claim shares with its caller, in the caller's
-/// frame. While `room` reads kAllSingles every claimed run held one item
-/// and went to the caller; the first longer run sets it to the room left
-/// in the caller's buffer, and `spill` is the hold's next free slot.
-template <typename OutIt, typename T>
-struct unpack_state {
-  static constexpr std::size_t kAllSingles =
-      std::numeric_limits<std::size_t>::max();
-  OutIt first;        ///< where the caller's iterator started
-  std::size_t max_n;  ///< the caller's buffer size
-  std::size_t room = kAllSingles;
-  T* spill;
-  /// Leading runs of one, counted only for iterators that cannot subtract.
-  std::size_t singles = 0;
-};
-
-/// Output iterator the shard's claim loop writes runs to: it unpacks each
-/// run into the caller's iterator while there is room and into the hold
-/// after that. A claim takes at most max_n cells, so while every run is a
-/// run of one (every run a scalar producer makes) the items fit without
-/// counting, and each is one move; only the caller's iterator lives in the
-/// claim loop's frame. Longer runs update the shared state.
-template <typename OutIt, typename T>
-struct unpacker {
-  using state = unpack_state<OutIt, T>;
-  static constexpr bool kCountSingles = !std::random_access_iterator<OutIt>;
-
-  OutIt out;
-  state* st;
-
-  unpacker& operator*() noexcept { return *this; }
-  unpacker& operator++() noexcept { return *this; }
-  unpacker& operator=(run<T>&& r) noexcept {
-    if (r.size() != 1 || st->room != state::kAllSingles) [[unlikely]] {
-      unpack(r);
-      return *this;
+/// The items of one split run that a consumer handle keeps for its next
+/// call: at most N (K - 1, since a read that splits a run has written at
+/// least one of its items to the caller), in raw storage, so T needs no
+/// default constructor and the handle allocates nothing.
+template <typename T, std::size_t N>
+class leftover {
+ public:
+  leftover() noexcept = default;
+  leftover(leftover&& other) noexcept : end_(other.end_ - other.pos_) {
+    T* from = other.data() + other.pos_;
+    for (std::uint32_t i = 0; i < end_; ++i, ++from) {
+      std::construct_at(data() + i, std::move(*from));
+      std::destroy_at(from);
     }
-    *out = std::move(*r.data());
-    ++out;
-    if constexpr (kCountSingles) ++st->singles;
-    return *this;
+    other.pos_ = other.end_ = 0;
+  }
+  leftover& operator=(leftover&&) = delete;
+  ~leftover() { std::destroy(data() + pos_, data() + end_); }
+
+  void push(T&& item) noexcept {
+    std::construct_at(data() + end_++, std::move(item));
+  }
+  /// Move up to max_n items to `out`, oldest first.
+  template <typename OutIt>
+  std::size_t serve(OutIt& out, std::size_t max_n) noexcept {
+    const std::size_t n = std::min<std::size_t>(max_n, end_ - pos_);
+    T* item = data() + pos_;
+    for (T* const last = item + n; item != last; ++item) {
+      *out = std::move(*item);
+      ++out;
+      std::destroy_at(item);
+    }
+    pos_ += static_cast<std::uint32_t>(n);
+    if (pos_ == end_) pos_ = end_ = 0;
+    return n;
   }
 
  private:
-  void unpack(run<T>& r) noexcept {
-    if (st->room == state::kAllSingles) {
-      if constexpr (kCountSingles) {
-        st->room = st->max_n - st->singles;
-      } else {
-        st->room = st->max_n - static_cast<std::size_t>(out - st->first);
-      }
-    }
-    T* item = r.data();
-    std::size_t n = r.size();
-    std::size_t room = st->room;
-    for (; n != 0 && room != 0; --n, --room) {
-      *out = std::move(*item++);
-      ++out;
-    }
-    T* spill = st->spill;
-    for (; n != 0; --n) std::construct_at(spill++, std::move(*item++));
-    st->room = room;
-    st->spill = spill;
+  T* data() noexcept { return std::launder(reinterpret_cast<T*>(items_)); }
+
+  alignas(T) unsigned char items_[N * sizeof(T)];
+  std::uint32_t pos_ = 0;
+  std::uint32_t end_ = 0;
+};
+
+/// K = 1 (and ordered mode): a run of one never splits.
+template <typename T>
+class leftover<T, 0> {
+ public:
+  void push(T&&) noexcept {}
+  template <typename OutIt>
+  std::size_t serve(OutIt&, std::size_t) noexcept {
+    return 0;
   }
 };
 
@@ -280,12 +274,19 @@ struct unpacker {
 template <typename T, typename Layout, typename Telemetry, typename Trace>
 class run_shard
     : public ffq::core::spmc_queue<run<T>, Layout, Telemetry, Trace> {
+  using base = ffq::core::spmc_queue<run<T>, Layout, Telemetry, Trace>;
+
  public:
-  using ffq::core::spmc_queue<run<T>, Layout, Telemetry, Trace>::spmc_queue;
+  using base::base;
 
   /// Publish a run of one built in its cell from `item` (producer thread
   /// only): the scalar enqueue, counted as one, not as a bulk call.
   void enqueue_one(T& item) noexcept { this->publish(&item, 1); }
+
+  // The ring's try path in its two parts: a consumer handle claims a run
+  // of cells once and reads them on demand across its calls.
+  using base::take_rank;
+  using base::try_claim_run;
 };
 
 }  // namespace detail
@@ -295,7 +296,11 @@ struct options {
   /// Max cells a consumer claims from one shard per visit before the
   /// cursor is eligible to move (the scheduler's fairness/locality
   /// trade-off; also the cap on a steal's bite). An unordered cell holds
-  /// a run of up to kRunWidth items; an ordered cell holds one item.
+  /// a run of up to kRunWidth items; an ordered cell holds one item. An
+  /// unordered handle keeps the cells it claimed and has not yet read
+  /// until its next calls, so an idle handle occupies up to
+  /// min(max_n, drain_quota) cells of one shard; it allocates nothing for
+  /// them.
   std::size_t drain_quota = 64;
   /// Shard → CPU strategy, computed via runtime::plan_placement. `none`
   /// (default) skips topology discovery entirely.
@@ -426,13 +431,15 @@ class fabric {
 
   // --- consumer side ------------------------------------------------------
 
-  /// A consumer's scheduler state: the round-robin cursor and the hold
-  /// (unordered), or the per-shard holding slots (ordered). One handle
-  /// per consumer thread; handles are independent and any number may run
-  /// concurrently. Move-constructible only: a copy would deliver the
-  /// items a handle holds twice. A handle must not outlive its fabric;
-  /// when it is destroyed, the items it still holds are handed back to
-  /// the fabric, and any handle's next call delivers them.
+  /// A consumer's scheduler state: the round-robin cursor plus, when
+  /// unordered, the cells it has claimed but not read and the leftover of
+  /// the last run it split, or, when ordered, the per-shard holding slots.
+  /// One handle per consumer thread; handles are independent and any
+  /// number may run concurrently. Move-constructible only: a copy would
+  /// deliver the items a handle holds twice. A handle must not outlive its
+  /// fabric; when it is destroyed, the items it still holds (its leftover,
+  /// the items of its unread claimed cells, its holding slots) are handed
+  /// back to the fabric, and any handle's next call delivers them.
   class consumer_handle {
    public:
     consumer_handle(const consumer_handle&) = delete;
@@ -443,15 +450,12 @@ class fabric {
         : fab_(other.fab_),
           cursor_(other.cursor_),
           held_(std::exchange(other.held_, {})),
-          hold_(std::exchange(other.hold_, nullptr)),
-          hold_cap_(std::exchange(other.hold_cap_, 0)),
-          hold_pos_(std::exchange(other.hold_pos_, 0)),
-          hold_end_(std::exchange(other.hold_end_, 0)) {}
+          claimed_(other.claimed_),
+          next_(other.next_),
+          end_(std::exchange(other.end_, other.next_)),
+          left_(std::move(other.left_)) {}
 
-    ~consumer_handle() {
-      hand_back();
-      if (hold_ != nullptr) std::allocator<T>{}.deallocate(hold_, hold_cap_);
-    }
+    ~consumer_handle() { hand_back(); }
 
     /// Non-blocking single dequeue. Unordered: a one-item drain through
     /// the scheduler. Ordered: refill holding slots, emit the minimum
@@ -459,11 +463,12 @@ class fabric {
     bool try_dequeue(T& out) noexcept { return try_dequeue_bulk(&out, 1) == 1; }
 
     /// Non-blocking bulk dequeue. Items handed back by destroyed handles
-    /// come first. Unordered: the hold's items, if it has any (no claim);
-    /// otherwise one shard visit claims up to min(max_n, drain_quota)
-    /// cells, returns up to max_n of their items and holds the rest.
-    /// Ordered: up to max_n items, one merge step each (drain_quota does
-    /// not apply).
+    /// come first. Unordered: the leftover, then the cells this handle
+    /// has claimed but not read, straight into `out`; only when no
+    /// claimed cell is left does one shard visit claim up to
+    /// min(max_n, drain_quota) new cells, which the call reads until
+    /// `out` holds max_n items. Ordered: up to max_n items, one merge step
+    /// each (drain_quota does not apply).
     template <typename OutIt>
     std::size_t try_dequeue_bulk(OutIt out, std::size_t max_n) noexcept {
       if (max_n == 0) return 0;
@@ -483,7 +488,6 @@ class fabric {
         }
         return n;
       } else {
-        if (hold_pos_ != hold_end_) return serve_hold(out, max_n);
         return drain_unordered(out, max_n);
       }
     }
@@ -506,18 +510,7 @@ class fabric {
         : fab_(fab),
           cursor_(fab->next_consumer_.fetch_add(1, std::memory_order_relaxed) %
                   fab->shards_.size()) {
-      if constexpr (Ordered) {
-        held_.resize(fab->shards_.size());
-      } else if (kRunWidth > 1) {
-        // A claim of k cells returns at least k items, so at most
-        // drain_quota * (K - 1) stay behind (saturated: an absurd quota
-        // makes allocate() throw instead of wrapping).
-        const std::size_t q = fab->opts_.drain_quota;
-        hold_cap_ = q > std::numeric_limits<std::size_t>::max() / kRunWidth
-                        ? std::numeric_limits<std::size_t>::max()
-                        : q * (kRunWidth - 1);
-        hold_ = std::allocator<T>{}.allocate(hold_cap_);
-      }
+      if constexpr (Ordered) held_.resize(fab->shards_.size());
     }
 
     /// The one blocking loop: poll until ≥ 1 item; once the fabric is
@@ -533,20 +526,43 @@ class fabric {
       }
     }
 
-    /// Unordered scheduler: visit the cursor's shard (quota-capped bulk
-    /// claim), steal from the busiest shard when it is dry, advance the
-    /// cursor round-robin when a visit under-fills.
+    /// Unordered drain: the leftover, then the claimed cells; a claim
+    /// only once both are gone. A claim whose cells all turn out to be
+    /// gaps claims again in the same call, as the ring's own loop does,
+    /// so a call returns 0 only when a scheduler pass found nothing. Kept
+    /// out of line so the read loop is inlined here once, with the
+    /// caller's iterator in a register, rather than twice into the
+    /// caller's wait loop.
     template <typename OutIt>
-    std::size_t drain_unordered(OutIt out, std::size_t max_n) noexcept {
-      const std::size_t want = std::min(max_n, fab_->opts_.drain_quota);
+    [[gnu::noinline]] std::size_t drain_unordered(OutIt out,
+                                                  std::size_t max_n) noexcept {
+      std::size_t n = left_.serve(out, max_n);
+      for (;;) {
+        if (next_ == end_) {
+          if (n > 0) break;
+          if (!claim_cells(max_n)) return 0;
+        }
+        if (n == max_n) break;
+        n += read_claimed(out, max_n - n);
+      }
+      fab_->tel_.on_drain(n);
+      return n;
+    }
+
+    /// Unordered scheduler: claim up to min(max_n, drain_quota) cells of
+    /// the cursor's shard (quota-capped bulk claim), steal from the
+    /// busiest shard when it is dry, advance the cursor round-robin when
+    /// a claim under-fills. False when the pass claimed nothing.
+    bool claim_cells(std::size_t max_n) noexcept {
+      // A count past INT64_MAX would turn negative in the claim's signed
+      // rank arithmetic.
+      const std::size_t want = std::min<std::size_t>(
+          {max_n, fab_->opts_.drain_quota, INT64_MAX});
       const std::size_t nshards = fab_->shards_.size();
       FFQ_CHECK_YIELD();  // scheduling point: the cursor visit
-      std::size_t cells = 0;
-      std::size_t n = visit(cursor_, out, max_n, want, cells);
-      if (n > 0) {
-        if (cells < want) advance();  // shard (nearly) dry: move on next visit
-        fab_->tel_.on_drain(n);
-        return n;
+      if (const std::size_t cells = claim_from(cursor_, want)) {
+        if (cells < want) advance();  // shard (nearly) dry: move on next claim
+        return true;
       }
       fab_->tel_.on_empty_poll();
       // Steal pass: jump to the busiest shard instead of walking the ring
@@ -564,56 +580,84 @@ class fabric {
       }
       if (best_size > 0) {
         FFQ_CHECK_YIELD();  // window: the target may drain before we claim
-        n = visit(best, out, max_n, want, cells);
-        if (n > 0) {
-          cursor_ = best;  // keep draining the stolen shard next visit
+        if (claim_from(best, want) > 0) {
+          cursor_ = best;  // keep draining the stolen shard next claim
           fab_->tel_.on_steal();
           fab_->trc_.on_steal(static_cast<std::int64_t>(best));
-          fab_->tel_.on_drain(n);
-          return n;
+          return true;
         }
         fab_->tel_.on_empty_poll();
       }
       advance();
       fab_->tel_.on_empty_sweep();
       fab_->trc_.on_empty_sweep();
-      return 0;
+      return false;
     }
 
-    /// Claim up to `want` cells of shard `s` (the hold is empty): up to
-    /// max_n of their items go to `out`, the rest to the hold. Returns the
-    /// items written to `out` and sets `cells` to the cells claimed. Kept
-    /// out of line so the shard's claim loop is inlined here, with the
-    /// caller's iterator in a register, rather than twice into the
-    /// caller's wait loop (scalar-fed bench_shard_scaling rows,
-    /// EXPERIMENTS.md).
-    template <typename OutIt>
-    [[gnu::noinline]] std::size_t visit(std::size_t s, OutIt out,
-                                        std::size_t max_n, std::size_t want,
-                                        std::size_t& cells) noexcept {
-      detail::unpack_state<OutIt, T> st{.first = out, .max_n = max_n,
-                                        .spill = hold_};
-      cells = fab_->shard(s).try_dequeue_bulk(
-          detail::unpacker<OutIt, T>{out, &st}, want);
-      if (st.room == st.kAllSingles) return cells;
-      hold_end_ = static_cast<std::size_t>(st.spill - hold_);
-      return max_n - st.room;
+    /// Claim up to `want` cells of shard `s` without reading them; they
+    /// become this handle's claimed cells. Returns how many it claimed.
+    std::size_t claim_from(std::size_t s, std::size_t want) noexcept {
+      const auto run = fab_->shard(s).try_claim_run(want);
+      claimed_ = s;
+      next_ = run.first;
+      end_ = run.first + run.size;
+      return static_cast<std::size_t>(run.size);
     }
 
-    /// Return up to max_n held items, oldest first; no shard is claimed.
+    /// Read claimed cells in rank order into `out` until it holds `room`
+    /// more items or no claimed cell is left (precondition: one is, and
+    /// room >= 1). The part of a run that does not fit becomes the
+    /// leftover. Each item leaves its cell once: straight to `out`, or to
+    /// the leftover when the buffer ends inside its run.
     template <typename OutIt>
-    std::size_t serve_hold(OutIt out, std::size_t max_n) noexcept {
-      const std::size_t n = std::min(max_n, hold_end_ - hold_pos_);
-      T* item = hold_ + hold_pos_;
-      for (T* const end = item + n; item != end; ++item) {
-        *out = std::move(*item);
-        ++out;
-        std::destroy_at(item);
-      }
-      hold_pos_ += n;
-      if (hold_pos_ == hold_end_) hold_pos_ = hold_end_ = 0;
-      fab_->tel_.on_drain(n);
+    std::size_t read_claimed(OutIt& out, std::size_t room) noexcept {
+      auto& shard = fab_->shard(claimed_);
+      // Locals, not the members: stores through `out` may alias them (a
+      // uint64_t item and an int64_t rank may share storage), which would
+      // cost a reload and a store of the rank per cell.
+      std::int64_t rank = next_;
+      const std::int64_t end = end_;
+      std::size_t n = 0;
+      do {
+        const auto st =
+            shard.take_rank(rank, end, [&](detail::run<T>&& r) noexcept {
+              T* item = r.data();
+              const std::size_t count = r.size();
+              if (count > room - n) [[unlikely]] {
+                split(r, out, room - n);
+                n = room;
+                return;
+              }
+              // Bounded by the constant K as well, so GCC unrolls the copy
+              // instead of vectorizing it behind alias checks, which cost
+              // runs of one about 20% per item (EXPERIMENTS.md).
+              for (std::size_t i = 0; i < kRunWidth && i < count; ++i) {
+                *out = std::move(item[i]);
+                ++out;
+              }
+              n += count;
+            });
+        ++rank;
+        // Later ranks are past the final tail too (a try claim never
+        // reaches one; kept for the ring's contract).
+        if (st == shard_type::rank_state::drained) rank = end;
+      } while (rank != end && n < room);
+      next_ = rank;
       return n;
+    }
+
+    /// The first `fit` items of `r` go to `out`, the rest (at most K - 1)
+    /// to the leftover.
+    template <typename OutIt>
+    void split(detail::run<T>& r, OutIt& out, std::size_t fit) noexcept {
+      T* item = r.data();
+      for (std::size_t i = 0; i < fit; ++i) {
+        *out = std::move(item[i]);
+        ++out;
+      }
+      for (std::size_t i = fit; i < r.size(); ++i) {
+        left_.push(std::move(item[i]));
+      }
     }
 
     /// Ordered fan-in: keep one pending item per shard, emit the minimum
@@ -653,28 +697,36 @@ class fabric {
     /// Give every item this handle holds to the fabric (cold path: the
     /// handle is being destroyed).
     void hand_back() noexcept {
+      std::list<T> items;
       if constexpr (Ordered) {
         // At most one item per shard, so per-producer order is kept.
-        if (std::none_of(held_.begin(), held_.end(),
-                         [](const auto& slot) { return slot.has_value(); })) {
-          return;
-        }
-        std::lock_guard<std::mutex> lock(fab_->handed_back_mu_);
         for (auto& slot : held_) {
-          if (slot) fab_->handed_back_items_.push_back(std::move(slot->value));
+          if (slot) items.push_back(std::move(slot->value));
         }
-        fab_->handed_back_.store(fab_->handed_back_items_.size(),
-                                 std::memory_order_relaxed);
       } else {
-        if (hold_pos_ == hold_end_) return;
-        std::lock_guard<std::mutex> lock(fab_->handed_back_mu_);
-        for (std::size_t i = hold_pos_; i < hold_end_; ++i) {
-          fab_->handed_back_items_.push_back(std::move(hold_[i]));
-          std::destroy_at(hold_ + i);
+        // The leftover is older than the claimed cells, which are in rank
+        // order: per-producer order is kept.
+        auto to_items = std::back_inserter(items);
+        left_.serve(to_items, std::numeric_limits<std::size_t>::max());
+        auto& shard = fab_->shard(claimed_);
+        for (; next_ != end_; ++next_) {
+          const auto st =
+              shard.take_rank(next_, end_, [&](detail::run<T>&& r) noexcept {
+                for (std::size_t i = 0; i < r.size(); ++i) {
+                  items.push_back(std::move(r.data()[i]));
+                }
+              });
+          if (st == shard_type::rank_state::drained) break;
         }
-        fab_->handed_back_.store(fab_->handed_back_items_.size(),
-                                 std::memory_order_relaxed);
+        next_ = end_;
       }
+      if (items.empty()) return;
+      // The list is built first: reading a cell has scheduling points
+      // (FFQ_CHECK_YIELD), which must not fall inside the lock.
+      std::lock_guard<std::mutex> lock(fab_->handed_back_mu_);
+      fab_->handed_back_items_.splice(fab_->handed_back_items_.end(), items);
+      fab_->handed_back_.store(fab_->handed_back_items_.size(),
+                               std::memory_order_relaxed);
     }
 
     void advance() noexcept {
@@ -689,17 +741,19 @@ class fabric {
     std::size_t cursor_;
     /// Ordered mode only: the merge's per-shard pending item.
     std::vector<std::optional<detail::stamped<T>>> held_;
-    /// Unordered mode only: the hold, raw storage for hold_cap_ items of
-    /// which [hold_pos_, hold_end_) are constructed; null when K = 1.
-    T* hold_ = nullptr;
-    std::size_t hold_cap_ = 0;
-    std::size_t hold_pos_ = 0;
-    std::size_t hold_end_ = 0;
+    /// Unordered mode only: ranks [next_, end_) of shard claimed_ are
+    /// claimed and not yet read; they occupy their cells until read.
+    std::size_t claimed_ = 0;
+    std::int64_t next_ = 0;
+    std::int64_t end_ = 0;
+    /// Unordered mode only: the rest of the last run a read split.
+    [[no_unique_address]] detail::leftover<T, kRunWidth - 1> left_;
   };
 
   /// New consumer endpoint; start cursors rotate so concurrent consumers
-  /// spread over shards instead of convoying on shard 0. Allocates the
-  /// handle's hold (unordered) or holding slots (ordered).
+  /// spread over shards instead of convoying on shard 0. An unordered
+  /// handle allocates nothing (its leftover is inline); an ordered one
+  /// allocates its holding slots.
   consumer_handle consumer() { return consumer_handle(this); }
 
   // --- lifecycle / introspection ------------------------------------------
@@ -723,8 +777,9 @@ class fabric {
   const shard_type& shard(std::size_t s) const noexcept { return *shards_[s]; }
 
   /// Racy size estimate across all shards, in cells (monitoring only):
-  /// an unordered cell holds up to kRunWidth items. Items in consumer
-  /// holds or handed back are not counted.
+  /// an unordered cell holds up to kRunWidth items. Cells a consumer has
+  /// claimed but not read, leftovers and handed-back items are not
+  /// counted.
   std::int64_t approx_size() const noexcept {
     std::int64_t total = 0;
     for (const auto& s : shards_) total += s->approx_size();

@@ -527,8 +527,8 @@ TEST(CheckQueues, FuzzShardFabricBothModesPass) {
 }
 
 // Bulk producers pack runs of 3 and one-item drains split them: the rest
-// of each run waits in the consumer's hold, which must be served before
-// the consumer claims a newer cell (per-producer FIFO).
+// of each run waits in the consumer's leftover, which must be served
+// before the consumer claims a newer cell (per-producer FIFO).
 TEST(CheckQueues, FuzzShardFabricRunsSplitAcrossCallsPass) {
   using q_shard = ffq::shard::fabric<long long, false, layout_aligned,
                                      tel_off, trc_off>;
@@ -537,6 +537,24 @@ TEST(CheckQueues, FuzzShardFabricRunsSplitAcrossCallsPass) {
   cfg.dequeue_batch = 1;
   cfg.check_linearizability = false;  // sharded: not one FIFO by design
   const auto r = fuzz_program<q_shard>(cfg, 18, 300);
+  EXPECT_TRUE(r.ok) << r.violation
+                    << "\nschedule: " << chk::format_schedule(r.witness);
+}
+
+// Runs of 2 through 2-cell shards, drained two items per call: each claim
+// of two cells leaves the second claimed but unread, and the producers
+// wrap onto it (a gap over it, or a wait for it). Every claimed cell must
+// still be read, in rank order, before the consumer claims again.
+TEST(CheckQueues, FuzzShardFabricWrapsPastClaimedCellsPass) {
+  using q_shard = ffq::shard::fabric<long long, false, layout_aligned,
+                                     tel_off, trc_off>;
+  auto cfg = small_cfg(2, 2);
+  cfg.capacity = 2;
+  cfg.items_per_producer = 8;
+  cfg.enqueue_batch = 2;
+  cfg.dequeue_batch = 2;
+  cfg.check_linearizability = false;  // sharded: not one FIFO by design
+  const auto r = fuzz_program<q_shard>(cfg, 19, 300);
   EXPECT_TRUE(r.ok) << r.violation
                     << "\nschedule: " << chk::format_schedule(r.witness);
 }

@@ -4,9 +4,10 @@
 // per-producer FIFO under real threads in both modes, the ordered mode's
 // closed-drain total order, the scheduler's telemetry counters (steals,
 // drains, empty polls/sweeps), placement-plan reuse of the runtime
-// topology layer, the unordered fabric's packed runs and consumer holds
-// (cell counts, order, item lifetimes), and move-only handles that hand
-// held items back when destroyed.
+// topology layer, the unordered fabric's packed runs, claimed cells read
+// across calls and leftovers (cell counts, order, gaps over claimed
+// cells, item lifetimes), and move-only handles that hand held items back
+// when destroyed.
 #include "ffq/shard/shard.hpp"
 
 #include <gtest/gtest.h>
@@ -357,7 +358,7 @@ TEST(ShardFabric, BlockingDequeueReturnsFalseOnlyWhenClosedAndDrained) {
   EXPECT_FALSE(c.try_dequeue(v));
 }
 
-// --- packed runs, the hold and the hand-back --------------------------------
+// --- packed runs, claimed cells, the leftover and the hand-back -------------
 
 static_assert(!std::is_copy_constructible_v<fab_plain::consumer_handle>);
 static_assert(!std::is_copy_assignable_v<fab_plain::consumer_handle>);
@@ -424,8 +425,8 @@ TEST(ShardRuns, BurstTakesCeilNOverKCellsAndDrainsInOrder) {
 }
 
 // A call whose buffer is smaller than the run returns max_n items and
-// holds the rest; the next call returns the held items before any newer
-// one, and claims nothing while it does.
+// keeps the rest as its leftover; the next call returns the leftover
+// before any newer item, and claims nothing while it does.
 TEST(ShardRuns, HeldItemsComeBeforeNewerItems) {
   fab_plain fab(1, 64);
   enqueue_burst(fab, 0, 0, kK);
@@ -440,7 +441,7 @@ TEST(ShardRuns, HeldItemsComeBeforeNewerItems) {
   for (std::size_t i = 0; i < kK - 2; ++i) {
     EXPECT_EQ(buf[i], static_cast<long long>(i + 2));
   }
-  EXPECT_EQ(fab.approx_size(), 1);  // the hold call claimed nothing
+  EXPECT_EQ(fab.approx_size(), 1);  // the leftover call claimed nothing
   ASSERT_EQ(c.try_dequeue_bulk(buf.begin(), 64), 3u);
   EXPECT_EQ(buf[0], 100);
   long long v = 0;
@@ -461,7 +462,8 @@ TEST(ShardRuns, DrainQuotaCountsCells) {
   EXPECT_EQ(buf[kK - 1], static_cast<long long>(3 * kK - 1));
 }
 
-// On a closed fabric a handle returns what it holds, then 0.
+// On a closed fabric a handle returns what it holds (here a leftover),
+// then 0.
 TEST(ShardRuns, ClosedFabricReturnsTheHoldThenZero) {
   fab_plain fab(2, 64);
   enqueue_burst(fab, 0, 0, kK);
@@ -475,6 +477,97 @@ TEST(ShardRuns, ClosedFabricReturnsTheHoldThenZero) {
   EXPECT_EQ(buf[kK - 2], static_cast<long long>(kK - 1));
   EXPECT_EQ(c.dequeue_bulk(buf.begin(), buf.size()), 0u);
   EXPECT_FALSE(c.try_dequeue(v));
+}
+
+namespace {
+
+/// The wrap scenario on one 8-cell shard: handle `a` claims ranks 0-3
+/// (four runs of K) and reads only part of rank 0; handle `b` drains ranks
+/// 4-7 (runs of one); then one producer call wraps onto cells 0-7 while
+/// cells 1-3 still hold a's claimed, unread runs. Returns the items
+/// delivered so far: a's, then b's.
+template <typename Fabric, typename Handle>
+std::vector<long long> wrap_past_claimed_cells(Fabric& fab, Handle& a) {
+  enqueue_burst(fab, 0, 0, 4 * kK);
+  std::vector<long long> got(kK - 1);
+  EXPECT_EQ(a.try_dequeue_bulk(got.begin(), kK - 1), kK - 1);
+  EXPECT_EQ(got, iota_items(0, kK - 1));
+  EXPECT_EQ(fab.approx_size(), 0);  // a claimed all four cells
+  for (int i = 0; i < 4; ++i) fab.producer(0).enqueue(100 + i);
+  auto b = fab.consumer();
+  const std::vector<long long> got_b = drain_all(b, 64);
+  EXPECT_EQ(got_b, iota_items(100, 4));
+  got.insert(got.end(), got_b.begin(), got_b.end());
+  // Ranks 8-12 in one call: rank 8 takes the freed cell 0, ranks 9-11
+  // find cells 1-3 still occupied and become gaps, ranks 12-15 take the
+  // freed cells 4-7.
+  enqueue_burst(fab, 0, 1000, 5 * kK);
+  return got;
+}
+
+}  // namespace
+
+// A consumer reads only part of a claimed run of cells while the shard's
+// producer wraps past them: the producer announces gaps over the cells
+// that still hold claimed items instead of stalling, and the consumer
+// still takes every item of its claim, in order, before any newer one.
+TEST(ShardRuns, ProducerWrapsPastClaimedCellsAnnouncingGaps) {
+  fab_tel fab(1, 8);
+  auto a = fab.consumer();
+  const auto delivered = wrap_past_claimed_cells(fab, a);
+  EXPECT_EQ(fab.shard(0).gaps_created(), 3u);
+  EXPECT_EQ(fab.shard(0).telemetry().full_stalls(), 0u);
+  EXPECT_EQ(fab.approx_size(), 8);  // ranks 8-15: five runs, three gaps
+  std::vector<long long> buf(64);
+  // The leftover of rank 0, then ranks 1-3, with no new claim.
+  ASSERT_EQ(a.try_dequeue_bulk(buf.begin(), 64), 3 * kK + 1);
+  buf.resize(3 * kK + 1);
+  EXPECT_EQ(buf, iota_items(kK - 1, 3 * kK + 1));
+  EXPECT_EQ(fab.approx_size(), 8);
+  // The next claim takes ranks 8-15 and drops the three gaps in place.
+  auto rest = drain_all(a, 64);
+  EXPECT_EQ(rest, iota_items(1000, 5 * kK));
+  EXPECT_EQ(fab.shard(0).consumer_skips(), 3u);
+  std::vector<long long> all = delivered;
+  all.insert(all.end(), buf.begin(), buf.end());
+  all.insert(all.end(), rest.begin(), rest.end());
+  EXPECT_EQ(all.size(), 9 * kK + 4);
+  // a's stream: 0 .. 4K-1, then 1000 ..; b's 100-103 sit between them
+  all.erase(all.begin() + static_cast<std::ptrdiff_t>(kK - 1),
+            all.begin() + static_cast<std::ptrdiff_t>(kK + 3));
+  expect_per_producer_fifo(all);
+}
+
+// A claim whose every cell is a gap must claim again in the same call:
+// on a closed fabric a try call that returned 0 there would end a
+// consumer's drain while items are still published.
+TEST(ShardRuns, ClosedFabricAllGapClaimStillDeliversEveryItem) {
+  fab_plain fab(1, 8);
+  auto a = fab.consumer();
+  std::vector<long long> got = wrap_past_claimed_cells(fab, a);
+  fab.close();
+  auto c = fab.consumer();
+  long long v = -1;
+  ASSERT_TRUE(c.try_dequeue(v));  // claims rank 8 alone
+  EXPECT_EQ(v, 1000);
+  auto d = fab.consumer();
+  std::vector<long long> buf(3);
+  // Claims ranks 9-11, all gaps, then ranks 12-14.
+  ASSERT_EQ(d.try_dequeue_bulk(buf.begin(), 3), 3u);
+  EXPECT_EQ(buf, iota_items(1000 + static_cast<long long>(kK), 3));
+  got.push_back(v);
+  got.insert(got.end(), buf.begin(), buf.end());
+  for (auto* h : {&a, &c, &d}) {
+    const auto more = drain_all(*h, 2);
+    expect_per_producer_fifo(more);
+    got.insert(got.end(), more.begin(), more.end());
+  }
+  std::sort(got.begin(), got.end());
+  std::vector<long long> want = iota_items(0, 4 * kK);
+  for (long long x : iota_items(100, 4)) want.push_back(x);
+  for (long long x : iota_items(1000, 5 * kK)) want.push_back(x);
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(got, want);
 }
 
 // Bulk producers under real threads: runs split across calls of every
@@ -548,17 +641,21 @@ TEST(ShardHandles, MovedFromHandleHoldsNothing) {
     EXPECT_FALSE(b.dequeue(v));
   }
   {
+    // Three cells claimed: the first read in part (its leftover), the
+    // other two not read at all. The move takes both.
     fab_plain fab(1, 64);
-    enqueue_burst(fab, 0, 0, kK);
+    enqueue_burst(fab, 0, 0, 3 * kK);
     std::optional<fab_plain::consumer_handle> a(fab.consumer());
-    long long v = -1;
-    ASSERT_TRUE(a->try_dequeue(v));
+    std::vector<long long> buf(3);
+    ASSERT_EQ(a->try_dequeue_bulk(buf.begin(), 3), 3u);
+    EXPECT_EQ(fab.approx_size(), 0);
     auto b = std::move(*a);
     a.reset();
     fab.close();
     auto c = fab.consumer();
+    long long v = -1;
     EXPECT_FALSE(c.dequeue(v));
-    EXPECT_EQ(drain_all(b, 64), iota_items(1, kK - 1));
+    EXPECT_EQ(drain_all(b, 64), iota_items(3, 3 * kK - 3));
   }
 }
 
@@ -583,7 +680,7 @@ TEST(ShardHandles, OrderedDestroyedHandleHandsItsItemsBack) {
 
 TEST(ShardHandles, UnorderedDestroyedHandleHandsItsItemsBack) {
   fab_plain fab(2, 64);
-  enqueue_burst(fab, 0, 0, kK);
+  enqueue_burst(fab, 0, 0, 3 * kK);
   enqueue_burst(fab, 1, kStride, 1);
   auto b = fab.consumer();  // starts on shard 0
   {
@@ -591,16 +688,51 @@ TEST(ShardHandles, UnorderedDestroyedHandleHandsItsItemsBack) {
     long long v = -1;
     ASSERT_TRUE(a.try_dequeue(v));
     EXPECT_EQ(v, kStride);
-    ASSERT_TRUE(a.try_dequeue(v));
-    EXPECT_EQ(v, 0);
-  }  // a holds items 1..K-1 of shard 0's run
+    std::vector<long long> buf(2);
+    ASSERT_EQ(a.try_dequeue_bulk(buf.begin(), 2), 2u);  // claims two cells
+    EXPECT_EQ(buf, iota_items(0, 2));
+  }  // a holds items 2..K-1 (leftover) and K..2K-1 (a claimed, unread cell)
+  EXPECT_EQ(fab.approx_size(), 1);  // the third cell was never claimed
   fab.close();
   // Handed-back items come first, oldest first, then b's own drain.
-  EXPECT_EQ(drain_all(b, 2), iota_items(1, kK - 1));
+  EXPECT_EQ(drain_all(b, 2), iota_items(2, 3 * kK - 2));
 }
 
-// Lifetime: items left in cells, in a hold, or handed back are destroyed
-// exactly once, and T needs no default constructor. Each item owns heap
+// Items too wide for two per run (K = 1) take a cell each. A call claims
+// at most max_n cells and reads them all, so nothing stays in a handle:
+// destroyed handles hand nothing back.
+TEST(ShardRuns, WideItemsTakeOneCellEachAndNeverStayInAHandle) {
+  struct wide {
+    long long v[6] = {};
+  };
+  using fab_wide = sh::fabric<wide, false, ffq::core::layout_aligned,
+                              tel::disabled, trc::disabled>;
+  static_assert(fab_wide::kRunWidth == 1);
+  fab_wide fab(1, 8);
+  std::vector<wide> items(5);
+  for (int i = 0; i < 5; ++i) items[i].v[0] = i;
+  fab.producer(0).enqueue_bulk(items.begin(), items.size());
+  EXPECT_EQ(fab.approx_size(), 5);
+  wide out[4];
+  {
+    auto a = fab.consumer();
+    ASSERT_EQ(a.try_dequeue_bulk(out, 1), 1u);  // claims one cell
+    EXPECT_EQ(out[0].v[0], 0);
+    auto b = fab.consumer();
+    ASSERT_EQ(b.try_dequeue_bulk(out, 2), 2u);  // claims two, reads both
+    EXPECT_EQ(out[1].v[0], 2);
+    EXPECT_EQ(fab.approx_size(), 2);
+  }
+  auto c = fab.consumer();
+  ASSERT_EQ(c.try_dequeue_bulk(out, 4), 2u);  // cells 3 and 4
+  EXPECT_EQ(out[0].v[0], 3);
+  EXPECT_EQ(out[1].v[0], 4);
+  EXPECT_EQ(c.try_dequeue_bulk(out, 4), 0u);
+}
+
+// Lifetime: items left in cells, in claimed but unread cells, in a
+// leftover, or handed back are destroyed exactly once, and T needs no
+// default constructor. Each item owns heap
 // memory, so a leak or a double destroy also shows under ASan.
 namespace {
 
@@ -639,17 +771,25 @@ TEST(ShardRuns, ItemsAreDestroyedExactlyOnce) {
       auto c = fab.consumer();
       ASSERT_EQ(c.try_dequeue_bulk(std::back_inserter(got), 1), 1u);
       EXPECT_EQ(*got[0].value, 0);
-    }  // the handle's hold (K - 1 items) is handed back
+    }  // the handle's leftover (K - 1 items) is handed back
     {
       auto c = fab.consumer();
       ASSERT_EQ(c.try_dequeue_bulk(std::back_inserter(got), 2), 2u);
       EXPECT_EQ(*got[1].value, 1);  // handed-back items come first
       EXPECT_EQ(*got[2].value, 2);
     }
-    // Left: K - 3 handed back, 2K + 2 in three cells, the run of one.
+    {
+      auto c = fab.consumer();
+      ASSERT_EQ(c.try_dequeue_bulk(std::back_inserter(got), kK - 3), kK - 3);
+      // The hand-back list is empty: claim two cells, read two items.
+      ASSERT_EQ(c.try_dequeue_bulk(std::back_inserter(got), 2), 2u);
+      EXPECT_EQ(*got.back().value, static_cast<int>(kK + 1));
+    }  // hands back K - 2 leftover items and the unread cell's K items
+    EXPECT_EQ(got.size(), kK + 2);
+    // Left: 2K - 2 handed back, K + 2 in two cells and the run of one.
     EXPECT_EQ(counted::live, static_cast<int>(3 * kK + 3));
     got.clear();
-    EXPECT_EQ(counted::live, static_cast<int>(3 * kK));
+    EXPECT_EQ(counted::live, static_cast<int>(2 * kK + 1));
   }
   EXPECT_EQ(counted::live, 0);
 }

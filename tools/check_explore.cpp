@@ -86,11 +86,24 @@ program_config fabric_shape() {
 
 /// The fabric fed by bulk producers (bursts of 3, so runs of 3 and 1)
 /// and drained one item per call: each run of 3 is split across calls,
-/// and the rest waits in the consumer's hold.
+/// and the rest waits in the consumer's leftover.
 program_config fabric_runs_shape() {
   program_config cfg = fabric_shape();
   cfg.enqueue_batch = 3;
   cfg.dequeue_batch = 1;
+  return cfg;
+}
+
+/// Runs of 2 through 2-cell shards, drained two items per call: a claim
+/// of two cells reads the first and keeps the second claimed but unread,
+/// and each producer's four runs wrap onto that cell, announcing a gap
+/// over it or waiting for it (a full sweep).
+program_config fabric_runs_wrap_shape() {
+  program_config cfg = fabric_shape();
+  cfg.capacity = 2;
+  cfg.items_per_producer = 8;
+  cfg.enqueue_batch = 2;
+  cfg.dequeue_batch = 2;
   return cfg;
 }
 
@@ -114,6 +127,8 @@ const queue_target kQueues[] = {
      run_queue<ffq::core::waitable_spsc_queue<long long>>},
     {"shard", fabric_shape(), run_queue<ffq::shard::fabric<long long, false>>},
     {"shard_runs", fabric_runs_shape(),
+     run_queue<ffq::shard::fabric<long long, false>>},
+    {"shard_runs_wrap", fabric_runs_wrap_shape(),
      run_queue<ffq::shard::fabric<long long, false>>},
     {"shard_ordered", fabric_shape(),
      run_queue<ffq::shard::fabric<long long, true>>},
