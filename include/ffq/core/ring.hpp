@@ -9,13 +9,18 @@
 //    cells with the pair in one DWCAS unit — behind one field accessor
 //    (rank() / gap()), so the protocol code never asks which cell it is;
 //  * `ring`: the members, the lifecycle and introspection boilerplate,
-//    and the one single-producer publish loop (spsc_queue, spmc_queue);
-//  * `mc_ring`: the one multi-consumer claim loop with its resolve_rank,
-//    and the four consumer entry points over it (spmc_queue,
-//    mpmc_queue). Scalar calls are the bulk-of-one case. Its try path is
-//    two parts a derived queue may also use apart: try_claim_run claims a
-//    run of ranks without reading it, and take_rank resolves one of them,
-//    at any later time (the shard fabric's consumers, DESIGN.md §11).
+//    the one single-producer publish loop (spsc_queue, spmc_queue) and
+//    the one consumer step, resolve_rank: take the rank's item, skip the
+//    rank on a gap after the line-29 re-check, or wait (the blocking
+//    form) or report it pending (the polling form). Every dequeue of the
+//    family resolves its ranks here;
+//  * `mc_ring`: the one multi-consumer claim, claim_run, and the one take
+//    loop that resolves a claimed run and claims again when the whole
+//    run was gaps, with the four consumer entry points over them
+//    (spmc_queue, mpmc_queue). Scalar calls are the bulk-of-one case.
+//    A derived queue may also claim a run with claim_run<true, true>,
+//    the try_dequeue_bulk claim, and take its ranks with take_rank at
+//    any later time (the shard fabric's consumers, DESIGN.md §11).
 //
 // Two rules keep the bulk paths live under try_ consumers, which claim
 // only ranks below the tail they observe:
@@ -208,6 +213,11 @@ class ring {
             c.gap().load(std::memory_order_relaxed)};
   }
 
+  /// How resolve_rank ended: the rank's item was taken, a gap skipped the
+  /// rank, the rank is not published yet (a resolve that does not wait),
+  /// or the rank lies past the final tail of a closed ring.
+  enum class rank_state { taken, skipped, pending, drained };
+
  protected:
   ring(std::size_t capacity, const char* name)
       : cap_(capacity), cells_(capacity), trc_{name} {
@@ -298,6 +308,65 @@ class ring {
     tail_->store(t, std::memory_order_release);
   }
 
+  /// The one consumer step (Algorithm 1's dequeue body): resolve `rank`
+  /// against its cell. `taken` when the cell holds the rank (`sink`
+  /// receives the item by rvalue); `skipped` when a gap covers it and the
+  /// line-29 re-check does not find it. A rank that is not published yet
+  /// is waited on with back-off (Wait) until one of the two happens or
+  /// the rank lies past a close() (`drained`), or reported `pending` at
+  /// once (!Wait).
+  template <bool Wait, typename Sink>
+  rank_state resolve_rank(std::int64_t rank, Sink&& sink) noexcept {
+    const std::uint64_t t0 = trc_.now();
+    auto& c = cells_[cap_.template slot<Layout>(rank)];
+    ffq::runtime::yielding_backoff backoff;
+    std::uint64_t pauses = 0;  // flushed once per episode, not per pause
+    for (;;) {
+      FFQ_CHECK_YIELD();  // scheduling point: one resolve round
+      if (c.rank().load(std::memory_order_acquire) == rank) {
+        // Exactly one consumer can observe its own rank here (ranks are
+        // unique), so the cell is ours to read and recycle.
+        sink(std::move(*c.ptr()));
+        std::destroy_at(c.ptr());
+        // Linearization point.
+        c.rank().store(kCellFree, std::memory_order_release);
+        tel_.on_backoff_pauses(pauses);
+        trc_.on_dequeue(t0, rank);
+        return rank_state::taken;
+      }
+      // Skipped? gap must be read before the rank re-check: the producer
+      // may have *filled* the cell for our rank after our first look and
+      // then announced a gap for a later rank on a subsequent traversal
+      // (the paper's line-29 discussion). The two loads are distinct
+      // atomic accesses, so the checker gets a scheduling point between
+      // them — the exact window the argument is about.
+      if (c.gap().load(std::memory_order_acquire) >= rank) {
+        FFQ_CHECK_YIELD();  // line-29 window
+        if (c.rank().load(std::memory_order_acquire) != rank) {
+          tel_.on_consumer_skip();
+          trc_.on_skip(rank);
+          tel_.on_backoff_pauses(pauses);
+          return rank_state::skipped;
+        }
+        continue;  // re-check found our rank after all: take it next round
+      }
+      // Not published yet: the producer is still writing it, or it has
+      // not reached it.
+      if constexpr (!Wait) return rank_state::pending;
+      const std::int64_t closed = closed_tail_.load(std::memory_order_acquire);
+      if (closed >= 0 && rank >= closed) {
+        tel_.on_backoff_pauses(pauses);
+        return rank_state::drained;
+      }
+      ++pauses;
+      if (ffq::telemetry::flush_due(pauses)) {
+        tel_.on_backoff_pauses(pauses);
+        pauses = 0;
+      }
+      backoff.pause();
+    }
+  }
+
   using cell_type = cell<Fields, T, Layout::kCacheAligned>;
 
   capacity_info cap_;
@@ -324,14 +393,16 @@ class mc_ring
   using base = ring<T, Fields, Layout, consumer_line, Telemetry, Trace>;
 
  public:
+  using typename base::rank_state;
+
   /// Dequeue one item (any number of consumer threads). Blocks (spinning
   /// with back-off) while the queue is empty; returns false only after
   /// close() once this consumer's rank is past the final tail.
-  bool dequeue(T& out) noexcept { return claim<false, false>(&out, 1) == 1; }
+  bool dequeue(T& out) noexcept { return take<false, false>(&out, 1) == 1; }
 
   /// Non-blocking dequeue: false when nothing published is claimable.
   bool try_dequeue(T& out) noexcept {
-    return claim<true, false>(&out, 1) == 1;
+    return take<true, false>(&out, 1) == 1;
   }
 
   /// Non-blocking bulk dequeue: up to `max_n` items, 0 immediately when
@@ -362,97 +433,43 @@ class mc_ring
     std::int64_t size = 0;
   };
 
-  enum class rank_state { taken, skipped, drained };
-
  protected:
   using base::base;
 
-  /// The try claim on its own: claim up to `max_n` ranks (max_n >= 1)
-  /// exactly as try_dequeue_bulk does, and start the run's write-intent
-  /// prefetches, but read no cell. Size 0: nothing was published.
-  rank_run try_claim_run(std::size_t max_n) noexcept {
-    rank_run run;
-    claim<true, true>(claim_only{&run}, max_n);
-    return run;
-  }
-
-  /// Take one rank of a claimed run that ends at `end`: keep the run's
-  /// prefetches kClaimPrefetchDistance cells ahead, as the claim loop
-  /// does, then resolve the rank. `sink` receives the item by rvalue on
-  /// `taken`.
-  template <typename Sink>
-  rank_state take_rank(std::int64_t rank, std::int64_t end,
-                       Sink&& sink) noexcept {
-    prefetch_ahead(rank, end);
-    return resolve_rank(rank, sink);
-  }
-
- private:
-  template <bool Try, typename OutIt>
-  std::size_t bulk(OutIt out, std::size_t max_n) noexcept {
-    if (max_n == 0) return 0;
-    // A count past INT64_MAX (SIZE_MAX: "take everything") would turn
-    // negative in the claim's signed rank arithmetic.
-    max_n = std::min<std::size_t>(max_n, INT64_MAX);
-    const std::size_t n = claim<Try, true>(out, max_n);
-    if (n > 0) this->tel_.on_bulk(n);
-    return n;
-  }
-
-  /// The output of a claim that reads no cell (try_claim_run's): the
-  /// claimed run is stored here and the claim returns.
-  struct claim_only {
-    rank_run* run;
-  };
-
-  /// The one multi-consumer claim loop. Claims a run of up to `max_n`
-  /// ranks and resolves each against its cell, writing taken items to
-  /// `out`. Try claims return 0 when nothing is published and are
-  /// CAS-bounded by a published tail; blocking claims fetch-and-add and
-  /// return 0 only once closed and drained. `Bulk` marks the entry points
-  /// that may claim a run (k > 1): only they carry the run's prefetches,
-  /// so the scalar instantiations compile exactly as without them. A
-  /// claim_only output ends the call after the claim and its prefetches.
-  template <bool Try, bool Bulk, typename OutIt>
-  std::size_t claim(OutIt out, std::size_t max_n) noexcept {
+  /// The one multi-consumer claim: claim a run of up to `max_n` ranks
+  /// (max_n >= 1) and start the run's write-intent prefetches, but read
+  /// no cell. A try claim (Try) is CAS-bounded by a published tail and
+  /// returns size 0 when nothing is published; a blocking claim
+  /// fetch-and-adds and claims at least one rank. `Bulk` marks the entry
+  /// points that may claim a run (k > 1): only they carry the run's
+  /// prefetches, so the scalar instantiations compile exactly as without
+  /// them.
+  template <bool Try, bool Bulk>
+  rank_run claim_run(std::size_t max_n) noexcept {
     for (;;) {
       FFQ_CHECK_YIELD();  // scheduling point: before the claim
       std::int64_t first;
       std::int64_t k = 1;
-      if (!Try && max_n == 1) {
+      if (!Try && (!Bulk || max_n == 1)) {
         // Blocking claim of one: the paper's bare fetch-and-increment,
         // no index loads.
         first = this->head_->fetch_add(1, std::memory_order_relaxed);
       } else {
-        std::int64_t h;
-        std::int64_t t;
-        if constexpr (Try || Bulk) {
-          h = this->head_->load(std::memory_order_relaxed);
-          t = this->head_->tail_seen.load(std::memory_order_acquire);
-          if (t - h < static_cast<std::int64_t>(max_n)) {
-            // The snapshot does not cover a full run, or shows nothing
-            // published: load the producer's tail and share what it says.
-            // So k is what a fresh tail allows, and "empty" (t <= h) is
-            // always decided on a fresh tail.
-            const std::int64_t seen = t;
-            t = this->tail_->load(std::memory_order_acquire);
-            FFQ_CHECK_YIELD();  // window: a racing refresh may store first
-            if (t != seen) {
-              this->head_->tail_seen.store(t, std::memory_order_release);
-            }
-          }
-        } else {
-          // Unreached: dequeue() claims its one rank above. The blocking
-          // scalar instantiation keeps plain loads here rather than the
-          // snapshot, so its object code does not change with it.
+        std::int64_t h = this->head_->load(std::memory_order_relaxed);
+        std::int64_t t = this->head_->tail_seen.load(std::memory_order_acquire);
+        if (t - h < static_cast<std::int64_t>(max_n)) {
+          // The snapshot does not cover a full run, or shows nothing
+          // published: load the producer's tail and share what it says.
+          // So k is what a fresh tail allows, and "empty" (t <= h) is
+          // always decided on a fresh tail.
+          const std::int64_t seen = t;
           t = this->tail_->load(std::memory_order_acquire);
-          h = this->head_->load(std::memory_order_relaxed);
+          FFQ_CHECK_YIELD();  // window: a racing refresh may store first
+          if (t != seen) {
+            this->head_->tail_seen.store(t, std::memory_order_release);
+          }
         }
-        if (Try && t <= h) {
-          // Nothing published: claim no rank.
-          if constexpr (std::is_same_v<OutIt, claim_only>) *out.run = {h, 0};
-          return 0;
-        }
+        if (Try && t <= h) return {h, 0};  // nothing published: no rank
         // Every rank below a published tail is decided (item or gap), so
         // a run bounded by t never waits on an empty ring. A blocking
         // claim on an empty ring takes one rank and waits on it.
@@ -484,30 +501,59 @@ class mc_ring
           }
         }
       }
-      if constexpr (std::is_same_v<OutIt, claim_only>) {
-        *out.run = {first, k};
-        return static_cast<std::size_t>(k);
-      } else {
-        std::size_t taken = 0;
-        for (std::int64_t rank = first; rank < first + k; ++rank) {
-          if constexpr (Bulk) prefetch_ahead(rank, first + k);
-          switch (resolve_rank(rank, [&](T&& v) {
-            *out = std::move(v);
-            ++out;
-          })) {
-            case rank_state::taken:
-              ++taken;
-              break;
-            case rank_state::skipped:
-              break;  // dropped in place: no fresh claim
-            case rank_state::drained:
-              return taken;  // later ranks are past the final tail too
-          }
-        }
-        if (taken > 0) return taken;
-        // Whole run was gaps: claim again (the paper's skip-and-redraw,
-        // amortized; a try_ claim re-checks availability first).
+      return {first, k};
+    }
+  }
+
+  /// Take one rank of a claimed run that ends at `end`: keep the run's
+  /// prefetches kClaimPrefetchDistance cells ahead, as the take loop
+  /// does, then resolve the rank, waiting on it. `sink` receives the item
+  /// by rvalue on `taken`.
+  template <typename Sink>
+  rank_state take_rank(std::int64_t rank, std::int64_t end,
+                       Sink&& sink) noexcept {
+    prefetch_ahead(rank, end);
+    return this->template resolve_rank<true>(rank, sink);
+  }
+
+ private:
+  template <bool Try, typename OutIt>
+  std::size_t bulk(OutIt out, std::size_t max_n) noexcept {
+    if (max_n == 0) return 0;
+    // A count past INT64_MAX (SIZE_MAX: "take everything") would turn
+    // negative in the claim's signed rank arithmetic.
+    max_n = std::min<std::size_t>(max_n, INT64_MAX);
+    const std::size_t n = take<Try, true>(out, max_n);
+    if (n > 0) this->tel_.on_bulk(n);
+    return n;
+  }
+
+  /// The one take loop: claim a run, resolve its ranks in order, writing
+  /// taken items to `out`, and claim again when the whole run was gaps
+  /// (the paper's skip-and-redraw, amortized; a try claim re-checks
+  /// availability first). Try calls return 0 when nothing is published,
+  /// blocking calls only once closed and drained.
+  template <bool Try, bool Bulk, typename OutIt>
+  std::size_t take(OutIt out, std::size_t max_n) noexcept {
+    for (;;) {
+      const rank_run run = claim_run<Try, Bulk>(max_n);
+      if (Try && run.size == 0) return 0;
+      const std::int64_t end = run.first + run.size;
+      std::size_t taken = 0;
+      for (std::int64_t rank = run.first; rank < end; ++rank) {
+        if constexpr (Bulk) prefetch_ahead(rank, end);
+        const rank_state st =
+            this->template resolve_rank<true>(rank, [&](T&& v) {
+              *out = std::move(v);
+              ++out;
+            });
+        if (st == rank_state::taken) {
+          ++taken;
+        } else if (st == rank_state::drained) {
+          return taken;  // later ranks are past the final tail too
+        }  // skipped: dropped in place, no fresh claim
       }
+      if (taken > 0) return taken;
     }
   }
 
@@ -521,60 +567,6 @@ class mc_ring
   void prefetch_ahead(std::int64_t rank, std::int64_t end) const noexcept {
     if (rank + kClaimPrefetchDistance < end) {
       prefetch_cell(rank + kClaimPrefetchDistance);
-    }
-  }
-
-  /// Resolve one claimed rank against its cell (Algorithm 1's dequeue
-  /// body). `sink` receives the item by rvalue on `taken`. Waits (with
-  /// back-off) while the producer is still writing this rank.
-  template <typename Sink>
-  rank_state resolve_rank(std::int64_t rank, Sink&& sink) noexcept {
-    const std::uint64_t t0 = this->trc_.now();
-    auto& c = this->cells_[this->cap_.template slot<Layout>(rank)];
-    ffq::runtime::yielding_backoff backoff;
-    std::uint64_t pauses = 0;  // flushed once per episode, not per pause
-    for (;;) {
-      FFQ_CHECK_YIELD();  // scheduling point: one resolve round
-      if (c.rank().load(std::memory_order_acquire) == rank) {
-        // Exactly one consumer can observe its own rank here (ranks are
-        // unique), so the cell is ours to read and recycle.
-        sink(std::move(*c.ptr()));
-        std::destroy_at(c.ptr());
-        // Linearization point.
-        c.rank().store(kCellFree, std::memory_order_release);
-        this->tel_.on_backoff_pauses(pauses);
-        this->trc_.on_dequeue(t0, rank);
-        return rank_state::taken;
-      }
-      // Skipped? gap must be read before the rank re-check: the producer
-      // may have *filled* the cell for our rank after our first look and
-      // then announced a gap for a later rank on a subsequent traversal
-      // (the paper's line-29 discussion). The two loads are distinct
-      // atomic accesses, so the checker gets a scheduling point between
-      // them — the exact window the argument is about.
-      if (c.gap().load(std::memory_order_acquire) >= rank) {
-        FFQ_CHECK_YIELD();  // line-29 window
-        if (c.rank().load(std::memory_order_acquire) != rank) {
-          this->tel_.on_consumer_skip();
-          this->trc_.on_skip(rank);
-          this->tel_.on_backoff_pauses(pauses);
-          return rank_state::skipped;
-        }
-        continue;  // re-check found our rank after all: take it next round
-      }
-      // Producer still writing (or queue empty): back off briefly.
-      const std::int64_t closed =
-          this->closed_tail_.load(std::memory_order_acquire);
-      if (closed >= 0 && rank >= closed) {
-        this->tel_.on_backoff_pauses(pauses);
-        return rank_state::drained;
-      }
-      ++pauses;
-      if (ffq::telemetry::flush_due(pauses)) {
-        this->tel_.on_backoff_pauses(pauses);
-        pauses = 0;
-      }
-      backoff.pause();
     }
   }
 };

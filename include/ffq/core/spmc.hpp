@@ -30,12 +30,14 @@
 // consumers parked on a never-to-be-produced rank return false instead of
 // spinning forever. The check sits only on the back-off path.
 //
-// The producer loop and the consumer claim loop are the shared cores in
-// ring.hpp (DESIGN.md §5.8): scalar calls are bulk calls of one item.
+// The producer loop, the consumer claim and take loops and the one
+// consumer step they resolve ranks with are the shared cores in ring.hpp
+// (DESIGN.md §5.8): scalar calls are bulk calls of one item.
 // `enqueue_bulk` stores `tail` once per batch (and before any full-ring
 // wait); `dequeue_bulk` claims a *run* of ranks with a single
 // fetch-and-add on `head`, so the per-item atomic RMW that dominates
-// dequeue cost (§III-A) is paid once per batch.
+// dequeue cost (§III-A) is paid once per batch, then takes the run's
+// ranks in order, claiming again only when the whole run was gaps.
 #pragma once
 
 #include <cstddef>

@@ -6,7 +6,10 @@
 // Cells keep the (rank, gap) protocol because the producer can still wrap
 // around onto a cell whose item the consumer has not consumed yet (the
 // buffer-full edge), in which case it skips and announces a gap exactly
-// like the SPMC variant — through the same publish loop (ring.hpp).
+// like the SPMC variant — through the same publish loop (ring.hpp). The
+// consumer resolves each rank through the ring's one consumer step,
+// resolve_rank, the same as the multi-consumer queues: a poll stops at
+// the first rank not published yet, a blocking call waits on it.
 //
 // Used by the application framework (paper §V-A) for the per-consumer
 // response queues, and by Fig. 3 (queue-size sweep) and Fig. 8 (SPSC
@@ -16,13 +19,10 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <utility>
 
-#include "ffq/check/yield.hpp"
 #include "ffq/core/layout.hpp"
 #include "ffq/core/ring.hpp"
-#include "ffq/runtime/backoff.hpp"
 
 namespace ffq::core {
 
@@ -57,17 +57,17 @@ class spsc_queue : public detail::ring<T, detail::spmc_cell_fields, Layout,
   /// Consumer thread only. Non-blocking: false when no item is ready.
   /// Safe because `head` is consumer-private — an abandoned poll consumes
   /// no rank.
-  bool try_dequeue(T& out) noexcept { return scan(&out, 1) == 1; }
+  bool try_dequeue(T& out) noexcept { return scan<false>(&out, 1) == 1; }
 
   /// Consumer thread only. Blocking variant; returns false only after
   /// close() once everything produced has been drained.
-  bool dequeue(T& out) noexcept { return wait(&out, 1) == 1; }
+  bool dequeue(T& out) noexcept { return scan<true>(&out, 1) == 1; }
 
   /// Consumer thread only. Take up to `max_n` ready items; never waits.
   /// A partial (or empty) batch abandons nothing.
   template <typename OutIt>
   std::size_t try_dequeue_bulk(OutIt out, std::size_t max_n) noexcept {
-    return scan(out, max_n);
+    return scan<false>(out, max_n);
   }
 
   /// Consumer thread only. Blocking bulk dequeue: returns ≥ 1 items, or
@@ -75,83 +75,58 @@ class spsc_queue : public detail::ring<T, detail::spmc_cell_fields, Layout,
   template <typename OutIt>
   std::size_t dequeue_bulk(OutIt out, std::size_t max_n) noexcept {
     if (max_n == 0) return 0;
-    const std::size_t n = wait(out, max_n);
+    const std::size_t n = scan<true>(out, max_n);
     if (n > 0) this->tel_.on_bulk(n);
     return n;
   }
 
  private:
+  using typename base::rank_state;
+
   // The waitable wrapper funnels its park/wake events into this queue's
   // counter block so one telemetry() call covers the whole stack.
   friend class waitable_spsc_queue<T, Layout, Telemetry, Trace>;
 
-  /// The one cell scan: take up to `max_n` ready items from the
-  /// consumer-private head on, advancing past gap ranks; never waits.
-  template <typename OutIt>
-  std::size_t scan(OutIt out, std::size_t max_n) noexcept {
-    std::uint64_t it0 = this->trc_.now();  // per-item begin timestamp
+  /// The one consumer loop: resolve ranks from the consumer-private head
+  /// on through the ring's resolve_rank, taking up to `max_n` items and
+  /// advancing past gap ranks, until the next rank is not published yet.
+  /// A blocking scan (Wait, max_n >= 1) first waits on its next rank, and
+  /// on the ranks after any gaps, until it has taken an item, or returns
+  /// 0 once the ring is closed and drained. Always inlined: holding both
+  /// resolves, the blocking instantiation is otherwise kept out of line,
+  /// which cost bench_batch_ops' batch-1 ffq-spsc row about half its rate.
+  template <bool Wait, typename OutIt>
+  [[gnu::always_inline]] std::size_t scan(OutIt out,
+                                          std::size_t max_n) noexcept {
+    const auto sink = [&](T&& v) {
+      *out = std::move(v);
+      ++out;
+    };
     std::int64_t h = *this->head_;
     std::size_t taken = 0;
-    while (taken < max_n) {
-      FFQ_CHECK_YIELD();  // scheduling point: one cell-protocol round
-      auto& c = this->cells_[this->cap_.template slot<Layout>(h)];
-      if (c.rank().load(std::memory_order_acquire) == h) {
-        *out = std::move(*c.ptr());
-        ++out;
-        std::destroy_at(c.ptr());
-        c.rank().store(detail::kCellFree, std::memory_order_release);
-        this->trc_.on_dequeue(it0, h);
-        it0 = this->trc_.now();
+    if constexpr (Wait) {
+      rank_state st;
+      while ((st = this->template resolve_rank<true>(h, sink)) ==
+             rank_state::skipped) {
+        ++h;
+      }
+      if (st == rank_state::taken) {
         ++h;
         ++taken;
-        continue;
+      } else {
+        max_n = 0;  // drained: nothing is left to poll
       }
-      // The gap load and the rank re-check are distinct atomic accesses;
-      // the paper's line-29 argument is exactly about what may happen
-      // between them, so the checker gets a scheduling point there.
-      if (c.gap().load(std::memory_order_acquire) >= h) {
-        FFQ_CHECK_YIELD();  // line-29 window: producer may publish h here
-        if (c.rank().load(std::memory_order_acquire) != h) {
-          this->tel_.on_consumer_skip();
-          this->trc_.on_skip(h);
-          ++h;  // our rank was skipped; advance past the gap
-        }
-        continue;  // re-check found our rank after all: take it next round
-      }
-      break;  // next rank not published yet
+    }
+    for (; taken < max_n; ++h) {
+      const rank_state st = this->template resolve_rank<false>(h, sink);
+      if (st == rank_state::pending) break;
+      if (st == rank_state::taken) ++taken;
     }
     // Remember progress past consumed gaps. Relaxed atomic store: the
     // producer's approx_size() reads head through an atomic_ref.
     std::atomic_ref<std::int64_t>(*this->head_).store(
         h, std::memory_order_relaxed);
     return taken;
-  }
-
-  /// The one wait loop: scan until items arrive (≥ 1), or return 0 once
-  /// closed and drained.
-  template <typename OutIt>
-  std::size_t wait(OutIt out, std::size_t max_n) noexcept {
-    ffq::runtime::yielding_backoff backoff;
-    std::uint64_t pauses = 0;  // flushed once per call, not per pause
-    for (;;) {
-      const std::size_t n = scan(out, max_n);
-      if (n > 0 || drained()) {
-        this->tel_.on_backoff_pauses(pauses);
-        return n;
-      }
-      ++pauses;
-      if (ffq::telemetry::flush_due(pauses)) {
-        this->tel_.on_backoff_pauses(pauses);
-        pauses = 0;
-      }
-      backoff.pause();
-    }
-  }
-
-  bool drained() const noexcept {
-    const std::int64_t closed =
-        this->closed_tail_.load(std::memory_order_acquire);
-    return closed >= 0 && *this->head_ >= closed;
   }
 };
 

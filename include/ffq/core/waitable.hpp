@@ -12,9 +12,10 @@
 // waiters?" check inside notify_one); the consumer's fast path is
 // unchanged. Offered for the SPSC variant, whose consumer-private head
 // makes a non-committal try_dequeue possible — which the park/re-check
-// protocol requires. (An SPMC consumer commits to a rank before it can
-// observe emptiness, so it cannot abandon the wait; parking SPMC
-// consumers needs the scheduler-integration approach instead.)
+// protocol requires. The multi-consumer try_ calls are non-committal
+// too (their claims are CAS-bounded by a published tail, ring.hpp), so
+// the same protocol could park SPMC and MPMC consumers; it is not
+// offered for them yet.
 #pragma once
 
 #include <cstdint>

@@ -8,12 +8,12 @@
 // `runtime::plan_placement` computes one producer/consumer CPU group per
 // shard, exactly as the paper benchmarks place their producer groups.
 //
-// The plan is advisory: the fabric records it and exposes it per shard;
-// callers (benches, services) pin their producer and consumer threads
-// with `runtime::pin_self_to`. On NUMA machines the shard's cell array is
-// first-touched by whichever thread constructs the fabric — construct it
-// from a thread already pinned to the producer's node (or use one fabric
-// per node) to keep shard storage node-local.
+// The plan is advisory and the fabric does not hold it: callers
+// (benches, services) plan with plan_shards, then pin their producer and
+// consumer threads with `runtime::pin_self_to`. On NUMA machines the
+// shard's cell array is first-touched by whichever thread constructs the
+// fabric — construct it from a thread already pinned to the producer's
+// node (or use one fabric per node) to keep shard storage node-local.
 #pragma once
 
 #include <cstddef>
@@ -45,7 +45,8 @@ placement_plan plan_shards(const ffq::runtime::cpu_topology& topo,
                            ffq::runtime::placement_policy policy,
                            std::size_t shards);
 
-/// Convenience: discover the topology, then plan.
+/// Convenience: discover the topology, then plan (`policy == none` skips
+/// discovery).
 placement_plan plan_shards(ffq::runtime::placement_policy policy,
                            std::size_t shards);
 

@@ -86,7 +86,6 @@
 #include "ffq/core/spmc.hpp"
 #include "ffq/runtime/backoff.hpp"
 #include "ffq/runtime/cacheline.hpp"
-#include "ffq/shard/placement.hpp"
 #include "ffq/telemetry/shard_counters.hpp"
 #include "ffq/trace/tracer.hpp"
 
@@ -285,40 +284,23 @@ class run_shard
 
   // The ring's try path in its two parts: a consumer handle claims a run
   // of cells once and reads them on demand across its calls.
+  using base::claim_run;
   using base::take_rank;
-  using base::try_claim_run;
 };
 
 }  // namespace detail
 
-/// Scheduler knobs + advisory placement.
-struct options {
-  /// Max cells a consumer claims from one shard per visit before the
-  /// cursor is eligible to move (the scheduler's fairness/locality
-  /// trade-off; also the cap on a steal's bite). An unordered cell holds
-  /// a run of up to kRunWidth items; an ordered cell holds one item. An
-  /// unordered handle keeps the cells it claimed and has not yet read
-  /// until its next calls, so an idle handle occupies up to
-  /// min(max_n, drain_quota) cells of one shard; it allocates nothing for
-  /// them.
-  std::size_t drain_quota = 64;
-  /// Shard → CPU strategy, computed via runtime::plan_placement. `none`
-  /// (default) skips topology discovery entirely.
-  ffq::runtime::placement_policy placement =
-      ffq::runtime::placement_policy::none;
-  /// Topology to plan against; nullptr = discover() when placement is
-  /// not `none` (tests pass a synthetic topology).
-  const ffq::runtime::cpu_topology* topology = nullptr;
-};
-
 /// The sharded SPMC fabric. One FFQ^s shard per producer; `Ordered`
 /// selects epoch-stamped merge fan-in. Layout/Telemetry/Trace forward to
 /// every shard (layout policy per shard, as in the scalar queues).
+/// Cache-line aligned: every consumer call on every core reads the shard
+/// table and the handed-back count, so the object must not share a line
+/// with whatever its owner or the allocator places beside it.
 template <typename T, bool Ordered = false,
           typename Layout = ffq::core::layout_aligned,
           typename Telemetry = ffq::telemetry::default_policy,
           typename Trace = ffq::trace::default_policy>
-class fabric {
+class alignas(ffq::runtime::kCacheLineSize) fabric {
   static_assert(std::is_nothrow_move_constructible_v<T>,
                 "cell publication cannot be rolled back after a throwing move");
   static_assert(!Ordered || std::is_default_constructible_v<T>,
@@ -340,15 +322,24 @@ class fabric {
       Ordered ? 1 : detail::run<T>::kWidth;
   static constexpr const char* kName =
       Ordered ? "ffq-shard-ordered" : "ffq-shard";
+  /// Max cells an unordered consumer claims from one shard per visit
+  /// before the cursor is eligible to move (the scheduler's
+  /// fairness/locality trade-off; also the cap on a steal's bite). A cell
+  /// holds a run of up to kRunWidth items. A handle keeps the cells it
+  /// claimed and has not yet read until its next calls, so an idle handle
+  /// occupies up to min(max_n, kDrainQuota) cells of one shard; it
+  /// allocates nothing for them. Ordered mode takes one item per merge
+  /// step and has no quota.
+  static constexpr std::size_t kDrainQuota = 64;
 
   /// `producers` shards of `shard_capacity` cells each (power of two;
   /// same flow-control assumption per shard as spmc_queue, counted in
   /// cells). Throws std::invalid_argument, before any shard is allocated,
-  /// when producers < 1, shard_capacity is not a power of two >= 2 or
-  /// opts.drain_quota is 0 (every visit would then take nothing).
-  fabric(std::size_t producers, std::size_t shard_capacity,
-         options opts = {})
-      : shard_capacity_(shard_capacity), opts_(opts) {
+  /// when producers < 1 or shard_capacity is not a power of two >= 2.
+  /// Threads are not pinned here: a caller that pins them plans with
+  /// plan_shards (placement.hpp).
+  fabric(std::size_t producers, std::size_t shard_capacity)
+      : shard_capacity_(shard_capacity) {
     if (producers < 1) {
       throw std::invalid_argument("shard fabric: producers must be >= 1");
     }
@@ -356,17 +347,9 @@ class fabric {
       throw std::invalid_argument(
           "shard fabric: shard_capacity must be a power of two >= 2");
     }
-    if (opts.drain_quota == 0) {
-      throw std::invalid_argument("shard fabric: drain_quota must be >= 1");
-    }
     shards_.reserve(producers);
     for (std::size_t p = 0; p < producers; ++p) {
       shards_.push_back(std::make_unique<shard_type>(shard_capacity));
-    }
-    if (opts_.placement != ffq::runtime::placement_policy::none) {
-      plan_ = opts_.topology
-                  ? plan_shards(*opts_.topology, opts_.placement, producers)
-                  : plan_shards(opts_.placement, producers);
     }
   }
 
@@ -407,12 +390,6 @@ class fabric {
     }
 
     std::size_t index() const noexcept { return index_; }
-
-    /// This shard's advisory CPU group (nullptr when the fabric was built
-    /// with placement_policy::none).
-    const ffq::runtime::group_placement* placement() const noexcept {
-      return fab_->placement_of(index_);
-    }
 
    private:
     friend class fabric;
@@ -466,9 +443,9 @@ class fabric {
     /// come first. Unordered: the leftover, then the cells this handle
     /// has claimed but not read, straight into `out`; only when no
     /// claimed cell is left does one shard visit claim up to
-    /// min(max_n, drain_quota) new cells, which the call reads until
+    /// min(max_n, kDrainQuota) new cells, which the call reads until
     /// `out` holds max_n items. Ordered: up to max_n items, one merge step
-    /// each (drain_quota does not apply).
+    /// each (kDrainQuota does not apply).
     template <typename OutIt>
     std::size_t try_dequeue_bulk(OutIt out, std::size_t max_n) noexcept {
       if (max_n == 0) return 0;
@@ -549,15 +526,12 @@ class fabric {
       return n;
     }
 
-    /// Unordered scheduler: claim up to min(max_n, drain_quota) cells of
+    /// Unordered scheduler: claim up to min(max_n, kDrainQuota) cells of
     /// the cursor's shard (quota-capped bulk claim), steal from the
     /// busiest shard when it is dry, advance the cursor round-robin when
     /// a claim under-fills. False when the pass claimed nothing.
     bool claim_cells(std::size_t max_n) noexcept {
-      // A count past INT64_MAX would turn negative in the claim's signed
-      // rank arithmetic.
-      const std::size_t want = std::min<std::size_t>(
-          {max_n, fab_->opts_.drain_quota, INT64_MAX});
+      const std::size_t want = std::min(max_n, kDrainQuota);
       const std::size_t nshards = fab_->shards_.size();
       FFQ_CHECK_YIELD();  // scheduling point: the cursor visit
       if (const std::size_t cells = claim_from(cursor_, want)) {
@@ -597,18 +571,19 @@ class fabric {
     /// Claim up to `want` cells of shard `s` without reading them; they
     /// become this handle's claimed cells. Returns how many it claimed.
     std::size_t claim_from(std::size_t s, std::size_t want) noexcept {
-      const auto run = fab_->shard(s).try_claim_run(want);
+      const auto run = fab_->shard(s).template claim_run<true, true>(want);
       claimed_ = s;
       next_ = run.first;
       end_ = run.first + run.size;
       return static_cast<std::size_t>(run.size);
     }
 
-    /// Read claimed cells in rank order into `out` until it holds `room`
-    /// more items or no claimed cell is left (precondition: one is, and
-    /// room >= 1). The part of a run that does not fit becomes the
-    /// leftover. Each item leaves its cell once: straight to `out`, or to
-    /// the leftover when the buffer ends inside its run.
+    /// The one loop over claimed cells: read them in rank order into
+    /// `out` until it holds `room` more items or no claimed cell is left
+    /// (precondition: one is, and room >= 1). The part of a run that does
+    /// not fit becomes the leftover. Each item leaves its cell once:
+    /// straight to `out`, or to the leftover when the buffer ends inside
+    /// its run.
     template <typename OutIt>
     std::size_t read_claimed(OutIt& out, std::size_t room) noexcept {
       auto& shard = fab_->shard(claimed_);
@@ -705,20 +680,13 @@ class fabric {
         }
       } else {
         // The leftover is older than the claimed cells, which are in rank
-        // order: per-producer order is kept.
+        // order: per-producer order is kept. A room no claim can fill
+        // reads every claimed cell, so nothing is split off.
         auto to_items = std::back_inserter(items);
         left_.serve(to_items, std::numeric_limits<std::size_t>::max());
-        auto& shard = fab_->shard(claimed_);
-        for (; next_ != end_; ++next_) {
-          const auto st =
-              shard.take_rank(next_, end_, [&](detail::run<T>&& r) noexcept {
-                for (std::size_t i = 0; i < r.size(); ++i) {
-                  items.push_back(std::move(r.data()[i]));
-                }
-              });
-          if (st == shard_type::rank_state::drained) break;
+        if (next_ != end_) {
+          read_claimed(to_items, std::numeric_limits<std::size_t>::max());
         }
-        next_ = end_;
       }
       if (items.empty()) return;
       // The list is built first: reading a cell has scheduling points
@@ -786,15 +754,6 @@ class fabric {
     return total;
   }
 
-  /// The advisory placement plan ({} when placement_policy::none).
-  const placement_plan& placement() const noexcept { return plan_; }
-
-  /// Shard `p`'s CPU group, or nullptr without a plan.
-  const ffq::runtime::group_placement* placement_of(
-      std::size_t p) const noexcept {
-    return p < plan_.groups.size() ? &plan_.groups[p] : nullptr;
-  }
-
   /// The scheduler's counter block (empty under the disabled policy).
   const ffq::telemetry::fabric_counters<Telemetry>& telemetry()
       const noexcept {
@@ -825,9 +784,7 @@ class fabric {
   }
 
   std::size_t shard_capacity_;
-  options opts_;
   std::vector<std::unique_ptr<shard_type>> shards_;
-  placement_plan plan_;
   std::atomic<std::uint64_t> next_consumer_{0};
   std::atomic<bool> closed_{false};
   // Items destroyed handles held. Only hand_back and take_handed_back

@@ -13,6 +13,7 @@
 #include <tuple>
 #include <vector>
 
+#include "gated_value.hpp"
 #include "sweep_drain.hpp"
 #include "tail_snapshot.hpp"
 
@@ -200,6 +201,20 @@ TEST(MpmcQueue, GapStatisticsExposed) {
   }
   EXPECT_EQ(q.gaps_created(), 0u);
   EXPECT_EQ(q.consumer_skips(), 0u);
+}
+
+// The SPMC deterministic gap test (gated_value.hpp) on FFQ^m: the
+// producer's DWCAS announces the gap over the frozen consumer's cell, and
+// every way of taking one item skips it.
+TEST(MpmcQueue, DeterministicGapCreationAndSkip) {
+  using ffq_test::gated_value;
+  for (const auto how : ffq_test::kTakeBy) {
+    SCOPED_TRACE(ffq_test::name_of(how));
+    mpmc_queue<gated_value, ffq::core::layout_aligned, ffq::telemetry::enabled>
+        q(4);
+    ffq_test::build_gap_at_rank_4(q);
+    ffq_test::expect_gap_at_rank_4_skipped(q, how);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "ffq/shard/placement.hpp"
 #include "ffq/telemetry/counters.hpp"
 #include "ffq/trace/policy.hpp"
 #include "tail_snapshot.hpp"
@@ -48,11 +49,9 @@ using fab_tel = sh::fabric<long long, false, ffq::core::layout_aligned,
 // The mirror repeats the fabric's members minus the policy blocks; equal
 // size and alignment proves [[no_unique_address]] erased them.
 
-struct fabric_mirror {
+struct alignas(rt::kCacheLineSize) fabric_mirror {
   std::size_t shard_capacity;
-  sh::options opts;
   std::vector<std::unique_ptr<fab_plain::shard_type>> shards;
-  sh::placement_plan plan;
   std::atomic<std::uint64_t> next_consumer;
   std::atomic<bool> closed;
   std::atomic<std::size_t> handed_back;
@@ -60,11 +59,9 @@ struct fabric_mirror {
   std::list<long long> handed_back_items;
 };
 
-struct fabric_ordered_mirror {
+struct alignas(rt::kCacheLineSize) fabric_ordered_mirror {
   std::size_t shard_capacity;
-  sh::options opts;
   std::vector<std::unique_ptr<fab_plain_ord::shard_type>> shards;
-  sh::placement_plan plan;
   std::atomic<std::uint64_t> next_consumer;
   std::atomic<bool> closed;
   std::atomic<std::size_t> handed_back;
@@ -154,20 +151,16 @@ TEST(ShardFabric, ShapeAndLifecycle) {
   EXPECT_EQ(fab.shard_capacity(), 64u);
   EXPECT_FALSE(fab.closed());
   EXPECT_EQ(fab.approx_size(), 0);
-  EXPECT_TRUE(fab.placement().empty());  // default policy: none
   fab.close();
   EXPECT_TRUE(fab.closed());
 }
 
-// Sizes that would divide by zero in the consumer cursor, trip only the
-// ring's assert, or make every visit take nothing are refused up front.
+// Sizes that would divide by zero in the consumer cursor or trip only
+// the ring's assert are refused up front.
 TEST(ShardFabric, ConstructorRejectsBadSizes) {
   EXPECT_THROW(fab_plain(0, 64), std::invalid_argument);
   EXPECT_THROW(fab_plain(2, 48), std::invalid_argument);
   EXPECT_THROW(fab_plain(2, 1), std::invalid_argument);
-  sh::options no_quota;
-  no_quota.drain_quota = 0;
-  EXPECT_THROW(fab_plain(2, 64, no_quota), std::invalid_argument);
   EXPECT_THROW(fab_plain_ord(0, 64), std::invalid_argument);
   EXPECT_NO_THROW(fab_plain(1, 2));
 }
@@ -311,38 +304,36 @@ TEST(ShardFabric, ConsumerCursorsRotateAcrossHandles) {
   EXPECT_EQ(fab.telemetry().steals(), 0u);
 }
 
+// A caller that pins a fabric's threads plans its shards with
+// plan_shards, which reuses the runtime topology layer.
 TEST(ShardFabric, PlacementPlanReusesTopologyLayer) {
   const auto topo = rt::cpu_topology::synthetic(1, 4, 2);
-  sh::options opts;
-  opts.placement = rt::placement_policy::other_core;
-  opts.topology = &topo;
-  fab_plain fab(3, 64, opts);
-  const auto& plan = fab.placement();
+  const auto plan = sh::plan_shards(topo, rt::placement_policy::other_core, 3);
   ASSERT_EQ(plan.groups.size(), 3u);
   EXPECT_EQ(plan.policy, rt::placement_policy::other_core);
-  for (std::size_t s = 0; s < 3; ++s) {
-    ASSERT_NE(fab.placement_of(s), nullptr);
-    EXPECT_FALSE(fab.placement_of(s)->producer_cpus.empty());
-    EXPECT_FALSE(fab.placement_of(s)->consumer_cpus.empty());
+  for (const auto& group : plan.groups) {
+    EXPECT_FALSE(group.producer_cpus.empty());
+    EXPECT_FALSE(group.consumer_cpus.empty());
   }
-  EXPECT_EQ(fab.placement_of(3), nullptr);  // out of range: no group
   // The summary names the policy and every shard's groups.
   const auto s = plan.summary();
   EXPECT_NE(s.find("policy=other-core"), std::string::npos);
   EXPECT_NE(s.find("shards=3"), std::string::npos);
-  // Direct planning agrees with what the fabric stored.
-  const auto direct = sh::plan_shards(topo, rt::placement_policy::other_core, 3);
-  ASSERT_EQ(direct.groups.size(), plan.groups.size());
-  for (std::size_t g = 0; g < direct.groups.size(); ++g) {
-    EXPECT_EQ(direct.groups[g].producer_cpus, plan.groups[g].producer_cpus);
-    EXPECT_EQ(direct.groups[g].consumer_cpus, plan.groups[g].consumer_cpus);
+  // The runtime layer's plan is the shard plan, one group per shard.
+  const auto direct =
+      rt::plan_placement(topo, rt::placement_policy::other_core, 3);
+  ASSERT_EQ(direct.size(), plan.groups.size());
+  for (std::size_t g = 0; g < direct.size(); ++g) {
+    EXPECT_EQ(direct[g].producer_cpus, plan.groups[g].producer_cpus);
+    EXPECT_EQ(direct[g].consumer_cpus, plan.groups[g].consumer_cpus);
   }
 }
 
 TEST(ShardFabric, PolicyNoneSkipsPlanning) {
-  fab_plain fab(2, 64);  // default options: placement none
-  EXPECT_TRUE(fab.placement().empty());
-  EXPECT_EQ(fab.placement_of(0), nullptr);
+  const auto topo = rt::cpu_topology::synthetic(1, 4, 2);
+  EXPECT_TRUE(sh::plan_shards(topo, rt::placement_policy::none, 2).empty());
+  // Without a topology, policy none skips discovery as well.
+  EXPECT_TRUE(sh::plan_shards(rt::placement_policy::none, 2).empty());
 }
 
 TEST(ShardFabric, BlockingDequeueReturnsFalseOnlyWhenClosedAndDrained) {
@@ -448,18 +439,19 @@ TEST(ShardRuns, HeldItemsComeBeforeNewerItems) {
   EXPECT_FALSE(c.try_dequeue(v));
 }
 
-// drain_quota counts cells: a visit claims up to that many runs.
+// kDrainQuota counts cells: a visit claims up to that many runs.
 TEST(ShardRuns, DrainQuotaCountsCells) {
-  sh::options opts;
-  opts.drain_quota = 2;
-  fab_plain fab(1, 64, opts);
-  enqueue_burst(fab, 0, 0, 3 * kK);
+  constexpr std::size_t kQuota = fab_plain::kDrainQuota;
+  const std::size_t items = (kQuota + 1) * kK;
+  fab_plain fab(1, 4 * kQuota);
+  enqueue_burst(fab, 0, 0, items);
   auto c = fab.consumer();
-  std::vector<long long> buf(64);
-  EXPECT_EQ(c.try_dequeue_bulk(buf.begin(), 64), 2 * kK);
+  std::vector<long long> buf(items);
+  EXPECT_EQ(c.try_dequeue_bulk(buf.begin(), items), kQuota * kK);
+  EXPECT_EQ(buf[kQuota * kK - 1], static_cast<long long>(kQuota * kK - 1));
   EXPECT_EQ(fab.approx_size(), 1);
-  EXPECT_EQ(c.try_dequeue_bulk(buf.begin(), 64), kK);
-  EXPECT_EQ(buf[kK - 1], static_cast<long long>(3 * kK - 1));
+  EXPECT_EQ(c.try_dequeue_bulk(buf.begin(), items), kK);
+  EXPECT_EQ(buf[kK - 1], static_cast<long long>(items - 1));
 }
 
 // On a closed fabric a handle returns what it holds (here a leftover),

@@ -14,6 +14,7 @@
 #include <tuple>
 #include <vector>
 
+#include "gated_value.hpp"
 #include "sweep_drain.hpp"
 #include "tail_snapshot.hpp"
 
@@ -76,86 +77,22 @@ TEST(SpmcQueue, ItemsEnqueuedBeforeCloseAreDelivered) {
 }
 
 // ---------------------------------------------------------------------------
-// Deterministic gap test. A payload whose move-*assignment* blocks lets the
-// test freeze a consumer inside the dequeue window (between observing its
-// rank and releasing the cell) — exactly the "slow consumer" of §III-A.
-// The producer must then skip the held cell, announce a gap, and publish
-// in the next free cell; a later consumer must follow the gap.
+// Deterministic gap test (gated_value.hpp): a consumer frozen inside a
+// cell makes the producer announce a gap at rank 4; every way of taking
+// one item must skip it and find item 4 at rank 5.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-struct gate {
-  std::atomic<bool> entered{false};
-  std::atomic<bool> release{false};
-};
-
-struct gated_value {
-  int v = 0;
-  gate* g = nullptr;  // non-null: block in move-assignment until released
-
-  gated_value() = default;
-  gated_value(int value, gate* gt) : v(value), g(gt) {}
-  gated_value(gated_value&& o) noexcept : v(o.v), g(o.g) {}
-  gated_value& operator=(gated_value&& o) noexcept {
-    v = o.v;
-    g = o.g;
-    if (g != nullptr) {
-      g->entered.store(true, std::memory_order_release);
-      while (!g->release.load(std::memory_order_acquire)) {
-        std::this_thread::yield();
-      }
-    }
-    return *this;
-  }
-};
-
-}  // namespace
+using ffq_test::gated_value;
 
 TEST(SpmcQueue, DeterministicGapCreationAndSkip) {
-  // Explicit enabled policy: the gap/skip assertions must hold in every
-  // build mode, including default FFQ_TELEMETRY=OFF.
-  spmc_queue<gated_value, layout_aligned, ffq::telemetry::enabled> q(4);
-  gate gt;
-
-  q.enqueue(gated_value(0, &gt));      // rank 0 -> cell 0
-  q.enqueue(gated_value(1, nullptr));  // rank 1 -> cell 1
-
-  gated_value slow_out;
-  std::thread slow([&] {
-    ASSERT_TRUE(q.dequeue(slow_out));  // rank 0; stalls inside the cell
-  });
-  while (!gt.entered.load(std::memory_order_acquire)) std::this_thread::yield();
-
-  gated_value out;
-  ASSERT_TRUE(q.dequeue(out));  // rank 1 -> frees cell 1
-  EXPECT_EQ(out.v, 1);
-
-  q.enqueue(gated_value(2, nullptr));  // rank 2 -> cell 2
-  q.enqueue(gated_value(3, nullptr));  // rank 3 -> cell 3
-  ASSERT_EQ(q.gaps_created(), 0u);
-
-  // Free cells: only cell 1. Cell 0 is held by the stalled consumer, so
-  // the producer must announce a gap for rank 4 and publish at rank 5.
-  q.enqueue(gated_value(4, nullptr));
-  EXPECT_EQ(q.gaps_created(), 1u);
-
-  gt.release.store(true, std::memory_order_release);
-  slow.join();
-  EXPECT_EQ(slow_out.v, 0);
-
-  // Drain: ranks 2, 3 are items; rank 4 is a gap the consumer must skip;
-  // rank 5 carries item 4.
-  ASSERT_TRUE(q.dequeue(out));
-  EXPECT_EQ(out.v, 2);
-  ASSERT_TRUE(q.dequeue(out));
-  EXPECT_EQ(out.v, 3);
-  ASSERT_TRUE(q.dequeue(out));
-  EXPECT_EQ(out.v, 4) << "consumer must skip the gap rank and find item 4";
-  EXPECT_GE(q.consumer_skips(), 1u);
-
-  q.close();
-  EXPECT_FALSE(q.dequeue(out));
+  for (const auto how : ffq_test::kTakeBy) {
+    SCOPED_TRACE(ffq_test::name_of(how));
+    // Explicit enabled policy: the gap/skip assertions must hold in every
+    // build mode, including default FFQ_TELEMETRY=OFF.
+    spmc_queue<gated_value, layout_aligned, ffq::telemetry::enabled> q(4);
+    ffq_test::build_gap_at_rank_4(q);
+    ffq_test::expect_gap_at_rank_4_skipped(q, how);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -369,29 +306,7 @@ TEST(SpmcQueueBulk, DequeueBulkDropsGapInsideClaimedRun) {
   // Enabled telemetry policy: the gap/skip assertions must hold in every
   // build mode.
   spmc_queue<gated_value, layout_aligned, ffq::telemetry::enabled> q(4);
-  gate gt;
-
-  q.enqueue(gated_value(0, &gt));      // rank 0 -> cell 0
-  q.enqueue(gated_value(1, nullptr));  // rank 1 -> cell 1
-
-  gated_value slow_out;
-  std::thread slow([&] {
-    ASSERT_TRUE(q.dequeue(slow_out));  // rank 0; stalls inside the cell
-  });
-  while (!gt.entered.load(std::memory_order_acquire)) std::this_thread::yield();
-
-  gated_value out;
-  ASSERT_TRUE(q.dequeue(out));  // rank 1 -> frees cell 1
-  EXPECT_EQ(out.v, 1);
-
-  q.enqueue(gated_value(2, nullptr));  // rank 2 -> cell 2
-  q.enqueue(gated_value(3, nullptr));  // rank 3 -> cell 3
-  q.enqueue(gated_value(4, nullptr));  // gap at rank 4, item at rank 5
-  ASSERT_EQ(q.gaps_created(), 1u);
-
-  gt.release.store(true, std::memory_order_release);
-  slow.join();
-  EXPECT_EQ(slow_out.v, 0);
+  ffq_test::build_gap_at_rank_4(q);
 
   gated_value run[8];
   ASSERT_EQ(q.dequeue_bulk(run, 8), 3u)
