@@ -37,8 +37,7 @@ double measure(const config_row& c, int runs, double scale) {
   spmc_bench_config cfg;
   cfg.groups = c.groups;
   cfg.consumers_per_group = c.consumers;
-  cfg.submission_capacity = 1 << 12;
-  cfg.response_capacity = 1 << 12;
+  cfg.capacity = 1 << 12;
   cfg.items_per_producer =
       static_cast<std::uint64_t>(static_cast<double>(c.items) * scale);
   if (cfg.items_per_producer < 1000) cfg.items_per_producer = 1000;

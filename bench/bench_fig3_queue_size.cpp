@@ -29,8 +29,7 @@ int run(const bench_cli& cli) {
   for (unsigned lg = 6; lg <= 20; lg += 2) {
     const std::size_t entries = std::size_t{1} << lg;
     spmc_bench_config cfg;
-    cfg.submission_capacity = entries;
-    cfg.response_capacity = entries;
+    cfg.capacity = entries;
     cfg.items_per_producer =
         static_cast<std::uint64_t>(500000 * cli.scale);
     if (cfg.items_per_producer < 1000) cfg.items_per_producer = 1000;

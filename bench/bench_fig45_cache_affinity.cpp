@@ -81,8 +81,7 @@ int run(const bench_cli& cli) {
       for (unsigned lg = 8; lg <= 16; lg += 4) {
         runtime::perf_counter_group grp(events);
         spmc_bench_config cfg;
-        cfg.submission_capacity = std::size_t{1} << lg;
-        cfg.response_capacity = cfg.submission_capacity;
+        cfg.capacity = std::size_t{1} << lg;
         cfg.items_per_producer = items / 2;
         cfg.policy = p.policy;
         grp.start();

@@ -42,8 +42,7 @@ int run(const bench_cli& cli) {
         spmc_bench_config cfg;
         cfg.groups = groups;
         cfg.consumers_per_group = 1;
-        cfg.submission_capacity = std::size_t{1} << lg;
-        cfg.response_capacity = cfg.submission_capacity;
+        cfg.capacity = std::size_t{1} << lg;
         cfg.policy = policy;
         cfg.items_per_producer = static_cast<std::uint64_t>(
             200000 * cli.scale / static_cast<double>(groups));

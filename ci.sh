@@ -188,10 +188,7 @@ leg_check() {
   cmake --build build-check -j "$JOBS"
   ctest --test-dir build-check --output-on-failure -j "$JOBS"
   echo "--- exhaustive: bound-2 DFS (safety + one-sided liveness) over the SPSC, SPMC, SPMC bulk/try_, shard, MPMC models ---"
-  local m
-  for m in spsc spmc spmc_bulk spmc_try shard mpmc; do
-    ./build-check/tools/check_explore --model "$m" --bound 2
-  done
+  ./build-check/tools/check_explore --model all --bound 2
   ./build-check/tools/check_explore --model mpmc --fuzz 2000 --seed 1
   echo "--- seeded fuzz: 10000 schedules over every real queue ---"
   ./build-check/tools/check_explore --queue all --fuzz 10000 --seed 1

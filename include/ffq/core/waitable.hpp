@@ -8,8 +8,8 @@
 // this wrapper is the kernel-only equivalent: spin briefly, then park on
 // a futex-backed event count until the producer signals.
 //
-// The producer's hot path gains exactly one relaxed load (the "any
-// waiters?" check inside notify_one); the consumer's fast path is
+// The producer's hot path gains exactly one RMW of the waiter count (the
+// "any waiters?" check inside notify_one); the consumer's fast path is
 // unchanged. Offered for the SPSC variant, whose consumer-private head
 // makes a non-committal try_dequeue possible — which the park/re-check
 // protocol requires. The multi-consumer try_ calls are non-committal
@@ -43,7 +43,7 @@ class waitable_spsc_queue {
 
   explicit waitable_spsc_queue(std::size_t capacity) : q_(capacity) {}
 
-  /// Producer only. Wait-free (plus one relaxed load for the wake check).
+  /// Producer only. Wait-free (plus one RMW for the wake check).
   void enqueue(T value) noexcept {
     q_.enqueue(std::move(value));
     FFQ_CHECK_YIELD();  // window between publication and the wake signal

@@ -35,8 +35,8 @@ namespace ffq::harness {
 struct spmc_bench_config {
   std::size_t groups = 1;               ///< independent producers
   std::size_t consumers_per_group = 1;
-  std::size_t submission_capacity = 1 << 16;
-  std::size_t response_capacity = 1 << 16;
+  /// Cells of the submission ring and of each response ring.
+  std::size_t capacity = 1 << 16;
   std::uint64_t items_per_producer = 1'000'000;
   /// Batched mode (DESIGN.md §5.8): > 1 makes the producer submit with
   /// enqueue_bulk and consumers drain with dequeue_bulk in runs of this
@@ -61,10 +61,10 @@ double run_spmc_bench_once(const spmc_bench_config& cfg) {
 
   std::vector<group_state> groups(cfg.groups);
   for (auto& g : groups) {
-    g.submission = std::make_unique<SubmissionQueue>(cfg.submission_capacity);
+    g.submission = std::make_unique<SubmissionQueue>(cfg.capacity);
     for (std::size_t c = 0; c < cfg.consumers_per_group; ++c) {
       g.responses.push_back(
-          std::make_unique<response_queue>(cfg.response_capacity));
+          std::make_unique<response_queue>(cfg.capacity));
     }
   }
 
@@ -75,7 +75,7 @@ double run_spmc_bench_once(const spmc_bench_config& cfg) {
   // nor any single response ring can fill (implicit flow control).
   const std::uint64_t inflight_window = static_cast<std::uint64_t>(
       std::max<std::size_t>(
-          1, std::min(cfg.submission_capacity, cfg.response_capacity) / 2));
+          1, cfg.capacity / 2));
 
   // Each group runs its consumers, then its producer.
   const std::size_t per_group = cfg.consumers_per_group + 1;

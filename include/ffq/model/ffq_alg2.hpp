@@ -1,8 +1,9 @@
 // ffq_alg2.hpp — step-machine model of Algorithm 2 (FFQ^m producers).
 //
-// Consumers are shared with Algorithm 1 (alg1_consumer and its
-// rank_resolver): the dequeue protocol is identical, and a -2 reservation simply fails both the
-// rank and gap comparisons, i.e. "producer still writing — back off".
+// Consumers are Algorithm 1's alg1_consumer (run_claim, then
+// rank_resolver): the dequeue protocol is identical, and a -2 reservation
+// simply fails both the rank and gap comparisons, i.e. "producer still
+// writing — back off".
 //
 // Mutations (paper §III-B explains why each safeguard exists; tests
 // prove the checker finds the bug when it is removed):

@@ -4,30 +4,21 @@
 // The fabric's producer side is Algorithm 1 verbatim (one shard per
 // producer), so its machine is alg1_producer driving one shard of a
 // multi-shard world: tail in world::tails_[s], ranks namespaced via
-// world::kShardRankStride. What is genuinely new — and what this model
-// exists to check — is the consumer scheduler's claim steps: the
-// round-robin cursor visit with its non-committal emptiness check, the
-// quota-bounded bulk claim, the steal scan over the other shards'
-// approximate sizes, and the steal claim against a shard whose size
-// estimate may be stale by claim time. Each shared-memory
-// access is one step, mirroring the FFQ_CHECK_YIELD sites in shard.hpp.
+// world::kShardRankStride. Its claims are core/ring.hpp's try claim
+// (fabric::claim_from calls claim_run<true, true>), so the consumer claims
+// through run_claim, step for step. What is genuinely new, and what this
+// model exists to check, is the scheduler around the claim: the
+// round-robin cursor visit, whose claim finds nothing published without
+// claiming a rank, the steal scan over the other shards' approximate
+// sizes, the steal claim against a shard whose size estimate may be stale
+// by claim time, and the cursor's move after a visit that under-fills.
+// Each shared-memory access is one step, mirroring the FFQ_CHECK_YIELD
+// sites in shard.hpp.
 //
-// Modeling choices:
-//   * approx_size (one tail load + one head load in the implementation)
-//     is coarsened to a single step per probed shard — the probe is
-//     read-only and its only role is steering, so splitting it doubles
-//     scan states without exposing new protocol behaviour;
-//   * each visit and steal opens with the claim_indices steps of the
-//     shard's try_dequeue_bulk (head load, tail snapshot load, and the
-//     tail load and snapshot store when a refresh is due), each its own
-//     step;
-//   * the claim is one RMW bounded by the head it finds
-//     (k = min(batch, t - head_now) for the observed tail t) — one of the
-//     outcomes of the implementation's CAS loop (core/ring.hpp), which
-//     re-reads the indices after a lost race; either way a claim never
-//     passes a published tail. The stale-head pre-check race (another
-//     consumer draining the shard between the emptiness check and the
-//     claim) is still fully explored.
+// Modeling choice: approx_size (one tail load + one head load in the
+// implementation) is coarsened to a single step per probed shard. The
+// probe is read-only and its only role is steering, so splitting it
+// doubles scan states without exposing new protocol behaviour.
 //
 // Mutations: the machines accept the alg1 mutations
 // (producer_mutation::publish_before_data,
@@ -56,10 +47,11 @@
 namespace ffq::model {
 
 /// Consumer running the fabric's shard scheduler with a fixed total
-/// quota: visit the cursor's shard (non-committal emptiness check, then a
-/// batch-bounded claim), resolve the claimed run with Algorithm 1's
-/// rank_resolver, steal from the largest other shard when the cursor's
-/// shard is dry, and advance the cursor when a visit under-fills.
+/// quota: claim from the cursor's shard through run_claim (the try claim,
+/// as fabric::claim_from makes it), resolve the claimed run with
+/// Algorithm 1's rank_resolver, steal from the largest other shard when
+/// the cursor's shard is dry, and advance the cursor when a visit
+/// under-fills.
 class shard_consumer : public thread_m {
  public:
   shard_consumer(int start_cursor, int quota, int batch,
@@ -79,15 +71,9 @@ class shard_consumer : public thread_m {
     }
     switch (pc_) {
       case pc::visit:
-        if (idx_.starting()) active_ = cursor_;
-        if (!observe(w)) break;
-        // Non-committal: nothing published at probe time claims no rank.
-        pc_ = idx_.t() - idx_.h() <= 0 ? pc::scan_begin : pc::claim;
-        break;
-      case pc::claim:
-        // A racing consumer may have drained the shard after our
-        // emptiness check — the stale-head race, fully explored.
-        if (!claim_run(w)) pc_ = pc::scan_begin;
+        if (claim_.starting()) active_ = cursor_;
+        // Nothing published claims no rank: steal instead.
+        if (claim(w) == run_claim::result::empty) pc_ = pc::scan_begin;
         break;
       case pc::scan_begin:
         // Local transition into the steal scan (no shared access — the
@@ -118,18 +104,20 @@ class shard_consumer : public thread_m {
         break;
       }
       case pc::steal:
-        if (idx_.starting()) active_ = best_;
-        if (observe(w)) pc_ = pc::steal_claim;
-        break;
-      case pc::steal_claim:
+        if (claim_.starting()) active_ = best_;
         // The target may have drained since the size probe (stale-steal
         // race, fully explored).
-        if (claim_run(w)) {
-          cursor_ = active_;  // keep draining the stolen shard next visit
-        } else {
-          cursor_ = (cursor_ + 1) % nshards;
-          pc_ = pc::visit;
+        switch (claim(w)) {
+          case run_claim::result::working:
+            return;
+          case run_claim::result::claimed:
+            cursor_ = active_;  // keep draining the stolen shard next visit
+            break;
+          case run_claim::result::empty:
+            cursor_ = (cursor_ + 1) % nshards;
+            break;
         }
+        pc_ = pc::visit;
         break;
     }
   }
@@ -143,7 +131,7 @@ class shard_consumer : public thread_m {
     out.push_back(scan_i_);
     out.push_back(best_);
     out.push_back(best_sz_);
-    idx_.encode(out);
+    claim_.encode(out);
     run_.encode(out);
   }
 
@@ -151,30 +139,16 @@ class shard_consumer : public thread_m {
     return std::make_unique<shard_consumer>(*this);
   }
 
-  int taken() const { return taken_; }
-
  private:
-  enum class pc { visit, claim, scan_begin, scan_probe, steal, steal_claim };
+  enum class pc { visit, scan_begin, scan_probe, steal };
 
-  /// One claim_indices step on the active shard; true once the indices
-  /// are observed.
-  bool observe(world& w) {
-    return idx_.step(w, active_, std::min(batch_, quota_ - taken_), mut_) ==
-           claim_indices::result::ready;
-  }
-
-  /// Tail-bounded claim on the active shard's head: one RMW (see header).
-  /// False, claiming nothing, when the shard holds no rank below the
-  /// observed tail.
-  bool claim_run(world& w) {
-    int& head = w.heads_[static_cast<std::size_t>(active_)];
-    const int avail = idx_.t() - head;
-    if (avail <= 0) return false;
-    claimed_ = std::min({batch_, avail, quota_ - taken_});
-    run_.begin(world::rank_of(active_, head), claimed_);
-    head += claimed_;
-    pc_ = pc::visit;
-    return true;
+  /// One step of the active shard's try claim; a claimed run's size is
+  /// the visit's fill.
+  run_claim::result claim(world& w) {
+    const auto r = claim_.step(w, active_, std::min(batch_, quota_ - taken_),
+                               mut_, run_);
+    if (r == run_claim::result::claimed) claimed_ = run_.left();
+    return r;
   }
 
   pc pc_ = pc::visit;
@@ -188,7 +162,7 @@ class shard_consumer : public thread_m {
   int quota_;
   int batch_;
   consumer_mutation mut_;
-  claim_indices idx_;
+  run_claim claim_{true};
   rank_resolver run_;
 };
 

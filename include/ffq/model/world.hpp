@@ -221,7 +221,8 @@ class world {
   // in its liveness phase, on a whole exhausted graph and one-sidedly
   // under a preemption bound, so the two rules that keep try_ consumers
   // live are checked as safety properties on the edge where they break.
-  // Both watch a plain ring: shard 0's tail.
+  // The stall rule watches the stalling producer's shard, the try_ rule
+  // a plain ring (shard 0's tail).
 
   bool producers_idle() const {
     for (const auto& t : threads_) {
@@ -230,14 +231,16 @@ class world {
     return true;
   }
 
-  /// A single producer with next rank `private_tail` starts waiting for a
-  /// full-ring cell to drain. Publish before stall: every rank it decided
-  /// must be below the shared tail, or try_ consumers (which claim only
-  /// below it) see an empty ring and the wait never ends.
-  void record_full_stall(int private_tail) {
-    if (violation_.empty() && tails_[0] < private_tail) {
+  /// The single producer of `shard`, with next local rank `private_tail`,
+  /// starts waiting for a full-ring cell to drain. Publish before stall:
+  /// every rank it decided must be below the shard's shared tail, or try_
+  /// consumers (which claim only below it) see an empty ring and the wait
+  /// never ends.
+  void record_full_stall(int shard, int private_tail) {
+    const int tail = tails_[static_cast<std::size_t>(shard)];
+    if (violation_.empty() && tail < private_tail) {
       violation_ = "publish-before-stall: producer waits on a full ring "
-                   "while ranks " + std::to_string(tails_[0]) + ".." +
+                   "while ranks " + std::to_string(tail) + ".." +
                    std::to_string(private_tail - 1) +
                    " are hidden above the shared tail";
     }

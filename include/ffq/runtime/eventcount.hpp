@@ -12,8 +12,9 @@
 //              if (queue still empty) ec.wait(key); else ec.cancel_wait();
 //   producer:  enqueue(...); ec.notify_one();   // only when waiters exist
 //
-// The producer-side notify is a single relaxed load when nobody waits,
-// so an always-busy queue pays (almost) nothing.
+// The producer-side notify is one uncontended RMW of the waiter count
+// when nobody waits (lock xadd on x86): a plain load there can pass the
+// producer's publishing store and lose a wake-up.
 #pragma once
 
 #include <atomic>
@@ -56,6 +57,15 @@ class eventcount {
   }
 
  private:
+  /// The notifier's "any waiters?" check. An RMW, not a load: it is
+  /// ordered after the caller's release stores (the item, or close()'s
+  /// closed tail), so it cannot read 0 while a waiter's re-check under
+  /// prepare_wait misses that store. A seq_cst load may pass the store
+  /// on x86 (store buffering) and lose the wake-up.
+  bool waiters_present() noexcept {
+    return waiters_->fetch_add(0, std::memory_order_seq_cst) != 0;
+  }
+
   // epoch: bumped by every notify; waiters compare their key against it.
   padded<std::atomic<std::uint32_t>> epoch_{0};
   padded<std::atomic<std::uint32_t>> waiters_{0};

@@ -3,6 +3,7 @@
 #include <memory>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "ffq/model/ffq_alg1.hpp"
 #include "ffq/model/ffq_alg2.hpp"
@@ -41,9 +42,9 @@ void add(world& w, Args... args) {
 world try_shape(std::size_t cells, const mutations& mu) {
   world w(cells, 3);
   w.producer_ranges_ = {{1, 3}};
-  add<alg1_bulk_producer>(w, 1, 3, 3, mu.p);
-  add<alg1_try_consumer>(w, 2, mu.c);
-  add<alg1_try_consumer>(w, 2, mu.c);
+  add<alg1_producer>(w, 1, 3, 3, mu.p);
+  add<alg1_consumer>(w, alg1_consumer::kPoll, 2, mu.c);
+  add<alg1_consumer>(w, alg1_consumer::kPoll, 2, mu.c);
   return w;
 }
 
@@ -55,8 +56,8 @@ const std::pair<const char*, shape_fn> kShapes[] = {
      [](const mutations& mu) {
        world w(2, 3);
        w.producer_ranges_ = {{1, 3}};
-       add<alg1_producer>(w, 1, 3, mu.p);
-       add<alg1_consumer>(w, 3, mu.c);
+       add<alg1_producer>(w, 1, 3, 1, mu.p);
+       add<alg1_consumer>(w, 3, 1, mu.c);
        return w;
      }},
     // 1 producer x 4 items, 2 consumers x quota 2, 2 cells.
@@ -64,9 +65,9 @@ const std::pair<const char*, shape_fn> kShapes[] = {
      [](const mutations& mu) {
        world w(2, 4);
        w.producer_ranges_ = {{1, 4}};
-       add<alg1_producer>(w, 1, 4, mu.p);
-       add<alg1_consumer>(w, 2, mu.c);
-       add<alg1_consumer>(w, 2, mu.c);
+       add<alg1_producer>(w, 1, 4, 1, mu.p);
+       add<alg1_consumer>(w, 2, 1, mu.c);
+       add<alg1_consumer>(w, 2, 1, mu.c);
        return w;
      }},
     // 2 cells: the batch wraps the ring (publish before stall).
@@ -80,8 +81,8 @@ const std::pair<const char*, shape_fn> kShapes[] = {
        w.producer_ranges_ = {{1, 2}, {3, 4}};
        add<alg2_producer>(w, 1, 2, mu.m);
        add<alg2_producer>(w, 3, 2, mu.m);
-       add<alg1_consumer>(w, 2, mu.c);
-       add<alg1_consumer>(w, 2, mu.c);
+       add<alg1_consumer>(w, 2, 1, mu.c);
+       add<alg1_consumer>(w, 2, 1, mu.c);
        return w;
      }},
     // 2 shards of 2 cells: shard 0 wraps its ring twice (gaps and the
@@ -92,8 +93,8 @@ const std::pair<const char*, shape_fn> kShapes[] = {
      [](const mutations& mu) {
        world w(2, 6, 2);
        w.producer_ranges_ = {{1, 4}, {5, 6}};
-       add<alg1_producer>(w, 1, 4, mu.p, 0);
-       add<alg1_producer>(w, 5, 2, mu.p, 1);
+       add<alg1_producer>(w, 1, 4, 1, mu.p, 0);
+       add<alg1_producer>(w, 5, 2, 1, mu.p, 1);
        add<shard_consumer>(w, 0, 3, 2, mu.c);
        add<shard_consumer>(w, 1, 3, 2, mu.c);
        return w;
@@ -112,6 +113,20 @@ world make_shape(const std::string& shape, const std::string& mutation) {
     if (shape == name) return make(*mu);
   }
   throw std::invalid_argument("unknown model: " + shape);
+}
+
+std::vector<std::string> shape_names() {
+  std::vector<std::string> names;
+  for (const auto& entry : kShapes) names.emplace_back(entry.first);
+  return names;
+}
+
+std::vector<std::string> mutation_names() {
+  std::vector<std::string> names;
+  for (const auto& entry : kMutations) {
+    if (*entry.first != '\0') names.emplace_back(entry.first);
+  }
+  return names;
 }
 
 }  // namespace ffq::model

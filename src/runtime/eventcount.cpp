@@ -30,13 +30,13 @@ void eventcount::wait(key_type key) noexcept {
 }
 
 void eventcount::notify_one() noexcept {
-  if (waiters_->load(std::memory_order_seq_cst) == 0) return;
+  if (!waiters_present()) return;
   epoch_->fetch_add(1, std::memory_order_seq_cst);
   futex(&epoch_.value, FUTEX_WAKE_PRIVATE, 1);
 }
 
 void eventcount::notify_all() noexcept {
-  if (waiters_->load(std::memory_order_seq_cst) == 0) return;
+  if (!waiters_present()) return;
   epoch_->fetch_add(1, std::memory_order_seq_cst);
   futex(&epoch_.value, FUTEX_WAKE_PRIVATE, 0x7fffffff);
 }
@@ -51,7 +51,7 @@ void eventcount::wait(key_type key) noexcept {
 }
 
 void eventcount::notify_one() noexcept {
-  if (waiters_->load(std::memory_order_seq_cst) == 0) return;
+  if (!waiters_present()) return;
   epoch_->fetch_add(1, std::memory_order_seq_cst);
 }
 

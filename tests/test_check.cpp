@@ -637,7 +637,7 @@ TEST(CheckReplay, ModelSpscScheduleIsPinnedAndReplaysExactly) {
   const auto r = chk::run_schedule(t, d);
   ASSERT_TRUE(r.ok) << r.violation;
   EXPECT_EQ(chk::format_schedule(r.witness),
-            "0.1*7.0*2.1.0*2.1*5.0.1.0*3.1*6");
-  EXPECT_EQ(r.witness.picks.size(), 29u);
+            "0.1*7.0*2.1.0*2.1*5.0.1.0*3.1*3.0*2.1*3.0.1*2");
+  EXPECT_EQ(r.witness.picks.size(), 34u);
   expect_replay_rule([&w] { return chk::model_target(w); }, r.witness);
 }

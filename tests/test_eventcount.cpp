@@ -8,6 +8,8 @@
 #include <thread>
 #include <vector>
 
+#include "ffq/core/spsc.hpp"
+
 namespace rt = ffq::runtime;
 
 // The park/wake tests sleep to let waiter threads reach the futex; that
@@ -127,4 +129,79 @@ TEST(Eventcount, ProducerConsumerHandoffLoop) {
   }
   consumer.join();
   EXPECT_EQ(available.load(), 0);
+}
+
+// Regression: a notify after an enqueue must wake a consumer whose
+// re-check under prepare_wait missed that item. Each round races the
+// producer's enqueue + notify_one against the consumer's prepare_wait +
+// try_dequeue; a consumer that missed the item parks only after the
+// producer's notify has returned, so it must find the epoch moved. With
+// the waiter check as a plain seq_cst load, the load can pass the
+// enqueue's store on x86 (store buffering): the producer reads 0 waiters,
+// skips the wake, and the consumer parks for good. The watchdog releases
+// (and counts) a consumer parked for more than 100 ms.
+TEST(Eventcount, NotifyAfterEnqueueWakesAConsumerThatMissedTheItem) {
+  FFQ_REQUIRE_PARALLEL_HW();
+  using clock = std::chrono::steady_clock;
+  constexpr int kRounds = 5'000'000;
+  rt::eventcount ec;
+  ffq::core::spsc_queue<int> q(2);
+  std::atomic<int> go{0}, checked{0}, parked{0}, lost{0};
+  std::atomic<bool> stop{false};
+
+  std::thread producer([&] {
+    for (int r = 1; r <= kRounds; ++r) {
+      while (go.load(std::memory_order_acquire) < r) {
+        if (stop.load(std::memory_order_relaxed)) return;
+      }
+      q.enqueue(r);
+      ec.notify_one();
+      checked.store(r, std::memory_order_release);
+    }
+  });
+  std::thread watchdog([&] {
+    int seen = 0;
+    auto since = clock::now();
+    while (!stop.load(std::memory_order_relaxed)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      const int p = parked.load(std::memory_order_acquire);
+      if (p == 0 || p != seen) {
+        seen = p;
+        since = clock::now();
+      } else if (clock::now() - since > std::chrono::milliseconds(100)) {
+        lost.fetch_add(1);
+        seen = 0;
+        ec.notify_all();
+      }
+    }
+  });
+
+  const auto deadline = clock::now() + std::chrono::seconds(4);
+  int rounds = 0;
+  bool in_order = true;
+  for (int r = 1; r <= kRounds && lost.load() == 0; ++r) {
+    if ((r & 1023) == 0 && clock::now() > deadline) break;
+    go.store(r, std::memory_order_release);
+    const auto key = ec.prepare_wait();
+    int v = 0;
+    if (q.try_dequeue(v)) {
+      ec.cancel_wait();
+    } else {
+      while (checked.load(std::memory_order_acquire) < r) {
+      }
+      parked.store(r, std::memory_order_release);
+      ec.wait(key);
+      parked.store(0, std::memory_order_release);
+      while (!q.try_dequeue(v)) {
+      }
+    }
+    in_order = in_order && v == r;
+    rounds = r;
+  }
+  stop.store(true);
+  producer.join();
+  watchdog.join();
+  EXPECT_EQ(lost.load(), 0) << "lost wake-up after " << rounds << " rounds";
+  EXPECT_TRUE(in_order);
+  EXPECT_GT(rounds, 0);
 }

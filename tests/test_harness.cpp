@@ -281,8 +281,7 @@ TEST(Pairwise, MultiRunSummary) {
 TEST(SpmcBench, SingleGroupSingleConsumer) {
   spmc_bench_config cfg;
   cfg.items_per_producer = 20000;
-  cfg.submission_capacity = 1 << 10;
-  cfg.response_capacity = 1 << 10;
+  cfg.capacity = 1 << 10;
   const double rt = run_spmc_bench_once<
       ffq::core::spmc_queue<std::uint64_t, ffq::core::layout_aligned>,
       ffq::core::layout_aligned>(cfg);
@@ -326,8 +325,7 @@ TEST(SpmcBench, AffinityPoliciesAllTerminate) {
 
 TEST(SpmcBench, TinyQueuesExerciseFlowControl) {
   spmc_bench_config cfg;
-  cfg.submission_capacity = 4;
-  cfg.response_capacity = 4;
+  cfg.capacity = 4;
   cfg.consumers_per_group = 2;
   cfg.items_per_producer = 5000;
   const double rt = run_spmc_bench_once<

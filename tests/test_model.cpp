@@ -37,30 +37,25 @@ world make_alg1(std::size_t cells, int items, std::vector<int> quotas,
                 consumer_mutation cmut = consumer_mutation::none) {
   world w(cells, items);
   w.producer_ranges_ = {{1, items}};
-  w.threads_.push_back(std::make_unique<alg1_producer>(1, items, pmut));
+  w.threads_.push_back(std::make_unique<alg1_producer>(1, items, 1, pmut));
   for (int q : quotas) {
-    w.threads_.push_back(std::make_unique<alg1_consumer>(q, cmut));
+    w.threads_.push_back(std::make_unique<alg1_consumer>(q, 1, cmut));
   }
   return w;
 }
 
 /// Bulk variant of make_alg1: 1 producer enqueueing `items` values in
 /// batches of `pbatch` (single tail store per batch); consumers run
-/// dequeue_bulk with run size `cbatch` when cbatch > 0, scalar dequeues
-/// when cbatch == 0.
+/// dequeue_bulk with run size `cbatch` (1: scalar dequeues).
 world make_alg1_bulk(std::size_t cells, int items, int pbatch, int cbatch,
                      std::vector<int> quotas,
                      producer_mutation pmut = producer_mutation::none,
                      consumer_mutation cmut = consumer_mutation::none) {
   world w(cells, items);
   w.producer_ranges_ = {{1, items}};
-  w.threads_.push_back(std::make_unique<alg1_bulk_producer>(1, items, pbatch, pmut));
+  w.threads_.push_back(std::make_unique<alg1_producer>(1, items, pbatch, pmut));
   for (int q : quotas) {
-    if (cbatch > 0) {
-      w.threads_.push_back(std::make_unique<alg1_bulk_consumer>(q, cbatch, cmut));
-    } else {
-      w.threads_.push_back(std::make_unique<alg1_consumer>(q, cmut));
-    }
+    w.threads_.push_back(std::make_unique<alg1_consumer>(q, cbatch, cmut));
   }
   return w;
 }
@@ -90,7 +85,7 @@ world make_alg2(std::size_t cells, int producers, int per,
 TEST(ModelAlg1, SingleConsumerVerifies) {
   const auto r = explore_all(make_alg1(2, 3, {3}));
   EXPECT_TRUE(r.ok) << r.violation;
-  EXPECT_EQ(r.states, 212u);
+  EXPECT_EQ(r.states, 362u);
   EXPECT_EQ(r.terminals, 3u);
   EXPECT_TRUE(r.exhausted);
 }
@@ -98,7 +93,7 @@ TEST(ModelAlg1, SingleConsumerVerifies) {
 TEST(ModelAlg1, TwoConsumersVerify) {
   const auto r = explore_all(make_alg1(2, 3, {2, 1}));
   EXPECT_TRUE(r.ok) << r.violation;
-  EXPECT_EQ(r.states, 1708u);
+  EXPECT_EQ(r.states, 3078u);
   EXPECT_EQ(r.terminals, 9u);
   EXPECT_TRUE(r.exhausted);
 }
@@ -106,7 +101,7 @@ TEST(ModelAlg1, TwoConsumersVerify) {
 TEST(ModelAlg1, TwoConsumersLargerRingVerifies) {
   const auto r = explore_all(make_alg1(4, 4, {2, 2}));
   EXPECT_TRUE(r.ok) << r.violation;
-  EXPECT_EQ(r.states, 1845u);
+  EXPECT_EQ(r.states, 2693u);
   EXPECT_EQ(r.terminals, 4u);
   EXPECT_TRUE(r.exhausted);
 }
@@ -114,7 +109,7 @@ TEST(ModelAlg1, TwoConsumersLargerRingVerifies) {
 TEST(ModelAlg1, ThreeConsumersVerify) {
   const auto r = explore_all(make_alg1(2, 4, {2, 1, 1}));
   EXPECT_TRUE(r.ok) << r.violation;
-  EXPECT_EQ(r.states, 71659u);
+  EXPECT_EQ(r.states, 132256u);
   EXPECT_EQ(r.terminals, 104u);
 }
 
@@ -155,7 +150,7 @@ TEST(ModelAlg1Bulk, BulkProducerWithScalarConsumersVerifies) {
   // scalar consumers never read the tail, so every interleaving must
   // still deliver exactly once in FIFO order.
   const auto r =
-      explore_all(make_alg1_bulk(2, 3, /*pbatch=*/2, /*cbatch=*/0, {2, 1}));
+      explore_all(make_alg1_bulk(2, 3, /*pbatch=*/2, /*cbatch=*/1, {2, 1}));
   EXPECT_TRUE(r.ok) << r.violation;
   EXPECT_EQ(r.states, 3037u);
   EXPECT_EQ(r.terminals, 9u);
@@ -166,20 +161,32 @@ TEST(ModelAlg1Bulk, BulkProducerWithBulkConsumerVerifies) {
   const auto r =
       explore_all(make_alg1_bulk(2, 3, /*pbatch=*/2, /*cbatch=*/2, {3}));
   EXPECT_TRUE(r.ok) << r.violation;
-  EXPECT_EQ(r.states, 1168u);
-  EXPECT_EQ(r.terminals, 15u);
+  EXPECT_EQ(r.states, 989u);
+  EXPECT_EQ(r.terminals, 11u);
   EXPECT_TRUE(r.exhausted);
 }
 
 TEST(ModelAlg1Bulk, TwoBulkConsumersVerify) {
-  // Two bulk consumers expose the stale-head claim race (head loaded,
-  // then fetched-and-added in a separate step) and runs that land on
-  // gap ranks; both must preserve exactly-once and liveness.
+  // A run claim racing the quota-1 consumer's bare fetch-and-add, and
+  // runs that land on gap ranks; both must preserve exactly-once and
+  // liveness.
   const auto r =
       explore_all(make_alg1_bulk(2, 3, /*pbatch=*/2, /*cbatch=*/2, {2, 1}));
   EXPECT_TRUE(r.ok) << r.violation;
-  EXPECT_EQ(r.states, 54761u);
-  EXPECT_EQ(r.terminals, 248u);
+  EXPECT_EQ(r.states, 7620u);
+  EXPECT_EQ(r.terminals, 28u);
+  EXPECT_TRUE(r.exhausted);
+}
+
+TEST(ModelAlg1Bulk, TwoRunClaimsVerify) {
+  // Two consumers whose claims are both runs expose the stale-head race
+  // between two run claims (head loaded, then fetched-and-added in a
+  // separate step).
+  const auto r =
+      explore_all(make_alg1_bulk(2, 4, /*pbatch=*/2, /*cbatch=*/2, {2, 2}));
+  EXPECT_TRUE(r.ok) << r.violation;
+  EXPECT_EQ(r.states, 134534u);
+  EXPECT_EQ(r.terminals, 306u);
   EXPECT_TRUE(r.exhausted);
 }
 
@@ -213,7 +220,7 @@ TEST(ModelAlg1Bulk, PublishBeforeDataInBulkIsCaught) {
   // The line 16/17 ordering is per cell, not per batch: deferring the
   // tail store buys no licence to publish a rank before its data.
   const auto r = explore_all(
-      make_alg1_bulk(2, 3, /*pbatch=*/2, /*cbatch=*/0, {2, 1},
+      make_alg1_bulk(2, 3, /*pbatch=*/2, /*cbatch=*/1, {2, 1},
                      producer_mutation::publish_before_data));
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.violation.find("safety"), std::string::npos) << r.violation;

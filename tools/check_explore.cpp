@@ -2,6 +2,7 @@
 //
 // Model substrate (clonable state machines; supports exhaustive DFS):
 //   check_explore --model spsc --bound 2          exhaustive, preemption<=2
+//   check_explore --model all --bound 2           every model shape
 //   check_explore --model spmc --fuzz 5000        seeded random schedules
 //   check_explore --model spmc --mutate skip_line29_recheck --fuzz 5000
 //   check_explore --model spmc --mutate skip_line29_recheck --replay 0.1*3.0
@@ -35,6 +36,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "ffq/check/check.hpp"
 #include "ffq/core/mpmc.hpp"
@@ -135,18 +137,17 @@ const queue_target kQueues[] = {
 };
 
 int usage() {
-  std::string queues;
+  std::string models, queues, mutations;
+  for (const auto& m : model::shape_names()) models += m + "|";
   for (const auto& q : kQueues) queues += std::string(q.name) + "|";
+  for (const auto& m : model::mutation_names()) mutations += " " + m;
   std::fprintf(stderr,
-               "usage: check_explore --model "
-               "spsc|spmc|spmc_bulk|spmc_try|mpmc|shard [--bound N] "
+               "usage: check_explore --model %sall [--bound N] "
                "[--fuzz N] [--replay SCHED] [--mutate NAME] [--seed S]\n"
                "       check_explore --queue %sall "
                "--fuzz N [--replay SCHED] [--seed S]\n"
-               "mutations: publish_before_data skip_line29_recheck "
-               "tail_after_batch faa_try_claim claim_publishes_directly "
-               "gap_ignores_rank claim_ignores_gap\n",
-               queues.c_str());
+               "mutations:%s\n",
+               models.c_str(), queues.c_str(), mutations.c_str());
   return 2;
 }
 
@@ -230,26 +231,38 @@ int main(int argc, char** argv) {
   const std::string fuzz_what = " fuzz " + std::to_string(fuzz_runs) +
                                 " (seed " + std::to_string(seed) + ")";
 
+  // Model mode: --replay names one shape, --bound/--fuzz one or all.
   if (!model_name.empty()) {
-    std::optional<model::world> w;
-    try {
-      w.emplace(model::make_shape(model_name, mutate));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "check_explore: %s\n", e.what());
-      return 2;
+    if (!replay_sched && bound < 0 && fuzz_runs == 0) return usage();
+    const bool all = model_name == "all" && !replay_sched;
+    int rc = 0;
+    for (const auto& name :
+         all ? model::shape_names() : std::vector<std::string>{model_name}) {
+      std::optional<model::world> w;
+      try {
+        w.emplace(model::make_shape(name, mutate));
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "check_explore: %s\n", e.what());
+        return 2;
+      }
+      auto make = [&w] { return model_target(*w); };
+      if (replay_sched) {
+        return report(replay(make, *replay_sched), "model replay");
+      }
+      const std::string what = "model " + name;
+      int shape_rc = 0;
+      if (bound >= 0) {
+        dfs_options opt;
+        opt.preemption_bound = bound;
+        shape_rc = report(dfs_explore(*w, opt),
+                          what + " DFS bound " + std::to_string(bound));
+      }
+      if (shape_rc == 0 && fuzz_runs > 0) {
+        shape_rc = report(fuzz(make, seed, fuzz_runs), what + fuzz_what);
+      }
+      rc |= shape_rc;
     }
-    auto make = [&w] { return model_target(*w); };
-    if (replay_sched) return report(replay(make, *replay_sched), "model replay");
-    if (bound < 0 && fuzz_runs == 0) return usage();
-    if (bound >= 0) {
-      dfs_options opt;
-      opt.preemption_bound = bound;
-      const int rc = report(dfs_explore(*w, opt), "model " + model_name +
-                                                      " DFS bound " +
-                                                      std::to_string(bound));
-      if (rc != 0 || fuzz_runs == 0) return rc;
-    }
-    return report(fuzz(make, seed, fuzz_runs), "model " + model_name + fuzz_what);
+    return rc;
   }
 
   // Real-queue mode: --replay names one queue, --fuzz one or all.
